@@ -39,13 +39,14 @@ from .cohomology import (
     table_to_json_dict,
 )
 from .collapse import E2Generator, E2Presentation, WrongShape, analyze
-from .exactfield import CompositeCharacteristic, Field, ImageNotInKernel
+from .exactfield import CompositeCharacteristic, Field, InvalidInput
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 from . import selftest as selftest_mod
 
 TOOL_LINE = f"# tool: cohh {__version__}"
 INPUT_ERRORS = (
+    InvalidInput,
     CompositeCharacteristic,
     NotConnected,
     ParityViolation,
@@ -54,11 +55,12 @@ INPUT_ERRORS = (
     WindowTooSmall,
     FileNotFoundError,
     IsADirectoryError,
+    UnicodeDecodeError,
 )
-INVARIANT_ERRORS = (DifferentialNotSquareZero, ImageNotInKernel, AssertionError)
+INVARIANT_ERRORS = (DifferentialNotSquareZero, AssertionError)
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
@@ -353,6 +355,8 @@ def cmd_selftest(args) -> int:
         failures += 0 if res.passed else 1
         detail = f" ({res.detail})" if res.detail else ""
         lines.append(f"{status} {res.name}{detail}")
+        budget = selftest_mod.TIME_BUDGETS_SECONDS[res.name]
+        print(f"# {res.name}: {res.elapsed:.3f} s (budget {budget} s)", file=sys.stderr)
     lines.append(f"# total: {len(results)} checks, {failures} failed")
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
@@ -430,10 +434,7 @@ def main(argv=None) -> int:
     except INVARIANT_ERRORS as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, *INPUT_ERRORS) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(f"# elapsed_seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)

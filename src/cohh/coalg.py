@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .exactfield import Field
+from .exactfield import Field, InvalidInput
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -65,7 +65,7 @@ class CoalgebraPresentation:
         self.cogenerators = tuple(cogenerators)
         names = [c.name for c in self.cogenerators]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate cogenerator names in {names}")
+            raise InvalidInput(f"duplicate cogenerator names in {names}")
         for cog in self.cogenerators:
             if cog.kind not in KINDS:
                 raise ValueError(f"unknown cogenerator kind {cog.kind!r}")

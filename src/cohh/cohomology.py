@@ -1,36 +1,33 @@
 """Bigraded cohomology tables of the cochain complex, and grid identification.
 
-Entry (s, t) is dim ker(d at (s,t)) - dim im(d at (s-1,t)).  Because the
-differential preserves internal degree and the window always starts at s = 0,
-every incoming differential source lies inside the window, so entries are
-exact everywhere and the boundary-uncertainty flag never fires; the flag
-column is kept in exports for the stable CSV/JSON contract.
+Over a field each entry is fixed by ranks alone:
+
+    dim H^{s,t} = n_{s,t} - rank d_{s,t} - rank d_{s-1,t},
+
+where n_{s,t} is the spot dimension.  The differential preserves internal
+degree and the window starts at s = 0, so every incoming differential lies
+inside the window and every entry is exact.  The formula counts cohomology
+only when d.d = 0, which `build_complex` checks exactly (with its default
+check=True) before any table is computed from the complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .cochain import BidegreeWindow, CochainComplex, DifferentialNotSquareZero
-from .exactfield import (
-    ImageNotInKernel,
-    quotient_representatives,
-    row_reduce,
-    subquotient_dim,
-)
+from .cochain import BidegreeWindow, CochainComplex
+from .exactfield import row_reduce
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class BigradedTable:
-    """Exact dimensions per (s, t) in the window, with optional representatives."""
+    """Exact dimensions per (s, t) in the window."""
 
     window: BidegreeWindow
     entries: dict                     # (s, t) -> dimension
-    flags: dict = field(default_factory=dict)   # (s, t) -> "" or "boundary-uncertain"
-    representatives: Optional[dict] = None      # (s, t) -> list of kernel vectors
 
     def dim(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)
@@ -39,29 +36,22 @@ class BigradedTable:
         return {k: v for k, v in sorted(self.entries.items()) if v}
 
 
-def cohh_table(cx: CochainComplex, representatives: bool = False) -> BigradedTable:
-    """Cohomology dimensions at every window spot of a built complex."""
-    fld = cx.presentation.field
+def cohh_table(cx: CochainComplex) -> BigradedTable:
+    """Cohomology dimensions at every window spot of a built complex.
+
+    One elimination per differential: rank d_{s,t} serves spot (s, t) and,
+    as the incoming rank, spot (s+1, t).  Precondition: d.d = 0 on cx, as
+    established by build_complex(..., check=True) or first_square_failure;
+    on a complex that fails it the numbers are not cohomology.
+    """
     entries = {}
-    flags = {}
-    reps = {} if representatives else None
-    for s in range(cx.window.max_s + 1):
-        for t in range(cx.window.max_t + 1):
-            kernel = row_reduce(cx.differentials[(s, t)]).kernel
-            if s == 0:
-                image_cols = []
-            else:
-                image_cols = cx.differentials[(s - 1, t)].columns()
-            try:
-                entries[(s, t)] = subquotient_dim(fld, kernel, image_cols)
-            except ImageNotInKernel as exc:
-                raise DifferentialNotSquareZero(
-                    f"at (s,t)=({s},{t}): {exc}"
-                ) from exc
-            flags[(s, t)] = ""
-            if reps is not None:
-                reps[(s, t)] = quotient_representatives(fld, kernel, image_cols)
-    return BigradedTable(cx.window, entries, flags, reps)
+    for t in range(cx.window.max_t + 1):
+        incoming = 0  # rank d_{s-1,t}; nothing comes in below s = 0
+        for s in range(cx.window.max_s + 1):
+            rank = row_reduce(cx.differentials[(s, t)]).rank
+            entries[(s, t)] = cx.spot_dim(s, t) - rank - incoming
+            incoming = rank
+    return BigradedTable(cx.window, entries)
 
 
 @dataclass
@@ -228,9 +218,9 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
 
 
 def table_to_csv(table: BigradedTable) -> str:
-    lines = ["s,t,dim,flags"]
+    lines = ["s,t,dim"]
     for (s, t) in sorted(table.entries):
-        lines.append(f"{s},{t},{table.entries[(s, t)]},{table.flags.get((s, t), '')}")
+        lines.append(f"{s},{t},{table.entries[(s, t)]}")
     return "\n".join(lines) + "\n"
 
 
@@ -239,8 +229,7 @@ def table_to_json_dict(table: BigradedTable) -> dict:
         "format_version": FORMAT_VERSION,
         "window": {"max_s": table.window.max_s, "max_t": table.window.max_t},
         "entries": [
-            {"s": s, "t": t, "dim": table.entries[(s, t)],
-             "flags": table.flags.get((s, t), "")}
+            {"s": s, "t": t, "dim": table.entries[(s, t)]}
             for (s, t) in sorted(table.entries)
         ],
     }

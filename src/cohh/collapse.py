@@ -17,7 +17,7 @@ from itertools import product
 from typing import Optional
 
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
-from .exactfield import Field
+from .exactfield import Field, InvalidInput
 
 LAMBDA_POLY = "lambda_poly"
 GAMMA_EXTERIOR = "gamma_exterior"
@@ -61,10 +61,10 @@ class E2Presentation:
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise InvalidInput(f"duplicate generator names in {names}")
         for g in self.generators:
             if g.t < 1:
-                raise ValueError(f"generator {g.name} must have positive internal degree")
+                raise InvalidInput(f"generator {g.name} must have positive internal degree")
             if g.kind == POLYNOMIAL and g.s != 1:
                 raise WrongShape(f"polynomial generator {g.name} must sit in column 1")
             if g.kind == DIVIDED_POWER and g.s != 0:

@@ -20,18 +20,42 @@ class CompositeCharacteristic(ValueError):
     """Requested characteristic is neither 0 nor a prime."""
 
 
-class ImageNotInKernel(ValueError):
-    """An image vector fell outside the span of the kernel (d*d != 0 upstream)."""
+class InvalidInput(ValueError):
+    """Input the program refuses; the CLI reports it as an input error (exit 2)."""
+
+
+# Miller-Rabin with the first twelve prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BASES_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _PRIME_BASES_EXACT_BELOW:
+        raise InvalidInput(
+            f"characteristic {n} is too large: primality is decided exactly "
+            f"only below {_PRIME_BASES_EXACT_BELOW}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -145,19 +169,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def column(self, j: int) -> list:
-        col = [self.field.zero] * self.rows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return col
-
-    def columns(self) -> list:
-        cols = [[self.field.zero] * self.rows for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
     def apply(self, vec: list) -> list:
         """Matrix-vector product (vec indexed by columns)."""
         if len(vec) != self.cols:
@@ -187,16 +198,6 @@ class SparseMatrix:
                 else:
                     entries[key] = s
         return SparseMatrix(fld, self.rows, inner.cols, entries)
-
-    def scaled(self, a) -> "SparseMatrix":
-        fld = self.field
-        a = fld.scalar(a)
-        if fld.is_zero(a):
-            return SparseMatrix.zero(fld, self.rows, self.cols)
-        return SparseMatrix(
-            fld, self.rows, self.cols,
-            {k: fld.mul(a, v) for k, v in self.entries.items()},
-        )
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (other.rows, other.cols) != (self.rows, self.cols):
@@ -355,33 +356,3 @@ def reduce_against(vec: list, rref_rows: list, pivots: list, fld: Field) -> list
         if not fld.is_zero(f):
             out = [fld.sub(a, fld.mul(f, b)) for a, b in zip(out, row)]
     return out
-
-
-def subquotient_dim(fld: Field, kernel_basis: list, image_basis: list) -> int:
-    """dim span(kernel) - dim span(image), checking image lies in the kernel.
-
-    Containment of the spans is decided on the echelonized image rows, which
-    is equivalent to checking every input vector but touches only rank-many."""
-    krank, kpivots, krows = echelonize(kernel_basis, fld)
-    irank, _, irows = echelonize(image_basis, fld)
-    for vec in irows:
-        rem = reduce_against(vec, krows, kpivots, fld)
-        if any(not fld.is_zero(a) for a in rem):
-            raise ImageNotInKernel(
-                "image vector not in kernel span (differential does not square to zero?)"
-            )
-    return krank - irank
-
-
-def quotient_representatives(fld: Field, kernel_basis: list, image_basis: list) -> list:
-    """Canonical representatives of kernel/image: echelonized kernel rows whose
-    pivots are not image pivots, each reduced modulo the image span."""
-    _, kpivots, krows = echelonize(kernel_basis, fld)
-    _, ipivots, irows = echelonize(image_basis, fld)
-    ipivot_set = set(ipivots)
-    reps = []
-    for row, pc in zip(krows, kpivots):
-        if pc in ipivot_set:
-            continue
-        reps.append(reduce_against(row, irows, ipivots, fld))
-    return reps

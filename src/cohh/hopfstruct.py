@@ -21,7 +21,14 @@ from .coalg import (
     ParityViolation,
     add_term,
 )
-from .exactfield import Field, SparseMatrix, echelonize, reduce_against, row_reduce
+from .exactfield import (
+    Field,
+    InvalidInput,
+    SparseMatrix,
+    echelonize,
+    reduce_against,
+    row_reduce,
+)
 
 
 class AlgebraPresentation:
@@ -36,10 +43,10 @@ class AlgebraPresentation:
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise InvalidInput(f"duplicate generator names in {names}")
         for gen in self.generators:
             if gen.kind not in (POLYNOMIAL, EXTERIOR):
-                raise ValueError(
+                raise InvalidInput(
                     f"algebra generators must be polynomial or exterior, got {gen.kind}"
                 )
             if gen.degree < 1:

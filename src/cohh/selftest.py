@@ -50,6 +50,17 @@ GAMMA_DEGREES = (2, 4)
 GAMMA_TRUNCATION = 8
 SWEEP_PRIMES = (0, 2, 3, 5, 7)
 SWEEP_MAX_T = 40
+# Wall-clock budget per check; the acceptance tests hold every run to it.
+TIME_BUDGETS_SECONDS = {
+    "lambda-grid-reproduction": 10,
+    "divided-power-grid-reproduction": 10,
+    "hz-pipeline": 5,
+    "collapse-certificates": 5,
+    "hypothesis-feasibility-sweep": 30,
+    "structural-invariants": 60,
+    "primitive-indecomposable-closed-forms": 5,
+    "collapse-oracle-equivalence": 30,
+}
 
 
 @dataclass

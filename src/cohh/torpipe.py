@@ -22,7 +22,7 @@ from .cohomology import (
     expected_grid,
     identify_presentation,
 )
-from .exactfield import Field, SparseMatrix, row_reduce
+from .exactfield import Field, InvalidInput, SparseMatrix, row_reduce
 
 
 @dataclass
@@ -58,7 +58,7 @@ def tor_fp(p: int, max_degree: int) -> list:
     """Graded dimensions of Tor over Z of F_p with F_p, degrees 0..max_degree."""
     fld = Field(p)
     if p == 0:
-        raise ValueError("characteristic must be a prime here")
+        raise InvalidInput("characteristic must be a prime here")
     res = fp_resolution(p)
     reduced = []
     for i, mat in enumerate(res.differentials):

@@ -7,18 +7,7 @@ independently enumerated answers, plus the stated wall-clock budgets.
 
 import pytest
 
-from cohh.selftest import ACCEPTANCE_CHECKS, run_selftest
-
-TIME_BUDGETS_SECONDS = {
-    "lambda-grid-reproduction": 10,
-    "divided-power-grid-reproduction": 10,
-    "hz-pipeline": 5,
-    "collapse-certificates": 5,
-    "hypothesis-feasibility-sweep": 30,
-    "structural-invariants": 60,
-    "primitive-indecomposable-closed-forms": 5,
-    "collapse-oracle-equivalence": 30,
-}
+from cohh.selftest import ACCEPTANCE_CHECKS, TIME_BUDGETS_SECONDS, run_selftest
 
 
 @pytest.fixture(scope="module")

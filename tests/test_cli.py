@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from cohh import cli, cochain
 from cohh.cli import (
     ParseError,
     format_e2,
@@ -12,6 +14,7 @@ from cohh.cli import (
 )
 from cohh.cochain import BidegreeWindow, build_complex
 from cohh.cohomology import cohh_table, table_to_csv
+from cohh.selftest import TIME_BUDGETS_SECONDS
 
 LAMBDA3 = "# one odd exterior class\nchar 3\nexterior y 3\n"
 LAMBDA35_E2 = (
@@ -90,7 +93,7 @@ def test_cohh_command_json(tmp_path, capsys):
     assert main(["cohh", str(src), "--format", "json",
                  "--max-s", "3", "--max-t", "9"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["format_version"] == 1
+    assert data["format_version"] == 2
     assert data["checks"]["d_squared"] == "ok"
     dims = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
     assert dims[(0, 3)] == 1
@@ -126,7 +129,7 @@ def test_cohh_command_empty_presentation(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     dims = {}
     for row in rows:
-        s, t, dim, _ = row.split(",")
+        s, t, dim = row.split(",")
         dims[(int(s), int(t))] = int(dim)
     assert dims[(0, 0)] == 1
     assert sum(dims.values()) == 1
@@ -205,10 +208,15 @@ def test_indecomposables_rejects_divided_power(tmp_path, capsys):
 
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert out.count("PASS ") == 8
     assert "FAIL" not in out
     assert "# total: 8 checks, 0 failed" in out
+    for name, budget in TIME_BUDGETS_SECONDS.items():
+        assert re.search(
+            rf"^# {name}: \d+\.\d{{3}} s \(budget {budget} s\)$", captured.err, re.M
+        )
 
 
 def test_selftest_corrupt_twist(capsys):
@@ -220,3 +228,53 @@ def test_selftest_corrupt_twist(capsys):
 
 def test_missing_file(capsys):
     assert main(["cohh", "/nonexistent/path.coalg"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, reason",
+    [
+        ("cohh", "char 3\nexterior y 3\nexterior y 5\n", "duplicate cogenerator names"),
+        ("cohh", "char 3317044064679887385961981\nexterior y 3\n", "too large"),
+        ("collapse", "char 3\nexterior y 0 3\npolynomial y 1 3\n", "duplicate generator"),
+        ("collapse", "char 3\nexterior y 0 0\n", "positive internal degree"),
+        ("indecomposables", "char 3\ndivided_power x 2\n", "polynomial or exterior"),
+    ],
+)
+def test_rejected_input_exits_2_with_reason(tmp_path, capsys, command, text, reason):
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    assert main([command, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and reason in err
+
+
+def test_hz_rejects_characteristic_zero(capsys):
+    assert main(["hz", "--char", "0"]) == 2
+    assert "input error: characteristic must be a prime" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    def broken(cx):
+        raise ValueError("shape mismatch inside the engine")
+
+    monkeypatch.setattr(cli, "cohh_table", broken)
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        main(["cohh", str(src), "--max-t", "6"])
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(tmp_path, capsys, monkeypatch):
+    twist = cochain.twist_first_to_last
+
+    def flipped(C, terms, twist_sign=1):
+        return twist(C, terms, -twist_sign)
+
+    monkeypatch.setattr(cochain, "twist_first_to_last", flipped)
+    src = tmp_path / "gamma.coalg"
+    src.write_text("char 3\ndivided_power x 2\n")
+    assert main(["cohh", str(src), "--max-s", "2", "--max-t", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "invariant failure" in captured.err
+    assert captured.out == ""

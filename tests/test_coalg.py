@@ -20,7 +20,7 @@ from cohh.coalg import (
     counit,
     counitality_ok,
 )
-from cohh.exactfield import Field
+from cohh.exactfield import Field, InvalidInput
 
 
 def exterior(p, *degrees):
@@ -50,7 +50,7 @@ def test_validation_errors():
         gamma(5, 3)
     with pytest.raises(NotConnected):
         exterior(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         CoalgebraPresentation(
             Field(3), [Cogenerator("y", EXTERIOR, 3), Cogenerator("y", EXTERIOR, 5)]
         )

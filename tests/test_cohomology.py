@@ -41,6 +41,17 @@ def gamma(p, degree):
     )
 
 
+def poly(p, degree):
+    return CoalgebraPresentation(Field(p), [Cogenerator("w", POLYNOMIAL, degree)])
+
+
+def exterior_times_poly(p):
+    """Λ(y3)⊗k[w2]."""
+    return CoalgebraPresentation(
+        Field(p), [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2)]
+    )
+
+
 def brute_exterior_poly_grid(degrees, window):
     """Monomial-by-monomial count of the exterior(base) x polynomial(column) grid."""
     grid = {
@@ -154,7 +165,7 @@ def test_euler_check_passes_and_detects_corruption():
     report = euler_check(cx, table)
     assert report.passed and report.checked_degrees
 
-    corrupted = BigradedTable(table.window, dict(table.entries), dict(table.flags))
+    corrupted = BigradedTable(table.window, dict(table.entries))
     corrupted.entries[(1, 6)] += 1
     corrupted.entries[(2, 9)] += 1
     report = euler_check(cx, corrupted)
@@ -198,41 +209,20 @@ def test_identify_presentation_unrecognized():
     assert identify_presentation(BigradedTable(window, entries2)) is None
 
 
-def test_representatives_are_cycles_independent_mod_image():
-    from cohh.exactfield import echelonize
-
-    C = exterior(3, 3, 5)
-    window = BidegreeWindow(3, 16)
-    cx = build_complex(C, window)
-    table = cohh_table(cx, representatives=True)
-    fld = C.field
-    for (s, t), reps in table.representatives.items():
-        assert len(reps) == table.dim(s, t)
-        d = cx.differentials[(s, t)]
-        for vec in reps:
-            assert all(fld.is_zero(x) for x in d.apply(vec))
-        if s >= 1 and reps:
-            image = cx.differentials[(s - 1, t)].columns()
-            im_rank, _, _ = echelonize(image, fld)
-            joint_rank, _, _ = echelonize(image + reps, fld)
-            assert joint_rank == im_rank + len(reps)
-
-
 def test_csv_and_json_exports_agree_with_table():
     window = BidegreeWindow(2, 8)
     table = cohh_table(build_complex(exterior(2, 3), window))
     csv_text = table_to_csv(table)
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "s,t,dim,flags"
+    assert lines[0] == "s,t,dim"
     parsed = {}
     for line in lines[1:]:
-        s, t, dim, flags = line.split(",")
+        s, t, dim = line.split(",")
         parsed[(int(s), int(t))] = int(dim)
-        assert flags == ""
     assert parsed == table.entries
 
     data = table_to_json_dict(table)
-    assert data["format_version"] == 1
+    assert data["format_version"] == 2
     from_json = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
     assert from_json == table.entries
     json.dumps(data)  # serializable
@@ -245,3 +235,39 @@ def test_normalized_and_full_cohomology_agree():
         normalized = cohh_table(build_complex(C, window, normalized=True))
         full = cohh_table(build_complex(C, window, normalized=False))
         assert normalized.entries == full.entries
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_kunneth_table_of_product_is_convolution_of_factors(p):
+    window = BidegreeWindow(3, 12)
+    lam = cohh_table(build_complex(exterior(p, 3), window))
+    pol = cohh_table(build_complex(poly(p, 2), window))
+    product_table = cohh_table(build_complex(exterior_times_poly(p), window))
+    convolution = {
+        (s, t): sum(
+            lam.dim(s1, t1) * pol.dim(s - s1, t - t1)
+            for s1 in range(s + 1)
+            for t1 in range(t + 1)
+        )
+        for (s, t) in product_table.entries
+    }
+    assert product_table.entries == convolution
+
+
+def test_universal_coefficients_dim_mod_p_at_least_rational_dim():
+    window = BidegreeWindow(3, 12)
+    presentations = {
+        "k[w2]": lambda p: poly(p, 2),
+        "Gamma(2)": lambda p: gamma(p, 2),
+        "Lambda(3)xk[w2]": exterior_times_poly,
+    }
+    strict = set()
+    for label, make in presentations.items():
+        rational = cohh_table(build_complex(make(0), window))
+        for p in (3, 5):
+            modular = cohh_table(build_complex(make(p), window))
+            assert all(modular.dim(*k) >= v for k, v in rational.entries.items())
+            if modular.entries != rational.entries:
+                strict.add((label, p))
+    # the bound is not vacuous: k[w2] gains classes over F_3
+    assert ("k[w2]", 3) in strict

@@ -17,6 +17,7 @@ from cohh.collapse import (
     gamma_collapse,
     group_obstructions,
 )
+from cohh.exactfield import InvalidInput
 from cohh.selftest import brute_force_feasible
 
 
@@ -31,7 +32,7 @@ def test_e2_validation():
         E2Presentation(3, [E2Generator("y", EXTERIOR, 0, 4)])
     # characteristic 2 waives the column-0 parity constraint
     E2Presentation(2, [E2Generator("y", EXTERIOR, 0, 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         E2Presentation(3, [E2Generator("y", EXTERIOR, 0, 0)])
 
 

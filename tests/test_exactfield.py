@@ -1,19 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from cohh import exactfield
 from cohh.exactfield import (
     CompositeCharacteristic,
     Field,
-    ImageNotInKernel,
+    InvalidInput,
     SparseMatrix,
     echelonize,
     field_make,
-    quotient_representatives,
     reduce_against,
     row_reduce,
-    subquotient_dim,
 )
 
 
@@ -23,6 +23,30 @@ def test_field_make():
     for bad in (4, 6, 1, 9, -2):
         with pytest.raises(CompositeCharacteristic):
             field_make(bad)
+
+
+def test_large_prime_characteristic_is_decided_quickly():
+    start = time.perf_counter()
+    assert Field(10**18 + 3).characteristic == 10**18 + 3
+    assert time.perf_counter() - start < 1.0
+    # 10^18+1 = 101 * 9901 * ..., 561 a Carmichael number, 2047 = 23 * 89 a
+    # strong pseudoprime to base 2
+    for composite in (10**18 + 1, 561, 2047):
+        with pytest.raises(CompositeCharacteristic):
+            Field(composite)
+
+
+def test_characteristic_beyond_exact_primality_range_is_refused():
+    # composite, yet a strong pseudoprime to every base 2, 3, ..., 41
+    with pytest.raises(InvalidInput, match="too large"):
+        Field(3317044064679887385961981)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(exactfield._is_prime(n) == trial(n) for n in range(10**4))
 
 
 def test_scalar_canonicalization():
@@ -132,22 +156,6 @@ def test_row_reduce_idempotent_on_rref():
     assert second.pivots == first.pivots
 
 
-def test_subquotient_dim_examples():
-    f3 = Field(3)
-    one, zero = f3.one, f3.zero
-    e1, e2 = [one, zero], [zero, one]
-    assert subquotient_dim(f3, [e1, e2], [e1]) == 1
-    assert subquotient_dim(f3, [e1], []) == 1
-    # kernel {e1+e2, e2}, image {e1+2e2}: both spans echelonize to dims 2 and 1
-    assert subquotient_dim(f3, [[1, 1], [0, 1]], [[1, 2]]) == 1
-
-
-def test_subquotient_rejects_image_outside_kernel():
-    f3 = Field(3)
-    with pytest.raises(ImageNotInKernel):
-        subquotient_dim(f3, [[1, 0]], [[0, 1]])
-
-
 def test_echelonize_and_reduce_against():
     f5 = Field(5)
     rank, pivots, rows = echelonize([[2, 4], [1, 2]], f5)
@@ -155,14 +163,3 @@ def test_echelonize_and_reduce_against():
     rem = reduce_against([3, 1], rows, pivots, f5)
     assert rem == [0, 0] or any(x for x in rem)  # reduction is defined
     assert reduce_against([2, 4], rows, pivots, f5) == [0, 0]
-
-
-def test_quotient_representatives():
-    f5 = Field(5)
-    kernel = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    image = [[1, 1, 0]]
-    reps = quotient_representatives(f5, kernel, image)
-    assert len(reps) == 2
-    # together with the image they span the kernel
-    rank, _, _ = echelonize(image + reps, f5)
-    assert rank == 3

@@ -11,7 +11,7 @@ from cohh.coalg import (
     add_term,
     coproduct,
 )
-from cohh.exactfield import Field
+from cohh.exactfield import Field, InvalidInput
 from cohh.hopfstruct import (
     AlgebraPresentation,
     Comodule,
@@ -126,7 +126,7 @@ def test_indecomposables_trivial_algebra():
 
 
 def test_algebra_presentation_rejects_divided_power():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         AlgebraPresentation(Field(3), [Cogenerator("x", DIVIDED_POWER, 2)])
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from cohh.cochain import BidegreeWindow, WindowTooSmall
 from cohh.cohomology import EXTERIOR_POLYNOMIAL
-from cohh.exactfield import CompositeCharacteristic
+from cohh.exactfield import CompositeCharacteristic, InvalidInput
 from cohh.torpipe import FreeResolution, fp_resolution, hz_e2_pipeline, tor_fp
 
 
@@ -15,7 +15,7 @@ def test_tor_dims():
 def test_tor_rejects_bad_characteristic():
     with pytest.raises(CompositeCharacteristic):
         tor_fp(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         tor_fp(0, 3)
 
 
