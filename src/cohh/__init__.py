@@ -11,7 +11,7 @@ from .coalg import CoalgebraPresentation, Cogenerator, Monomial
 from .cochain import BidegreeWindow, build_complex
 from .cohomology import cohh_table, identify_presentation
 from .collapse import E2Presentation, analyze, feasible_differentials
-from .exactfield import Field, SparseMatrix, field_make, row_reduce
+from .exactfield import Field, SparseMatrix, field_make, rank, row_reduce
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 
@@ -34,5 +34,6 @@ __all__ = [
     "identify_presentation",
     "indecomposables",
     "primitives",
+    "rank",
     "row_reduce",
 ]

@@ -5,7 +5,7 @@ Presentation files are line oriented: a `char <n>` header, then one
 files use `<kind> <name> <s> <t>` lines instead.  Report bodies are
 deterministic (byte-identical for identical inputs); timing goes to stderr.
 
-Exit codes: 0 success, 1 invariant failure, 2 input error.
+Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -369,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact coHochschild homology tables and spectral-sequence collapse "
             "certificates for graded coalgebras over a field."
         ),
+        epilog=(
+            "exit codes: 0 success; 1 invariant failure (d.d != 0, a failed "
+            "check); 2 input error (the input is refused, with the reason); "
+            "3 internal error (a bug; the traceback goes to stderr)"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -437,6 +442,12 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # here, not at the top: start-up never pays for it
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     print(f"# elapsed_seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

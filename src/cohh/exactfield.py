@@ -4,6 +4,10 @@ Scalars are plain Python ints (canonical residues in [0, p)) for prime
 characteristic and ``fractions.Fraction`` (always in lowest terms) for
 characteristic zero, so equality of scalars is structural equality and no
 rounding can occur anywhere.
+
+`rank` eliminates sparse rows in place and is what every rank-only caller
+uses; `row_reduce` and `echelonize` build dense reduced echelon forms for the
+callers that need pivots or kernel bases.
 """
 
 from __future__ import annotations
@@ -241,13 +245,93 @@ def _primitive_int_row(row: list) -> list:
     return ints
 
 
+def _integer_row(row: dict) -> dict:
+    """Scale a sparse row of Fractions/ints to integers with content 1."""
+    den = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return _primitive(
+        {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    )
+
+
+def _primitive(row: dict) -> dict:
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()}
+
+
+def rank(m: SparseMatrix) -> int:
+    """Exact rank by sparse Gaussian elimination on a dict of rows.
+
+    Rows are taken shortest first; each is reduced against the stored pivot
+    rows (keyed by leading column) until its leading column has no pivot or
+    the row vanishes, and is then stored as the pivot of that column.  Over
+    F_p the rows hold residues and every pivot row is scaled to lead 1; over Q
+    they hold integers, updated fraction-free, and every pivot row is stored
+    with content 1, so the rank is exact in both cases.  No dense row and no
+    kernel is ever built.
+    """
+    p = m.field.characteristic
+    grouped: dict = {}
+    for (r, c), v in m.entries.items():
+        grouped.setdefault(r, {})[c] = v
+    pivots: dict = {}  # leading column -> pivot row
+    for row in sorted(grouped.values(), key=len):
+        if not p:
+            row = _integer_row(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            f = row[lead]
+            if p:
+                for c, v in piv.items():
+                    x = (row.get(c, 0) - f * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            else:  # row <- a*row - f*piv, a and f divided by their gcd
+                a = piv[lead]
+                g = gcd(a, f)
+                a //= g
+                f //= g
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
+                for c, v in piv.items():
+                    x = row.get(c, 0) - f * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        if row:
+            if p:
+                inv = pow(row[lead], -1, p)
+                if inv != 1:
+                    row = {c: v * inv % p for c, v in row.items()}
+            else:
+                row = _primitive(row)
+            pivots[lead] = row
+    return len(pivots)
+
+
 def _rref(rows: list, fld: Field) -> tuple:
     """In-place reduced row echelon form; returns (rank, pivot columns).
 
     Pivoting takes the first nonzero entry in column order; exact arithmetic
     needs no pivot-size selection and this keeps kernel bases deterministic.
     The arithmetic is inlined rather than routed through Field methods because
-    this loop dominates every cohomology computation.  Over the rationals the
+    it runs on every dense entry.  Only callers that need pivots or kernels
+    (`row_reduce`, `echelonize`) come here; ranks go through `rank`.  Over the
     elimination is fraction-free (cross-multiplied primitive integer rows,
     normalized to canonical Fractions only at the end) to stop coefficient
     blow-up on deep windows.

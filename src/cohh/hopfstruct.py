@@ -26,6 +26,7 @@ from .exactfield import (
     InvalidInput,
     SparseMatrix,
     echelonize,
+    rank,
     reduce_against,
     row_reduce,
 )
@@ -249,7 +250,7 @@ def cotensor(C: CoalgebraPresentation, M: Comodule, N: Comodule, max_t: int) -> 
                     target_index[key] = len(target_index)
                 triples.append((target_index[key], j, coeff))
         mat = SparseMatrix.from_triples(fld, len(target_index), len(source), triples)
-        dims[t] = len(source) - row_reduce(mat).rank
+        dims[t] = len(source) - rank(mat)
     return dims
 
 
@@ -294,7 +295,7 @@ def box_primitive_test(
         span = [
             [elem.get(m, fld.zero) for m in basis] for elem in prims.by_degree.get(t, [])
         ]
-        rank, pivots, rows = echelonize(span, fld)
+        _, pivots, rows = echelonize(span, fld)
         vec = [comp.get(m, fld.zero) for m in basis]
         residue = reduce_against(vec, rows, pivots, fld)
         if any(not fld.is_zero(x) for x in residue):

@@ -22,7 +22,7 @@ from .cohomology import (
     expected_grid,
     identify_presentation,
 )
-from .exactfield import Field, InvalidInput, SparseMatrix, row_reduce
+from .exactfield import Field, InvalidInput, SparseMatrix, rank
 
 
 @dataclass
@@ -75,8 +75,8 @@ def tor_fp(p: int, max_degree: int) -> list:
     dims = []
     n = len(res.ranks)
     for i in range(n):
-        out_rank = row_reduce(reduced[i - 1]).rank if i >= 1 else 0
-        in_rank = row_reduce(reduced[i]).rank if i < n - 1 else 0
+        out_rank = rank(reduced[i - 1]) if i >= 1 else 0
+        in_rank = rank(reduced[i]) if i < n - 1 else 0
         dims.append(res.ranks[i] - out_rank - in_rank)
     dims += [0] * (max_degree + 1 - len(dims))
     return dims[: max_degree + 1]

@@ -260,9 +260,11 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "cohh_table", broken)
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        main(["cohh", str(src), "--max-t", "6"])
-    assert "input error" not in capsys.readouterr().err
+    assert main(["cohh", str(src), "--max-t", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "input error" not in err
+    assert "internal error:" in err
+    assert "ValueError: shape mismatch inside the engine" in err
 
 
 def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from cohh import cohomology, exactfield
 from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
@@ -271,3 +272,21 @@ def test_universal_coefficients_dim_mod_p_at_least_rational_dim():
                 strict.add((label, p))
     # the bound is not vacuous: k[w2] gains classes over F_3
     assert ("k[w2]", 3) in strict
+
+
+@pytest.mark.parametrize("p", [3, 0])
+def test_cohh_table_uses_sparse_rank_not_dense_row_reduce(p, monkeypatch):
+    cx = build_complex(poly(p, 2), BidegreeWindow(4, 12))
+    dense = {
+        (s, t): cx.spot_dim(s, t)
+        - exactfield.row_reduce(cx.differentials[(s, t)]).rank
+        - (exactfield.row_reduce(cx.differentials[(s - 1, t)]).rank if s else 0)
+        for (s, t) in cx.differentials
+    }
+
+    def refuse(m):
+        raise AssertionError("dense row_reduce on a rank-only path")
+
+    monkeypatch.setattr(exactfield, "row_reduce", refuse)
+    monkeypatch.setattr(cohomology, "row_reduce", refuse, raising=False)
+    assert cohh_table(cx).entries == dense

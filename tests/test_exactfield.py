@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cohh import exactfield
+from cohh.cochain import build_complex
 from cohh.exactfield import (
     CompositeCharacteristic,
     Field,
@@ -12,9 +13,11 @@ from cohh.exactfield import (
     SparseMatrix,
     echelonize,
     field_make,
+    rank,
     reduce_against,
     row_reduce,
 )
+from cohh.selftest import _structural_corpus
 
 
 def test_field_make():
@@ -163,3 +166,62 @@ def test_echelonize_and_reduce_against():
     rem = reduce_against([3, 1], rows, pivots, f5)
     assert rem == [0, 0] or any(x for x in rem)  # reduction is defined
     assert reduce_against([2, 4], rows, pivots, f5) == [0, 0]
+
+
+def _transpose(m):
+    return SparseMatrix(
+        m.field, m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}
+    )
+
+
+def _random_matrix(rng, fld, rows, cols, density):
+    """Random entries; over Q some are non-integer Fractions."""
+    def value():
+        if fld.characteristic == 0 and rng.random() < 0.3:
+            return Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
+        return rng.randrange(-4, 5)
+
+    return SparseMatrix.from_triples(
+        fld, rows, cols,
+        [
+            (r, c, value())
+            for r in range(rows)
+            for c in range(cols)
+            if rng.random() < density
+        ],
+    )
+
+
+def _random_matrices(rng, fld):
+    for rows, cols in ((0, 4), (4, 0), (0, 0), (3, 5)):
+        yield SparseMatrix.zero(fld, rows, cols)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        yield _random_matrix(rng, fld, rows, cols, rng.choice((0.15, 0.4, 0.8)))
+    # products through a narrow middle have rank below both sides
+    for _ in range(30):
+        inner = rng.randrange(1, 4)
+        a = _random_matrix(rng, fld, rng.randrange(2, 9), inner, 0.7)
+        b = _random_matrix(rng, fld, inner, rng.randrange(2, 9), 0.7)
+        yield a.compose(b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_sparse_rank_agrees_with_dense_row_reduce(p):
+    fld = Field(p)
+    rng = random.Random(100 + p)
+    deficient = 0
+    for m in _random_matrices(rng, fld):
+        r = rank(m)
+        assert r == row_reduce(m).rank, m
+        assert r == rank(_transpose(m)), m
+        deficient += r < min(m.rows, m.cols)
+    assert deficient >= 20  # the oracle saw rank-deficient matrices
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_sparse_rank_agrees_with_dense_on_the_structural_corpus(p):
+    for label, C, window, _ in _structural_corpus(p):
+        cx = build_complex(C, window)
+        for key, d in cx.differentials.items():
+            assert rank(d) == row_reduce(d).rank, (label, p, key)
