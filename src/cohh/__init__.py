@@ -7,11 +7,11 @@ certifies spectral-sequence collapse by exhaustive bidegree analysis.
 
 __version__ = "0.1.0"
 
-from .coalg import CoalgebraPresentation, Cogenerator, Monomial
+from .coalg import CoalgebraPresentation, Cogenerator
 from .cochain import BidegreeWindow, build_complex
 from .cohomology import cohh_table, identify_presentation
 from .collapse import E2Presentation, analyze, feasible_differentials
-from .exactfield import Field, SparseMatrix, field_make, rank, row_reduce
+from .exactfield import Field, SparseMatrix, rank, row_reduce
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 
@@ -23,13 +23,11 @@ __all__ = [
     "Cogenerator",
     "E2Presentation",
     "Field",
-    "Monomial",
     "SparseMatrix",
     "analyze",
     "build_complex",
     "cohh_table",
     "feasible_differentials",
-    "field_make",
     "hz_e2_pipeline",
     "identify_presentation",
     "indecomposables",

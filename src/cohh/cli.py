@@ -24,12 +24,7 @@ from .coalg import (
     ParityViolation,
     UnknownCogenerator,
 )
-from .cochain import (
-    BidegreeWindow,
-    DifferentialNotSquareZero,
-    WindowTooSmall,
-    build_complex,
-)
+from .cochain import BidegreeWindow, WindowTooSmall, build_complex
 from .cohomology import (
     BigradedTable,
     cohh_table,
@@ -43,6 +38,7 @@ from .exactfield import CompositeCharacteristic, Field, InvalidInput
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 from . import selftest as selftest_mod
+from .selftest import INVARIANT_ERRORS
 
 TOOL_LINE = f"# tool: cohh {__version__}"
 INPUT_ERRORS = (
@@ -57,7 +53,6 @@ INPUT_ERRORS = (
     IsADirectoryError,
     UnicodeDecodeError,
 )
-INVARIANT_ERRORS = (DifferentialNotSquareZero, AssertionError)
 
 
 class ParseError(InvalidInput):
@@ -347,7 +342,7 @@ def cmd_indecomposables(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest_mod.run_selftest(corrupt_twist=args.corrupt_twist)
+    results = selftest_mod.run_selftest()
     lines = ["# selftest report", TOOL_LINE]
     failures = 0
     for res in results:
@@ -424,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_indecomposables)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--corrupt-twist", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_selftest)
 

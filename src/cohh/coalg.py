@@ -5,6 +5,11 @@ coproduct), exterior (basis 1, y with primitive coproduct), and divided power
 (basis gamma_j(x), shuffle-free coproduct with unit coefficients).  Tensor
 products of cogenerators expand multiplicatively with the Koszul sign rule:
 transposing homogeneous factors u, v multiplies by (-1)^(|u||v|).
+
+A basis monomial is its exponent tuple over the cogenerator list, in list
+order: 0 or 1 for an exterior cogenerator, j for w^j or gamma_j(x).  The unit
+is the all-zero tuple.  Elements are dicts keyed by monomials (or by tuples of
+monomials, for tensor powers).
 """
 
 from __future__ import annotations
@@ -41,20 +46,6 @@ class Cogenerator:
     kind: str
     degree: int
     truncation: Optional[int] = None
-
-
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Exponent vector over a presentation's cogenerator list, in list order.
-
-    For exterior cogenerators the exponent is 0 or 1; for divided powers the
-    exponent j stands for the basis element gamma_j.
-    """
-
-    exponents: tuple
-
-    def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
 
 class CoalgebraPresentation:
@@ -94,23 +85,23 @@ class CoalgebraPresentation:
 
     # -- monomials ---------------------------------------------------------
 
-    def unit(self) -> Monomial:
-        return Monomial((0,) * len(self.cogenerators))
+    def unit(self) -> tuple:
+        return (0,) * len(self.cogenerators)
 
-    def monomial(self, exponents_by_name: dict) -> Monomial:
+    def monomial(self, exponents_by_name: dict) -> tuple:
         exps = [0] * len(self.cogenerators)
         for name, e in exponents_by_name.items():
             if name not in self._index:
                 raise UnknownCogenerator(name)
             exps[self._index[name]] = e
-        m = Monomial(tuple(exps))
+        m = tuple(exps)
         self._validate_monomial(m)
         return m
 
-    def _validate_monomial(self, m: Monomial):
-        if len(m.exponents) != len(self.cogenerators):
+    def _validate_monomial(self, m: tuple):
+        if len(m) != len(self.cogenerators):
             raise ValueError("monomial exponent vector has the wrong length")
-        for cog, e in zip(self.cogenerators, m.exponents):
+        for cog, e in zip(self.cogenerators, m):
             if e < 0:
                 raise ValueError(f"negative exponent on {cog.name}")
             if cog.kind == EXTERIOR and e > 1:
@@ -118,12 +109,12 @@ class CoalgebraPresentation:
             if cog.truncation is not None and e > cog.truncation:
                 raise ValueError(f"exponent on {cog.name} exceeds truncation")
 
-    def degree(self, m: Monomial) -> int:
-        return sum(e * c.degree for e, c in zip(m.exponents, self.cogenerators))
+    def degree(self, m: tuple) -> int:
+        return sum(e * c.degree for e, c in zip(m, self.cogenerators))
 
-    def format_monomial(self, m: Monomial) -> str:
+    def format_monomial(self, m: tuple) -> str:
         parts = []
-        for cog, e in zip(self.cogenerators, m.exponents):
+        for cog, e in zip(self.cogenerators, m):
             if e == 0:
                 continue
             if e == 1:
@@ -149,7 +140,7 @@ class CoalgebraPresentation:
         def rec(idx: int, remaining: int):
             if idx == len(cogs):
                 if remaining == 0:
-                    out.append(Monomial(tuple(acc)))
+                    out.append(tuple(acc))
                 return
             cog = cogs[idx]
             cap = remaining // cog.degree
@@ -180,7 +171,7 @@ class CoalgebraPresentation:
         # exterior (e <= 1) and divided power both split with unit coefficients
         return [(k, self.field.one) for k in range(e + 1)]
 
-    def coproduct_monomial(self, m: Monomial) -> dict:
+    def coproduct_monomial(self, m: tuple) -> dict:
         """Coproduct of a basis monomial as {(left, right): coefficient}."""
         if m in self._coproduct_cache:
             return self._coproduct_cache[m]
@@ -188,7 +179,7 @@ class CoalgebraPresentation:
         fld = self.field
         # partial terms: (left exps, right exps, right degree, coefficient)
         partial = [((), (), 0, fld.one)]
-        for idx, (cog, e) in enumerate(zip(self.cogenerators, m.exponents)):
+        for cog, e in zip(self.cogenerators, m):
             nxt = []
             for left, right, rdeg, coeff in partial:
                 for k, ck in self._single_coproduct(cog, e):
@@ -202,7 +193,7 @@ class CoalgebraPresentation:
             partial = nxt
         result: dict = {}
         for left, right, _, coeff in partial:
-            key = (Monomial(left), Monomial(right))
+            key = (left, right)
             s = fld.add(result.get(key, fld.zero), coeff)
             if fld.is_zero(s):
                 result.pop(key, None)
@@ -213,8 +204,6 @@ class CoalgebraPresentation:
 
 
 # -- linear-combination helpers ---------------------------------------------
-# Elements are dicts mapping a Monomial (or tuple of Monomials, for tensor
-# powers) to a nonzero scalar.
 
 
 def add_term(acc: dict, key, coeff, fld: Field):
@@ -226,7 +215,7 @@ def add_term(acc: dict, key, coeff, fld: Field):
 
 
 def coproduct(C: CoalgebraPresentation, element: dict) -> dict:
-    """Linear extension of the coproduct: {Monomial: c} -> {(Monomial, Monomial): c}."""
+    """Linear extension of the coproduct: {m: c} -> {(m1, m2): c}."""
     fld = C.field
     out: dict = {}
     for m, coeff in element.items():
@@ -235,21 +224,10 @@ def coproduct(C: CoalgebraPresentation, element: dict) -> dict:
     return out
 
 
-def counit(C: CoalgebraPresentation, element: dict):
-    """Coefficient of the unit monomial (zero on positive-degree monomials)."""
-    fld = C.field
-    total = fld.zero
-    for m, coeff in element.items():
-        C._validate_monomial(m)
-        if m.is_unit():
-            total = fld.add(total, coeff)
-    return total
-
-
 def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) -> dict:
     """Apply the coproduct to one slot of tensor-monomial terms.
 
-    Keys are tuples of Monomials; the slot splits into two adjacent slots.
+    Keys are tuples of monomials; the slot splits into two adjacent slots.
     The coproduct has degree 0, so no Koszul sign appears.
     """
     fld = C.field
@@ -259,18 +237,6 @@ def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) ->
             key = tup[:slot] + (a, b) + tup[slot + 1:]
             add_term(out, key, fld.mul(coeff, c), fld)
     return out
-
-
-def coaction_as_bicomodule(C: CoalgebraPresentation):
-    """Left and right coactions of C on itself: both are the coproduct."""
-
-    def psi(element: dict) -> dict:
-        return coproduct(C, element)
-
-    def gamma(element: dict) -> dict:
-        return coproduct(C, element)
-
-    return psi, gamma
 
 
 def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
@@ -292,9 +258,9 @@ def counitality_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
             left: dict = {}
             right: dict = {}
             for (a, b), c in C.coproduct_monomial(m).items():
-                if a.is_unit():
+                if not any(a):
                     add_term(left, b, c, fld)
-                if b.is_unit():
+                if not any(b):
                     add_term(right, a, c, fld)
             if left != {m: fld.one} or right != {m: fld.one}:
                 return False
@@ -313,23 +279,5 @@ def cocommutativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
                     c = fld.neg(c)
                 add_term(twisted, (b, a), c, fld)
             if twisted != expansion:
-                return False
-    return True
-
-
-def bicomodule_square_commutes(C: CoalgebraPresentation, max_t: int) -> bool:
-    """Check (Id x gamma).psi == (psi x Id).gamma on all basis monomials up to max_t.
-
-    For the diagonal coactions this is coassociativity, but both composites are
-    expanded independently here.
-    """
-    for t in range(max_t + 1):
-        for m in C.basis_in_degree(t):
-            start = {(m,): C.field.one}
-            via_psi = apply_coproduct_to_slot(C, start, 0)          # psi
-            lhs = apply_coproduct_to_slot(C, via_psi, 1)            # Id x gamma
-            via_gamma = apply_coproduct_to_slot(C, start, 0)        # gamma
-            rhs = apply_coproduct_to_slot(C, via_gamma, 0)          # psi x Id
-            if lhs != rhs:
                 return False
     return True

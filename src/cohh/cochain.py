@@ -1,11 +1,11 @@
-"""The cosimplicial object built from iterated coproducts, truncated to a window.
+"""The cosimplicial cobar object of a coalgebra, truncated to a window.
 
-Level r holds tensor powers with r+1 factors (coefficients in slot 0).  Cofaces
-apply the right coaction, the interior coproducts, or the left coaction
-followed by the twist of the first factor to the last (with Koszul sign);
-codegeneracies apply the counit in an interior slot.  The differential is the
-alternating sum of the cofaces, restricted to the normalized basis (no unit
-factor in slots >= 1) when requested.
+Level s holds tensor powers with s+1 factors (coefficients in slot 0), each a
+tuple of monomials.  Cofaces 0..s apply the coproduct to one slot; coface s+1
+applies it to slot 0 and then cycles the first factor to the last with the
+Koszul sign.  Codegeneracies apply the counit in an interior slot.  The
+differential is the alternating sum of the cofaces, restricted to the
+normalized basis (no unit factor in slots >= 1) when requested.
 """
 
 from __future__ import annotations
@@ -64,38 +64,32 @@ def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> 
 
 
 def is_normalized_tuple(tup: tuple) -> bool:
-    return all(not m.is_unit() for m in tup[1:])
+    return all(any(m) for m in tup[1:])
 
 
-def twist_first_to_last(C: CoalgebraPresentation, terms: dict, twist_sign: int = 1) -> dict:
-    """Cycle the first tensor factor to the last with the Koszul sign.
-
-    twist_sign = -1 deliberately corrupts the sign (self-test fixture)."""
+def twist_first_to_last(C: CoalgebraPresentation, terms: dict) -> dict:
+    """Cycle the first tensor factor to the last with the Koszul sign."""
     fld = C.field
     out: dict = {}
     for tup, coeff in terms.items():
         first, rest = tup[0], tup[1:]
         crossing = C.degree(first) * sum(C.degree(m) for m in rest)
         c = coeff if crossing % 2 == 0 else fld.neg(coeff)
-        if twist_sign == -1:
-            c = fld.neg(c)
         add_term(out, rest + (first,), c, fld)
     return out
 
 
-def coface_terms(
-    C: CoalgebraPresentation, i: int, s: int, tup: tuple, twist_sign: int = 1
-) -> dict:
+def coface_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
     """Image of one basis tuple (s+1 factors) under the i-th coface, 0 <= i <= s+1."""
     if not 0 <= i <= s + 1:
         raise IndexError(f"coface index {i} outside [0, {s + 1}]")
     start = {tup: C.field.one}
     if i <= s:
-        # i = 0 is the right coaction on the coefficient slot, which for the
-        # diagonal bicomodule is again the coproduct.
+        # i = 0 is the right coaction on the coefficient slot, which for C
+        # as its own coefficients is again the coproduct.
         return apply_coproduct_to_slot(C, start, i)
     expanded = apply_coproduct_to_slot(C, start, 0)  # left coaction
-    return twist_first_to_last(C, expanded, twist_sign)
+    return twist_first_to_last(C, expanded)
 
 
 def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
@@ -104,18 +98,18 @@ def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> 
         raise IndexError(f"codegeneracy index {i} outside [0, {s}]")
     if len(tup) != s + 2:
         raise ValueError("codegeneracy input must have s+2 factors")
-    if not tup[i + 1].is_unit():
+    if any(tup[i + 1]):
         return {}
     return {tup[: i + 1] + tup[i + 2:]: C.field.one}
 
 
-def differential_terms(C: CoalgebraPresentation, tup: tuple, twist_sign: int = 1) -> dict:
+def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     """Alternating sum of all cofaces on one tuple, before any normalization."""
     s = len(tup) - 1
     fld = C.field
     out: dict = {}
     for i in range(s + 2):
-        for key, c in coface_terms(C, i, s, tup, twist_sign).items():
+        for key, c in coface_terms(C, i, s, tup).items():
             add_term(out, key, c if i % 2 == 0 else fld.neg(c), fld)
     return out
 
@@ -134,15 +128,13 @@ def _matrix_from_terms(C, source_basis, target_basis, expand, project=False) -> 
     return SparseMatrix.from_triples(C.field, len(target_basis), len(source_basis), triples)
 
 
-def coface(
-    C: CoalgebraPresentation, i: int, s: int, t: int, twist_sign: int = 1
-) -> SparseMatrix:
+def coface(C: CoalgebraPresentation, i: int, s: int, t: int) -> SparseMatrix:
     """Matrix of the i-th coface on the full tensor basis in internal degree t."""
     if not 0 <= i <= s + 1:
         raise IndexError(f"coface index {i} outside [0, {s + 1}]")
     src = tensor_basis(C, s, t, normalized=False)
     tgt = tensor_basis(C, s + 1, t, normalized=False)
-    return _matrix_from_terms(C, src, tgt, lambda tup: coface_terms(C, i, s, tup, twist_sign))
+    return _matrix_from_terms(C, src, tgt, lambda tup: coface_terms(C, i, s, tup))
 
 
 def codegeneracy(C: CoalgebraPresentation, i: int, s: int, t: int) -> SparseMatrix:
@@ -183,7 +175,6 @@ def build_complex(
     C: CoalgebraPresentation,
     window: BidegreeWindow,
     normalized: bool = True,
-    twist_sign: int = 1,
     check: bool = True,
 ) -> CochainComplex:
     """Assemble bases and differentials for all spots inside the window.
@@ -210,7 +201,7 @@ def build_complex(
                 C,
                 spots[(s, t)],
                 spots[(s + 1, t)],
-                lambda tup: differential_terms(C, tup, twist_sign),
+                lambda tup: differential_terms(C, tup),
                 project=normalized,
             )
     cx = CochainComplex(C, window, normalized, spots, diffs)
@@ -251,7 +242,7 @@ class IdentityReport:
 
 
 def verify_cosimplicial_identities(
-    C: CoalgebraPresentation, window: BidegreeWindow, twist_sign: int = 1
+    C: CoalgebraPresentation, window: BidegreeWindow
 ) -> IdentityReport:
     """Check all coface/codegeneracy identities as matrix identities in the window."""
     cache: dict = {}
@@ -259,7 +250,7 @@ def verify_cosimplicial_identities(
     def cf(i, s, t):
         key = ("d", i, s, t)
         if key not in cache:
-            cache[key] = coface(C, i, s, t, twist_sign)
+            cache[key] = coface(C, i, s, t)
         return cache[key]
 
     def cd(i, s, t):

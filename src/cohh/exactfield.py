@@ -6,8 +6,8 @@ characteristic zero, so equality of scalars is structural equality and no
 rounding can occur anywhere.
 
 `rank` eliminates sparse rows in place and is what every rank-only caller
-uses; `row_reduce` and `echelonize` build dense reduced echelon forms for the
-callers that need pivots or kernel bases.
+uses; `row_reduce` builds the dense reduced echelon form and kernel basis for
+the one caller that needs a kernel, `hopfstruct.primitives`.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class Field:
         p = self.characteristic
         return (a + b) % p if p else a + b
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        p = self.characteristic
-        return (a - b) % p if p else a - b
-
     def neg(self, a: Scalar) -> Scalar:
         p = self.characteristic
         return (-a) % p if p else -a
@@ -130,11 +126,6 @@ class Field:
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
-
-
-def field_make(characteristic: int) -> Field:
-    """Field of the given characteristic; rejects composite values."""
-    return Field(characteristic)
 
 
 @dataclass(frozen=True)
@@ -202,19 +193,6 @@ class SparseMatrix:
                 else:
                     entries[key] = s
         return SparseMatrix(fld, self.rows, inner.cols, entries)
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("addition shape mismatch")
-        fld = self.field
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = fld.add(entries.get(k, fld.zero), v)
-            if fld.is_zero(s):
-                entries.pop(k, None)
-            else:
-                entries[k] = s
-        return SparseMatrix(fld, self.rows, self.cols, entries)
 
     def equals(self, other: "SparseMatrix") -> bool:
         return (
@@ -330,11 +308,10 @@ def _rref(rows: list, fld: Field) -> tuple:
     Pivoting takes the first nonzero entry in column order; exact arithmetic
     needs no pivot-size selection and this keeps kernel bases deterministic.
     The arithmetic is inlined rather than routed through Field methods because
-    it runs on every dense entry.  Only callers that need pivots or kernels
-    (`row_reduce`, `echelonize`) come here; ranks go through `rank`.  Over the
-    elimination is fraction-free (cross-multiplied primitive integer rows,
-    normalized to canonical Fractions only at the end) to stop coefficient
-    blow-up on deep windows.
+    it runs on every dense entry.  Only `row_reduce`, for kernels, comes here;
+    ranks go through `rank`.  Over Q the elimination is fraction-free
+    (cross-multiplied primitive integer rows, normalized to canonical Fractions
+    only at the end) to stop coefficient blow-up on deep windows.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -396,7 +373,7 @@ class Echelon:
 
     rank: int
     pivots: list
-    kernel: list  # echelonized basis of ker(m), vectors of length cols
+    kernel: list  # canonical basis of ker(m), vectors of length cols
     rref: list    # nonzero RREF rows of the matrix
 
 
@@ -421,22 +398,3 @@ def row_reduce(m: SparseMatrix) -> Echelon:
             vec[pc] = fld.neg(rref_rows[i][fc])
         kernel.append(vec)
     return Echelon(rank=rank, pivots=pivots, kernel=kernel, rref=rref_rows)
-
-
-def echelonize(vectors: list, fld: Field) -> tuple:
-    """RREF basis of the span of the given vectors: (rank, pivots, rows)."""
-    if not vectors:
-        return 0, [], []
-    rows = [list(v) for v in vectors]
-    rank, pivots = _rref(rows, fld)
-    return rank, pivots, rows[:rank]
-
-
-def reduce_against(vec: list, rref_rows: list, pivots: list, fld: Field) -> list:
-    """Subtract the rref-row components from vec; zero iff vec is in the span."""
-    out = list(vec)
-    for row, pc in zip(rref_rows, pivots):
-        f = out[pc]
-        if not fld.is_zero(f):
-            out = [fld.sub(a, fld.mul(f, b)) for a, b in zip(out, row)]
-    return out

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cohh import cli, cochain
+from cohh import cli
 from cohh.cli import (
     ParseError,
     format_e2,
@@ -219,11 +219,19 @@ def test_selftest_command(capsys):
         )
 
 
-def test_selftest_corrupt_twist(capsys):
-    assert main(["selftest", "--corrupt-twist"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL structural-invariants" in out
-    assert "(i,j)=(1,2)" in out
+def test_selftest_corrupt_twist(corrupted_twist, capsys):
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    # a check that raises an invariant error fails alone; the run goes on
+    assert "FAIL divided-power-grid-reproduction (d.d != 0 first fails at" in out
+    assert "FAIL hz-pipeline (pipeline table did not identify as expected" in out
+    assert "FAIL lambda-grid-reproduction (table mismatch" in out
+    assert "FAIL structural-invariants (" in out
+    assert out.count("PASS ") == 4
+    assert "# total: 8 checks, 4 failed" in out
+    for name in TIME_BUDGETS_SECONDS:
+        assert re.search(rf"^# {name}: ", captured.err, re.M)
 
 
 def test_missing_file(capsys):
@@ -267,13 +275,9 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatc
     assert "ValueError: shape mismatch inside the engine" in err
 
 
-def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(tmp_path, capsys, monkeypatch):
-    twist = cochain.twist_first_to_last
-
-    def flipped(C, terms, twist_sign=1):
-        return twist(C, terms, -twist_sign)
-
-    monkeypatch.setattr(cochain, "twist_first_to_last", flipped)
+def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(
+    tmp_path, capsys, corrupted_twist
+):
     src = tmp_path / "gamma.coalg"
     src.write_text("char 3\ndivided_power x 2\n")
     assert main(["cohh", str(src), "--max-s", "2", "--max-t", "6"]) == 1

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -272,6 +273,34 @@ def test_universal_coefficients_dim_mod_p_at_least_rational_dim():
                 strict.add((label, p))
     # the bound is not vacuous: k[w2] gains classes over F_3
     assert ("k[w2]", 3) in strict
+
+
+def random_cogenerators(rng):
+    """One or two cogenerators of random kind, parity-valid degree and truncation."""
+    cogs = []
+    for i in range(rng.randint(1, 2)):
+        kind = rng.choice((EXTERIOR, POLYNOMIAL, DIVIDED_POWER))
+        degree = rng.choice((1, 3, 5) if kind == EXTERIOR else (2, 4, 6))
+        truncation = rng.choice((None, 2, 3)) if kind == DIVIDED_POWER else None
+        cogs.append(Cogenerator(f"g{i}", kind, degree, truncation))
+    return cogs
+
+
+def test_random_presentations_obey_universal_coefficients_and_normalization():
+    rng = random.Random(20211)
+    window = BidegreeWindow(3, 12)
+    torsion = 0
+    for _ in range(12):
+        cogs = random_cogenerators(rng)
+        p = rng.choice((2, 3, 5))
+        C = CoalgebraPresentation(Field(p), cogs)
+        modular = cohh_table(build_complex(C, window))
+        full = cohh_table(build_complex(C, window, normalized=False))
+        assert full.entries == modular.entries, (cogs, p)
+        rational = cohh_table(build_complex(CoalgebraPresentation(Field(0), cogs), window))
+        assert all(modular.dim(*k) >= v for k, v in rational.entries.items()), (cogs, p)
+        torsion += modular.entries != rational.entries
+    assert torsion  # some sample has p-torsion, so the bound is not vacuous
 
 
 @pytest.mark.parametrize("p", [3, 0])

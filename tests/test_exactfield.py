@@ -11,21 +11,10 @@ from cohh.exactfield import (
     Field,
     InvalidInput,
     SparseMatrix,
-    echelonize,
-    field_make,
     rank,
-    reduce_against,
     row_reduce,
 )
 from cohh.selftest import _structural_corpus
-
-
-def test_field_make():
-    assert field_make(3).characteristic == 3
-    assert field_make(0).characteristic == 0
-    for bad in (4, 6, 1, 9, -2):
-        with pytest.raises(CompositeCharacteristic):
-            field_make(bad)
 
 
 def test_large_prime_characteristic_is_decided_quickly():
@@ -33,10 +22,10 @@ def test_large_prime_characteristic_is_decided_quickly():
     assert Field(10**18 + 3).characteristic == 10**18 + 3
     assert time.perf_counter() - start < 1.0
     # 10^18+1 = 101 * 9901 * ..., 561 a Carmichael number, 2047 = 23 * 89 a
-    # strong pseudoprime to base 2
-    for composite in (10**18 + 1, 561, 2047):
+    # strong pseudoprime to base 2; 1 and -2 are neither 0 nor prime
+    for bad in (4, 6, 1, 9, -2, 10**18 + 1, 561, 2047):
         with pytest.raises(CompositeCharacteristic):
-            Field(composite)
+            Field(bad)
 
 
 def test_characteristic_beyond_exact_primality_range_is_refused():
@@ -157,15 +146,6 @@ def test_row_reduce_idempotent_on_rref():
     second = row_reduce(again)
     assert second.rref == first.rref
     assert second.pivots == first.pivots
-
-
-def test_echelonize_and_reduce_against():
-    f5 = Field(5)
-    rank, pivots, rows = echelonize([[2, 4], [1, 2]], f5)
-    assert rank == 1 and pivots == [0] and rows == [[1, 2]]
-    rem = reduce_against([3, 1], rows, pivots, f5)
-    assert rem == [0, 0] or any(x for x in rem)  # reduction is defined
-    assert reduce_against([2, 4], rows, pivots, f5) == [0, 0]
 
 
 def _transpose(m):
