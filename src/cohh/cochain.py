@@ -46,6 +46,8 @@ def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> 
         return []
     out: list = []
     acc: list = [None] * (s + 1)
+    # only the degrees where C has basis elements, ascending
+    degrees = [(d, basis) for d in range(t + 1) if (basis := C.basis_in_degree(d))]
 
     def rec(slot: int, remaining: int):
         if slot == s + 1:
@@ -53,8 +55,12 @@ def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> 
                 out.append(tuple(acc))
             return
         lo = 1 if (normalized and slot >= 1) else 0
-        for td in range(lo, remaining + 1):
-            for m in C.basis_in_degree(td):
+        for td, basis in degrees:
+            if td > remaining:
+                break
+            if td < lo:
+                continue
+            for m in basis:
                 acc[slot] = m
                 rec(slot + 1, remaining - td)
         acc[slot] = None
@@ -246,17 +252,27 @@ def verify_cosimplicial_identities(
 ) -> IdentityReport:
     """Check all coface/codegeneracy identities as matrix identities in the window."""
     cache: dict = {}
+    bases: dict = {}  # each full tensor basis is enumerated once per scan
+
+    def basis(s, t):
+        if (s, t) not in bases:
+            bases[(s, t)] = tensor_basis(C, s, t, normalized=False)
+        return bases[(s, t)]
 
     def cf(i, s, t):
         key = ("d", i, s, t)
         if key not in cache:
-            cache[key] = coface(C, i, s, t)
+            cache[key] = _matrix_from_terms(
+                C, basis(s, t), basis(s + 1, t), lambda tup: coface_terms(C, i, s, tup)
+            )
         return cache[key]
 
     def cd(i, s, t):
         key = ("s", i, s, t)
         if key not in cache:
-            cache[key] = codegeneracy(C, i, s, t)
+            cache[key] = _matrix_from_terms(
+                C, basis(s + 1, t), basis(s, t), lambda tup: codegeneracy_terms(C, i, s, tup)
+            )
         return cache[key]
 
     checked = 0
@@ -295,8 +311,7 @@ def verify_cosimplicial_identities(
                 for t in range(max_t + 1):
                     lhs = cd(j, s, t).compose(cf(i, s, t))
                     if i == j or i == j + 1:
-                        n = len(tensor_basis(C, s, t, normalized=False))
-                        rhs = SparseMatrix.identity(C.field, n)
+                        rhs = SparseMatrix.identity(C.field, len(basis(s, t)))
                     elif i < j:
                         rhs = cf(i, s - 1, t).compose(cd(j - 1, s - 1, t))
                     else:

@@ -7,13 +7,18 @@ single exterior generator, or a polynomial generator raised to a power of the
 characteristic).  A certificate of collapse records that no candidate survives
 the arithmetic inside the stated search bounds; surviving candidates are
 reported as obstructions, never as nonzero differentials.
+
+The search enumerates each object once.  A source (ss, st) can hit a target
+(ts, tt) only if st - ss = tt - ts + 1 (with r = ts - ss >= 2), so targets are
+looked up by that key.  Sources are streamed depth-first over the exterior
+generators in ascending degree, and a branch is pruned once its internal
+degree passes max_t minus the least polynomial degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
@@ -129,29 +134,43 @@ def e2_from_divided_homotopy(characteristic: int, degrees) -> E2Presentation:
     return E2Presentation(characteristic, gens)
 
 
-def _source_exponents(e2: E2Presentation):
-    """Exponent vectors of indecomposables: exterior subset times one w_i."""
+def _sources(e2: E2Presentation, max_t: int):
+    """Stream (exponents, bidegree) of every indecomposable source with t <= max_t.
+
+    A source is a set of column-0 exterior generators times one polynomial
+    generator w.  The sets are grown depth-first over the exterior generators
+    in ascending degree with a running internal degree.  A generator is added
+    only if the degree stays within max_t minus the least polynomial degree;
+    the first one that does not fit ends the branch, as every later one has
+    no smaller degree.  So every visited set pairs with at least one w, and
+    a page whose generators lie above max_t costs nothing, not 2^(#exterior)."""
     gens = e2.generators
-    ext_idx = [i for i, g in enumerate(gens) if g.kind == EXTERIOR and g.s == 0]
-    poly_idx = [i for i, g in enumerate(gens) if g.kind == POLYNOMIAL]
-    for choice in product((0, 1), repeat=len(ext_idx)):
-        for w in poly_idx:
-            exps = [0] * len(gens)
-            for i, c in zip(ext_idx, choice):
-                exps[i] = c
-            exps[w] = 1
-            yield tuple(exps)
+    poly = [(i, g) for i, g in enumerate(gens) if g.kind == POLYNOMIAL]
+    if not poly:
+        return
+    ext = sorted((g.t, i) for i, g in enumerate(gens) if g.kind == EXTERIOR and g.s == 0)
+    bound = max_t - min(g.t for _, g in poly)
+    stack = [(0, 0, ())]  # next exterior position, internal degree, chosen indices
+    while stack:
+        start, t, chosen = stack.pop()
+        exps = [0] * len(gens)
+        for i in chosen:
+            exps[i] = 1
+        for w, g in poly:
+            if t + g.t <= max_t:
+                exps[w] = 1
+                yield tuple(exps), (g.s, t + g.t)
+                exps[w] = 0
+        for k in range(start, len(ext)):
+            d, i = ext[k]
+            if t + d > bound:
+                break
+            stack.append((k + 1, t + d, chosen + (i,)))
 
 
 def candidate_sources(e2: E2Presentation, max_t: int) -> list:
     """Indecomposable source monomials of internal degree <= max_t, with bidegrees."""
-    out = []
-    for exps in _source_exponents(e2):
-        bid = e2.bidegree(exps)
-        if bid[1] <= max_t:
-            out.append((exps, bid))
-    out.sort(key=lambda item: (item[1][1], item[0]))
-    return out
+    return sorted(_sources(e2, max_t), key=lambda item: (item[1][1], item[0]))
 
 
 def candidate_targets(e2: E2Presentation, max_t: int) -> list:
@@ -194,18 +213,21 @@ class CandidateDifferential:
 
 
 def feasible_differentials(e2: E2Presentation, max_t: int) -> list:
-    """Every (source, target, r >= 2) satisfying (s+r, t+r-1) = target bidegree."""
+    """Every (source, target, r >= 2) satisfying (s+r, t+r-1) = target bidegree.
+
+    Source (ss, st) reaches target (ts, tt) iff st - ss = tt - ts + 1 and
+    r = ts - ss >= 2, so targets are indexed by the key tt - ts + 1 and each
+    streamed source looks up its key st - ss instead of scanning every target.
+    Sources come from the pruned search of `_sources`."""
+    by_key: dict = {}
+    for tgt, (ts, tt) in candidate_targets(e2, max_t):
+        by_key.setdefault(tt - ts + 1, []).append((tgt, (ts, tt)))
     out = []
-    targets = candidate_targets(e2, max_t)
-    for src, (ss, st) in candidate_sources(e2, max_t):
-        for tgt, (ts, tt) in targets:
-            r = ts - ss
-            if r < 2:
-                continue
-            if tt - st == r - 1:
-                out.append(
-                    CandidateDifferential(src, tgt, r, (ss, st), (ts, tt))
-                )
+    for src, (ss, st) in _sources(e2, max_t):
+        for tgt, tbid in by_key.get(st - ss, ()):
+            r = tbid[0] - ss
+            if r >= 2:
+                out.append(CandidateDifferential(src, tgt, r, (ss, st), tbid))
     out.sort(key=lambda c: (c.source_bidegree[1], c.page, c.source, c.target))
     return out
 
@@ -363,7 +385,11 @@ def gamma_collapse(e2: E2Presentation, max_t: int = 0) -> CollapseCertificate:
 
 
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
-    """Full certificate for a recognized E2 shape."""
+    """Full certificate for a recognized E2 shape.
+
+    A negative max_t is refused: an empty search would certify collapse."""
+    if max_t < 0:
+        raise InvalidInput(f"max_t={max_t} is negative")
     shape = e2.shape()
     if shape == GAMMA_EXTERIOR:
         return gamma_collapse(e2, max_t)

@@ -123,6 +123,8 @@ def reduced_coproduct(C: CoalgebraPresentation, m: tuple) -> dict:
 
 def primitives(C: CoalgebraPresentation, max_t: int) -> PrimitiveSet:
     """Kernel of the reduced coproduct in every degree t <= max_t."""
+    if max_t < 0:
+        raise InvalidInput(f"max_t={max_t} is negative")
     fld = C.field
     by_degree: dict = {}
     for t in range(1, max_t + 1):
@@ -148,6 +150,8 @@ def primitives(C: CoalgebraPresentation, max_t: int) -> PrimitiveSet:
 
 def indecomposables(A: AlgebraPresentation, max_t: int) -> IndecomposableSet:
     """Basis monomials spanning coker(multiplication on the augmentation ideal)."""
+    if max_t < 0:
+        raise InvalidInput(f"max_t={max_t} is negative")
     by_degree: dict = {}
     for t in range(1, max_t + 1):
         hit = set()

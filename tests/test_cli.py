@@ -256,6 +256,23 @@ def test_rejected_input_exits_2_with_reason(tmp_path, capsys, command, text, rea
     assert "input error" in err and reason in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("collapse", LAMBDA35_E2),
+        ("primitives", "char 3\npolynomial w 2\n"),
+        ("indecomposables", "char 3\npolynomial w 2\n"),
+    ],
+)
+def test_negative_max_t_exits_2_with_reason(tmp_path, capsys, command, text):
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    assert main([command, str(src), "--max-t", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: max_t=-1 is negative" in captured.err
+    assert captured.out == ""
+
+
 def test_hz_rejects_characteristic_zero(capsys):
     assert main(["hz", "--char", "0"]) == 2
     assert "input error: characteristic must be a prime" in capsys.readouterr().err

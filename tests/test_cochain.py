@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cohh.coalg import (
@@ -69,6 +71,47 @@ def test_tensor_basis_dims_match_composition_count():
                     assert len(tensor_basis(C, s, t, normalized)) == brute_tensor_dim(
                         C, s, t, normalized
                     )
+
+
+def brute_tensor_basis(C, s, t, normalized):
+    """Independent ordered basis: every degree composition of t over s+1 slots,
+    every product of per-degree bases, sorted in the documented order (slot by
+    slot from the left: degree ascending, then the monomial's basis position)."""
+    lows = [0] + [1 if normalized else 0] * s
+    tuples = []
+    for comp in product(range(t + 1), repeat=s + 1):
+        if sum(comp) == t and all(d >= lo for d, lo in zip(comp, lows)):
+            tuples += product(*(C.basis_in_degree(d) for d in comp))
+
+    def key(tup):
+        return tuple(
+            x for m in tup for x in (C.degree(m), C.basis_in_degree(C.degree(m)).index(m))
+        )
+
+    return sorted(tuples, key=key)
+
+
+@pytest.mark.parametrize(
+    "C, max_t",
+    [
+        (exterior(3, 7), 14),
+        (exterior(3, 3, 5), 12),
+        (exterior(3, 3, 3), 9),     # two monomials in degree 3
+        (poly(3, 2), 8),
+        (gamma(3, 2), 8),
+    ],
+    ids=["Lambda(7)", "Lambda(3,5)", "Lambda(3,3)", "k[w2]", "Gamma(2)"],
+)
+def test_tensor_basis_order_matches_independent_enumeration(C, max_t):
+    for s in range(0, 4):
+        for t in range(0, max_t + 1):
+            for normalized in (True, False):
+                assert tensor_basis(C, s, t, normalized) == brute_tensor_basis(
+                    C, s, t, normalized
+                ), (s, t, normalized)
+    assert tensor_basis(C, 0, 0, True) == [(C.unit(),)]
+    assert tensor_basis(C, 2, 0, False) == [(C.unit(),) * 3]
+    assert tensor_basis(C, 2, 0, True) == []
 
 
 def test_normalized_tuples_have_no_interior_units():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,36 @@ def test_oracle_equivalence_spot_checks():
         e2 = e2_from_exterior_homotopy(p, degrees)
         fast = {(c.source, c.target, c.page) for c in feasible_differentials(e2, 40)}
         assert fast == brute_force_feasible(e2, 40)
+
+
+BENCHMARK_E2_DEGREES = list(range(3, 26, 2))   # 12 exterior generators
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_indexed_search_equals_the_all_pairs_oracle(p):
+    e2 = e2_from_exterior_homotopy(p, BENCHMARK_E2_DEGREES)
+    fast = {(c.source, c.target, c.page) for c in feasible_differentials(e2, 40)}
+    assert fast and fast == brute_force_feasible(e2, 40)
+    for exps, bidegree in candidate_sources(e2, 40):
+        assert bidegree == e2.bidegree(exps)
+
+
+def test_pruned_search_skips_generators_above_max_t():
+    """2^20 exterior subsets, none of which fits under max_t: the pruned
+    search visits none of them."""
+    degrees = list(range(41, 80, 2))
+    gens = [E2Generator(f"y{d}", EXTERIOR, 0, d) for d in degrees]
+    e2 = E2Presentation(2, gens + [E2Generator("w", POLYNOMIAL, 1, 41)])
+    start = time.perf_counter()
+    cert = analyze(e2, 40)
+    assert candidate_sources(e2, 40) == []
+    assert time.perf_counter() - start < 1.0
+    assert cert.verdict == "collapses" and not cert.obstructions
+
+
+def test_negative_max_t_is_refused():
+    with pytest.raises(InvalidInput, match="negative"):
+        analyze(e2_from_exterior_homotopy(3, [3, 5]), -1)
 
 
 def test_certificate_json():
