@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .coalg import CoalgebraPresentation, Cogenerator
 from .cochain import BidegreeWindow, build_complex
-from .cohomology import cohh_table, identify_presentation
+from .cohomology import cohh_table, identify_presentation, kunneth_table
 from .collapse import E2Presentation, analyze, feasible_differentials
 from .exactfield import Field, SparseMatrix, rank, row_reduce
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
@@ -31,6 +31,7 @@ __all__ = [
     "hz_e2_pipeline",
     "identify_presentation",
     "indecomposables",
+    "kunneth_table",
     "primitives",
     "rank",
     "row_reduce",

@@ -165,17 +165,6 @@ class CochainComplex:
     def spot_dim(self, s: int, t: int) -> int:
         return len(self.spots.get((s, t), ()))
 
-    def min_positive_degree(self) -> Optional[int]:
-        cogs = self.presentation.cogenerators
-        return min((c.degree for c in cogs), default=None)
-
-    def max_contributing_s(self, t: int) -> Optional[int]:
-        """Largest s with a possibly nonzero spot in degree t (normalized only)."""
-        if not self.normalized:
-            return None
-        d = self.min_positive_degree()
-        return 0 if d is None else t // d
-
 
 def build_complex(
     C: CoalgebraPresentation,

@@ -9,6 +9,15 @@ degree and the window starts at s = 0, so every incoming differential lies
 inside the window and every entry is exact.  The formula counts cohomology
 only when d.d = 0, which `build_complex` checks exactly (with its default
 check=True) before any table is computed from the complex.
+
+The table of a presentation is computed by the factor route, `kunneth_table`:
+the coalgebra is the tensor product of its one-cogenerator factors, and over
+a field the coHH table of C (x) D is the (s, t)-convolution of the tables of C
+and D (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven, Shipley and
+Ziegenhagen, "Computational tools for topological coHochschild homology",
+2018).  Over F_p a polynomial cogenerator splits further into truncated
+factors by Lucas's theorem (`kunneth_factors`).  The full complex of the
+whole presentation is built only as an oracle, by the tests and `selftest`.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cochain import BidegreeWindow, CochainComplex
+from .coalg import POLYNOMIAL, CoalgebraPresentation, Cogenerator
+from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_complex
 from .exactfield import rank
 
 FORMAT_VERSION = 2
@@ -54,6 +64,63 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
     return BigradedTable(cx.window, entries)
 
 
+def kunneth_factors(C: CoalgebraPresentation, max_t: int) -> list:
+    """One-cogenerator presentations whose tensor product is C up to degree max_t.
+
+    Exterior, divided-power and truncated cogenerators stay whole; a divided
+    power cannot split, since its dual is a polynomial algebra.  Over F_p an
+    untruncated polynomial cogenerator w_d becomes the factors k[u]/(u^p) with
+    |u| = d*p^i <= max_t: Lucas's theorem, C(n, k) = prod_i C(n_i, k_i) mod p
+    over the base-p digits, makes w^n -> (x)_i u_i^(n_i) a coalgebra
+    isomorphism.  The degrees are even (or p = 2), so no Koszul sign enters.
+    """
+    p = C.field.characteristic
+    cogs = []
+    for cog in C.cogenerators:
+        if p and cog.kind == POLYNOMIAL and cog.truncation is None:
+            degree = cog.degree
+            while degree <= max_t:
+                cogs.append(Cogenerator(cog.name, POLYNOMIAL, degree, truncation=p - 1))
+                degree *= p
+        else:
+            cogs.append(cog)
+    return [CoalgebraPresentation(C.field, [cog]) for cog in cogs]
+
+
+def convolve(window: BidegreeWindow, grids) -> dict:
+    """(s, t)-convolution of dimension grids, over every spot of the window.
+
+    No grids give the unit grid.  Grids are indexed from s, t >= 0, so every
+    term of an entry inside the window comes from entries inside it."""
+    out = {(0, 0): 1}
+    for grid in grids:
+        terms = [(k, v) for k, v in grid.items() if v]
+        acc: dict = {}
+        for (s1, t1), a in out.items():
+            for (s2, t2), b in terms:
+                s, t = s1 + s2, t1 + t2
+                if s <= window.max_s and t <= window.max_t:
+                    acc[(s, t)] = acc.get((s, t), 0) + a * b
+        out = acc
+    return {
+        (s, t): out.get((s, t), 0)
+        for t in range(window.max_t + 1)
+        for s in range(window.max_s + 1)
+    }
+
+
+def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedTable:
+    """Cohomology table of C: the convolution of its `kunneth_factors`' tables.
+
+    Each factor complex is built with check=True, so d.d = 0 is checked
+    exactly on every complex the table comes from."""
+    if window.max_s < 0 or window.max_t < 0:
+        raise WindowTooSmall(f"window {window} has a negative bound")
+    factors = kunneth_factors(C, window.max_t)
+    tables = [cohh_table(build_complex(F, window)) for F in factors]
+    return BigradedTable(window, convolve(window, [tab.entries for tab in tables]))
+
+
 @dataclass
 class EulerReport:
     """Alternating-sum comparison of spot dims vs table dims, per internal degree."""
@@ -72,29 +139,61 @@ class EulerReport:
         return f"FAIL at internal degree t={self.first_violation}"
 
 
-def euler_check(cx: CochainComplex, table: BigradedTable) -> EulerReport:
-    """Basis-independence of the Euler characteristic in each complete degree.
+def _series_product(x: list, y: list) -> list:
+    """Product of two power series truncated to the length of x."""
+    return [sum(x[i] * y[t - i] for i in range(t + 1)) for t in range(len(x))]
 
-    For a table from `cohh_table` this is an identity: the rank formula makes
-    the alternating sum telescope to the spot dimensions, so a wrong rank
-    moves two neighbouring entries in opposite directions and cancels.  It
-    guards tables built otherwise; ranks themselves are checked against the
-    dense elimination by the rank oracle tests in tests/test_exactfield.py.
+
+def spot_dimensions(C: CoalgebraPresentation, window: BidegreeWindow) -> dict:
+    """Normalized spot sizes n_{s,t} = [q^t] a(q)(a(q) - 1)^s over the window.
+
+    a(q) is the Poincaré series of C, read off its basis; no tensor basis is
+    enumerated."""
+    a = [len(C.basis_in_degree(t)) for t in range(window.max_t + 1)]
+    reduced = [0] + a[1:]
+    out: dict = {}
+    row = a
+    for s in range(window.max_s + 1):
+        out.update({(s, t): n for t, n in enumerate(row)})
+        row = _series_product(row, reduced)
+    return out
+
+
+def presentation_euler_check(
+    C: CoalgebraPresentation, window: BidegreeWindow, table: BigradedTable
+) -> EulerReport:
+    """Alternating sums of the table against those of `spot_dimensions`.
+
+    A degree t is checked when every s <= t / (least cogenerator degree) lies
+    in the window, and skipped otherwise.  In a checked degree the spot sum is
+    delta_{t,0} for every connected C, as a(q) sum_s (1 - a(q))^s = 1.
+
+    What it catches: a table entry that is off, as from an error in the
+    convolution.  What it cannot catch: a wrong rank inside one factor, which
+    moves two neighbouring entries oppositely and telescopes; nor a wrong
+    split into connected factors, whose convolved table has the same
+    alternating sums.  The factor-route oracle tests in
+    tests/test_cohomology.py guard both.
     """
+    spots = spot_dimensions(C, window)
+    least = min((c.degree for c in C.cogenerators), default=None)
     checked, skipped = [], []
-    for t in range(cx.window.max_t + 1):
-        bound = cx.max_contributing_s(t)
-        if bound is None or bound > cx.window.max_s:
+    for t in range(window.max_t + 1):
+        bound = 0 if least is None else t // least
+        if bound > window.max_s:
             skipped.append(t)
             continue
-        spot_sum = sum(
-            (-1) ** s * cx.spot_dim(s, t) for s in range(bound + 1)
-        )
+        spot_sum = sum((-1) ** s * spots[(s, t)] for s in range(bound + 1))
         table_sum = sum((-1) ** s * table.dim(s, t) for s in range(bound + 1))
         if spot_sum != table_sum:
             return EulerReport(False, checked, skipped, first_violation=t)
         checked.append(t)
     return EulerReport(True, checked, skipped)
+
+
+def euler_check(cx: CochainComplex, table: BigradedTable) -> EulerReport:
+    """`presentation_euler_check` on the presentation and window of cx."""
+    return presentation_euler_check(cx.presentation, cx.window, table)
 
 
 # -- symbolic identification ---------------------------------------------------
@@ -160,44 +259,24 @@ def _recover_degrees(row0, max_t: int, geometric: bool) -> Optional[list]:
     return degrees
 
 
-def _column_series(degrees, max_s: int, max_t: int, geometric: bool) -> list:
-    """cols[s][t] = number of column-s monomials on the column-1 generators.
-
-    geometric=True counts multisets (polynomial generators), else subsets
-    (exterior generators); s counts the total exponent."""
-    cols = [[0] * (max_t + 1) for _ in range(max_s + 1)]
-    cols[0][0] = 1
-    for d in degrees:
-        if geometric:
-            for s in range(1, max_s + 1):
-                for t in range(d, max_t + 1):
-                    cols[s][t] += cols[s - 1][t - d]
-        else:
-            for s in range(max_s, 0, -1):
-                for t in range(max_t, d - 1, -1):
-                    cols[s][t] += cols[s - 1][t - d]
-    return cols
+def _power_grid(s_step: int, degree: int, cap, window: BidegreeWindow) -> dict:
+    """Grid of one free generator at (s_step, degree): its powers 0..cap (None: all)."""
+    top = window.max_t // degree if cap is None else cap
+    return {(k * s_step, k * degree): 1 for k in range(top + 1)}
 
 
 def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
     """Dimension grid of the closed-form answer over the window.
 
-    exterior_polynomial: exterior base at (0, d_i) times polynomial column
-    generators at (1, d_i); divided_exterior: divided-power base at (0, d_i)
-    times exterior column generators at (1, d_i)."""
-    max_s, max_t = window.max_s, window.max_t
-    base = [0] * (max_t + 1)
-    base[0] = 1
+    The convolution of one grid per degree d: exterior_polynomial, Λ(y_d) at
+    (0, d) times k[w_d] at (1, d); divided_exterior, Γ(x_d) at (0, d) times
+    Λ(z_d) at (1, d)."""
+    exterior_base = shape == EXTERIOR_POLYNOMIAL
+    grids = []
     for d in degrees:
-        base = _push_factor(base, d, geometric=(shape == DIVIDED_EXTERIOR))
-    cols = _column_series(
-        degrees, max_s, max_t, geometric=(shape == EXTERIOR_POLYNOMIAL)
-    )
-    grid = {}
-    for s in range(max_s + 1):
-        for t in range(max_t + 1):
-            grid[(s, t)] = sum(base[t1] * cols[s][t - t1] for t1 in range(t + 1))
-    return grid
+        grids.append(_power_grid(0, d, 1 if exterior_base else None, window))
+        grids.append(_power_grid(1, d, None if exterior_base else 1, window))
+    return convolve(window, grids)
 
 
 def identify_presentation(table: BigradedTable) -> Optional[Identification]:

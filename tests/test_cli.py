@@ -279,10 +279,10 @@ def test_hz_rejects_characteristic_zero(capsys):
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
-    def broken(cx):
+    def broken(C, window):
         raise ValueError("shape mismatch inside the engine")
 
-    monkeypatch.setattr(cli, "cohh_table", broken)
+    monkeypatch.setattr(cli, "kunneth_table", broken)
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
     assert main(["cohh", str(src), "--max-t", "6"]) == 3
@@ -290,6 +290,26 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatc
     assert "input error" not in err
     assert "internal error:" in err
     assert "ValueError: shape mismatch inside the engine" in err
+
+
+def test_cohh_command_fails_the_euler_check_on_a_corrupted_convolution(
+    tmp_path, capsys, monkeypatch
+):
+    route = cli.kunneth_table
+
+    def off_by_one(C, window):
+        table = route(C, window)
+        table.entries[(1, 6)] += 1
+        return table
+
+    monkeypatch.setattr(cli, "kunneth_table", off_by_one)
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    assert main(["cohh", str(src), "--max-s", "4", "--max-t", "12"]) == 1
+    assert "# checks: d_squared=ok euler=FAIL t=6" in capsys.readouterr().out
+    assert main(["cohh", str(src), "--max-s", "4", "--max-t", "12", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["euler"] == "FAIL at internal degree t=6"
 
 
 def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(

@@ -21,6 +21,10 @@ from cohh.cohomology import (
     euler_check,
     expected_grid,
     identify_presentation,
+    kunneth_factors,
+    kunneth_table,
+    presentation_euler_check,
+    spot_dimensions,
     table_to_csv,
     table_to_json_dict,
 )
@@ -275,10 +279,10 @@ def test_universal_coefficients_dim_mod_p_at_least_rational_dim():
     assert ("k[w2]", 3) in strict
 
 
-def random_cogenerators(rng):
-    """One or two cogenerators of random kind, parity-valid degree and truncation."""
+def random_cogenerators(rng, most=2):
+    """1..most cogenerators of random kind, parity-valid degree and truncation."""
     cogs = []
-    for i in range(rng.randint(1, 2)):
+    for i in range(rng.randint(1, most)):
         kind = rng.choice((EXTERIOR, POLYNOMIAL, DIVIDED_POWER))
         degree = rng.choice((1, 3, 5) if kind == EXTERIOR else (2, 4, 6))
         truncation = rng.choice((None, 2, 3)) if kind == DIVIDED_POWER else None
@@ -319,3 +323,86 @@ def test_cohh_table_uses_sparse_rank_not_dense_row_reduce(p, monkeypatch):
     monkeypatch.setattr(exactfield, "row_reduce", refuse)
     monkeypatch.setattr(cohomology, "row_reduce", refuse, raising=False)
     assert cohh_table(cx).entries == dense
+
+
+def test_factor_route_equals_full_complex_on_random_presentations():
+    rng = random.Random(60211)
+    window = BidegreeWindow(3, 12)
+    kinds = set()
+    for _ in range(24):
+        cogs = random_cogenerators(rng, most=3)
+        p = rng.choice(CHARS)
+        C = CoalgebraPresentation(Field(p), cogs)
+        full = cohh_table(build_complex(C, window))
+        assert kunneth_table(C, window).entries == full.entries, (cogs, p)
+        kinds.update((c.kind, c.truncation is not None, p) for c in cogs)
+    # the sample reaches a Lucas split, a truncated divided power and Q
+    assert (POLYNOMIAL, False, 2) in kinds or (POLYNOMIAL, False, 3) in kinds
+    assert any(kind == DIVIDED_POWER and truncated for kind, truncated, _ in kinds)
+    assert any(p == 0 for *_, p in kinds)
+
+
+@pytest.mark.parametrize(
+    "degree,p,window",
+    [
+        (2, 2, (3, 16)), (2, 3, (3, 18)), (2, 5, (1, 50)),
+        (4, 2, (3, 16)), (4, 3, (2, 36)), (4, 5, (1, 100)),
+        (3, 2, (4, 24)),  # odd degree in characteristic 2
+    ],
+)
+def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, window):
+    C = poly(p, degree)
+    window = BidegreeWindow(*window)
+    factors = kunneth_factors(C, window.max_t)
+    digits = [F.cogenerators[0] for F in factors]
+    assert [(c.degree, c.truncation) for c in digits] == [
+        (degree * p ** i, p - 1) for i in range(len(digits))
+    ]
+    assert len(digits) >= 3 and degree * p ** len(digits) > window.max_t
+    assert kunneth_table(C, window).entries == cohh_table(build_complex(C, window)).entries
+
+
+def test_truncated_polynomial_cogenerator_is_not_split():
+    # w^0..w^5 over F_3 is a subcoalgebra, but not a product of digit factors
+    cog = Cogenerator("w", POLYNOMIAL, 2, truncation=5)
+    C = CoalgebraPresentation(Field(3), [cog])
+    window = BidegreeWindow(3, 18)
+    assert [F.cogenerators for F in kunneth_factors(C, window.max_t)] == [(cog,)]
+    assert kunneth_table(C, window).entries == cohh_table(build_complex(C, window)).entries
+
+
+def test_factor_route_of_the_empty_presentation_is_the_unit():
+    window = BidegreeWindow(2, 4)
+    table = kunneth_table(CoalgebraPresentation(Field(3), []), window)
+    assert table.entries == {(s, t): int((s, t) == (0, 0)) for s in range(3) for t in range(5)}
+
+
+def test_presentation_euler_check_matches_spot_dimensions_and_catches_one_entry():
+    for C, window in [
+        (exterior(3, 3, 5), BidegreeWindow(4, 16)),
+        (poly(0, 2), BidegreeWindow(3, 10)),
+        (gamma(5, 2), BidegreeWindow(2, 8)),
+    ]:
+        cx = build_complex(C, window)
+        table = kunneth_table(C, window)
+        report = presentation_euler_check(C, window, table)
+        assert report.passed and report.checked_degrees
+        assert report == euler_check(cx, cohh_table(cx))
+    C, window = exterior(3, 3), BidegreeWindow(4, 12)
+    table = kunneth_table(C, window)
+    table.entries[(1, 6)] += 1
+    report = presentation_euler_check(C, window, table)
+    assert not report.passed and report.first_violation == 6
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_spot_dimensions_from_the_poincare_series_equal_the_enumerated_spots(p):
+    truncated = CoalgebraPresentation(
+        Field(p), [Cogenerator("w", POLYNOMIAL, 2, truncation=3), Cogenerator("y", EXTERIOR, 3)]
+    )
+    window = BidegreeWindow(3, 12)
+    for C in (exterior(p, 3, 5), poly(p, 2), gamma(p, 4), truncated, exterior_times_poly(p)):
+        cx = build_complex(C, window, check=False)
+        assert spot_dimensions(C, window) == {
+            (s, t): cx.spot_dim(s, t) for s in range(4) for t in range(13)
+        }
