@@ -11,7 +11,7 @@ from .coalg import CoalgebraPresentation, Cogenerator
 from .cochain import BidegreeWindow, build_complex
 from .cohomology import cohh_table, identify_presentation, kunneth_table
 from .collapse import E2Presentation, analyze, feasible_differentials
-from .exactfield import Field, SparseMatrix, rank, row_reduce
+from .exactfield import Field, SparseMatrix, rank
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 
@@ -34,5 +34,4 @@ __all__ = [
     "kunneth_table",
     "primitives",
     "rank",
-    "row_reduce",
 ]

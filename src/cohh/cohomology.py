@@ -113,12 +113,20 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     """Cohomology table of C: the convolution of its `kunneth_factors`' tables.
 
     Each factor complex is built with check=True, so d.d = 0 is checked
-    exactly on every complex the table comes from."""
+    exactly on every complex the table comes from.  A factor's table depends
+    only on its cogenerator's kind, degree and truncation, not on its name,
+    so equal factors are built and ranked once per call."""
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
-    factors = kunneth_factors(C, window.max_t)
-    tables = [cohh_table(build_complex(F, window)) for F in factors]
-    return BigradedTable(window, convolve(window, [tab.entries for tab in tables]))
+    tables: dict = {}  # (kind, degree, truncation) -> entries
+    grids = []
+    for F in kunneth_factors(C, window.max_t):
+        (cog,) = F.cogenerators
+        key = (cog.kind, cog.degree, cog.truncation)
+        if key not in tables:
+            tables[key] = cohh_table(build_complex(F, window)).entries
+        grids.append(tables[key])
+    return BigradedTable(window, convolve(window, grids))
 
 
 @dataclass

@@ -1,23 +1,21 @@
 """Exact scalar arithmetic over F_p / Q and sparse exact linear algebra.
 
-Scalars are plain Python ints (canonical residues in [0, p)) for prime
-characteristic and ``fractions.Fraction`` (always in lowest terms) for
-characteristic zero, so equality of scalars is structural equality and no
-rounding can occur anywhere.
+Scalars are plain Python ints: canonical residues in [0, p) for prime
+characteristic, and integers for characteristic zero.  Every coefficient the
+program produces is an integer combination of binomials and signs, so over Q
+the scalars never leave Z: a complex over Q is the integral complex, and an
+identity checked on it holds over Z.  Equality of scalars is structural
+equality and no rounding can occur anywhere.
 
-`rank` eliminates sparse rows in place and is what every rank-only caller
-uses; `row_reduce` builds the dense reduced echelon form and kernel basis for
-the one caller that needs a kernel, `hopfstruct.primitives`.
+`rank` is the only elimination: sparse rows reduced in place, fraction-free
+over Q.  No dense matrix, echelon form or kernel is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable
 
 
 class CompositeCharacteristic(ValueError):
@@ -67,6 +65,8 @@ class Field:
     """F_p for a prime p, or the rationals when characteristic == 0."""
 
     __slots__ = ("characteristic",)
+    zero = 0
+    one = 1
 
     def __init__(self, characteristic: int):
         if characteristic != 0 and not _is_prime(characteristic):
@@ -84,48 +84,25 @@ class Field:
     def __hash__(self) -> int:
         return hash(("Field", self.characteristic))
 
-    @property
-    def zero(self) -> Scalar:
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self) -> Scalar:
-        return 1 if self.characteristic else Fraction(1)
-
-    def scalar(self, x: Union[int, Fraction]) -> Scalar:
-        """Canonicalize an integer (or Fraction, char 0 only) into the field."""
+    def scalar(self, x: int) -> int:
+        """Canonicalize an integer into the field: its residue mod p, or itself."""
         p = self.characteristic
-        if p:
-            if isinstance(x, Fraction):
-                if x.denominator % p == 0:
-                    raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-                return x.numerator * pow(x.denominator, -1, p) % p
-            return x % p
-        return Fraction(x)
+        return x % p if p else x
 
-    def is_zero(self, a: Scalar) -> bool:
+    def is_zero(self, a: int) -> bool:
         return a == 0
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
+    def add(self, a: int, b: int) -> int:
         p = self.characteristic
         return (a + b) % p if p else a + b
 
-    def neg(self, a: Scalar) -> Scalar:
+    def neg(self, a: int) -> int:
         p = self.characteristic
         return (-a) % p if p else -a
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+    def mul(self, a: int, b: int) -> int:
         p = self.characteristic
         return (a * b) % p if p else a * b
-
-    def inv(self, a: Scalar) -> Scalar:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.characteristic
-        return pow(a, -1, p) if p else Fraction(1) / a
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
 
 @dataclass(frozen=True)
@@ -135,7 +112,7 @@ class SparseMatrix:
     field: Field
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> nonzero Scalar
+    entries: dict = field(default_factory=dict)  # (row, col) -> nonzero int
 
     @classmethod
     def from_triples(
@@ -164,17 +141,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def apply(self, vec: list) -> list:
-        """Matrix-vector product (vec indexed by columns)."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        fld = self.field
-        out = [fld.zero] * self.rows
-        for (r, c), v in self.entries.items():
-            if not fld.is_zero(vec[c]):
-                out[r] = fld.add(out[r], fld.mul(v, vec[c]))
-        return out
-
     def compose(self, inner: "SparseMatrix") -> "SparseMatrix":
         """self @ inner (apply inner first)."""
         if inner.rows != self.cols:
@@ -200,40 +166,6 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    def to_dense(self) -> list:
-        dense = [[self.field.zero] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
-
-def _primitive_int_row(row: list) -> list:
-    """Scale a row of Fractions/ints to integers with content 1."""
-    den = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            d = v.denominator
-            den = den * d // gcd(den, d)
-    ints = [int(v * den) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _integer_row(row: dict) -> dict:
-    """Scale a sparse row of Fractions/ints to integers with content 1."""
-    den = 1
-    for v in row.values():
-        d = v.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    return _primitive(
-        {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    )
-
 
 def _primitive(row: dict) -> dict:
     """Divide a sparse integer row by the gcd of its entries."""
@@ -252,9 +184,9 @@ def rank(m: SparseMatrix) -> int:
     rows (keyed by leading column) until its leading column has no pivot or
     the row vanishes, and is then stored as the pivot of that column.  Over
     F_p the rows hold residues and every pivot row is scaled to lead 1; over Q
-    they hold integers, updated fraction-free, and every pivot row is stored
-    with content 1, so the rank is exact in both cases.  No dense row and no
-    kernel is ever built.
+    they hold the integer entries as given, updated fraction-free, and every
+    pivot row is stored with content 1, so the rank is exact in both cases.
+    No dense row and no kernel is ever built.
     """
     p = m.field.characteristic
     grouped: dict = {}
@@ -262,8 +194,6 @@ def rank(m: SparseMatrix) -> int:
         grouped.setdefault(r, {})[c] = v
     pivots: dict = {}  # leading column -> pivot row
     for row in sorted(grouped.values(), key=len):
-        if not p:
-            row = _integer_row(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -300,101 +230,3 @@ def rank(m: SparseMatrix) -> int:
                 row = _primitive(row)
             pivots[lead] = row
     return len(pivots)
-
-
-def _rref(rows: list, fld: Field) -> tuple:
-    """In-place reduced row echelon form; returns (rank, pivot columns).
-
-    Pivoting takes the first nonzero entry in column order; exact arithmetic
-    needs no pivot-size selection and this keeps kernel bases deterministic.
-    The arithmetic is inlined rather than routed through Field methods because
-    it runs on every dense entry.  Only `row_reduce`, for kernels, comes here;
-    ranks go through `rank`.  Over Q the elimination is fraction-free
-    (cross-multiplied primitive integer rows, normalized to canonical Fractions
-    only at the end) to stop coefficient blow-up on deep windows.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    p = fld.characteristic
-    if p == 0:
-        for i in range(nrows):
-            rows[i] = _primitive_int_row(rows[i])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        row_r = rows[r]
-        if p:
-            lead = row_r[c]
-            if lead != 1:
-                inv = pow(lead, -1, p)
-                rows[r] = row_r = [(inv * v) % p for v in row_r]
-            for i in range(nrows):
-                if i != r:
-                    f = rows[i][c]
-                    if f:
-                        rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row_r)]
-        else:
-            lead = row_r[c]
-            for i in range(nrows):
-                if i != r:
-                    f = rows[i][c]
-                    if f:
-                        new = [lead * a - f * b for a, b in zip(rows[i], row_r)]
-                        g = 0
-                        for v in new:
-                            g = gcd(g, v)
-                        if g > 1:
-                            new = [v // g for v in new]
-                        rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if p == 0:
-        for i, c in enumerate(pivots):
-            lead = rows[i][c]
-            rows[i] = [Fraction(v, lead) for v in rows[i]]
-        for i in range(len(pivots), nrows):
-            rows[i] = [Fraction(0)] * ncols
-    return r, pivots
-
-
-@dataclass
-class Echelon:
-    """Result of row reduction: rank, pivot columns, canonical kernel basis."""
-
-    rank: int
-    pivots: list
-    kernel: list  # canonical basis of ker(m), vectors of length cols
-    rref: list    # nonzero RREF rows of the matrix
-
-
-def row_reduce(m: SparseMatrix) -> Echelon:
-    """Reduced echelon form, rank, and canonical kernel basis of a matrix.
-
-    The kernel basis is the standard free-column construction off the RREF
-    (pivoting on the first nonzero entry in column order), which is unique,
-    so identical matrices always yield identical bases.
-    """
-    fld = m.field
-    dense = m.to_dense()
-    rank, pivots = _rref(dense, fld)
-    rref_rows = dense[:rank]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    kernel = []
-    for fc in free_cols:
-        vec = [fld.zero] * m.cols
-        vec[fc] = fld.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = fld.neg(rref_rows[i][fc])
-        kernel.append(vec)
-    return Echelon(rank=rank, pivots=pivots, kernel=kernel, rref=rref_rows)

@@ -3,9 +3,12 @@
 Primitives of a connected coalgebra are the kernel of the reduced coproduct
 x -> coproduct(x) - 1(x)x - x(x)1 on the positive-degree part; indecomposables
 of an augmented monomial algebra are the cokernel of multiplication on the
-augmentation ideal.  Every product of basis monomials is zero or plus or minus
-one basis monomial, so that cokernel is spanned by the monomials no product
-hits.
+augmentation ideal.  Neither needs elimination.  The reduced coproduct of a
+basis monomial m has terms (a, b) with a + b = m, so distinct monomials have
+disjoint supports and the kernel is spanned by the monomials whose reduced
+coproduct vanishes in the field.  Dually, every product of basis monomials is
+zero or plus or minus one basis monomial, so the cokernel is spanned by the
+monomials no product hits.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .coalg import (
     NotConnected,
     ParityViolation,
 )
-from .exactfield import Field, InvalidInput, SparseMatrix, row_reduce
+from .exactfield import Field, InvalidInput
 
 
 class AlgebraPresentation:
@@ -77,16 +80,19 @@ class AlgebraPresentation:
 
 @dataclass
 class PrimitiveSet:
-    """Echelonized primitive elements per internal degree (element = {monomial: c})."""
+    """Primitive basis monomials per internal degree, each as {monomial: 1}.
+
+    They span the primitives, as distinct monomials have disjoint
+    reduced-coproduct supports."""
 
     by_degree: dict
 
     def formatted(self, C: CoalgebraPresentation) -> dict:
-        out = {}
-        for t, elems in sorted(self.by_degree.items()):
-            if elems:
-                out[t] = [format_element(C, e) for e in elems]
-        return out
+        return {
+            t: [C.format_monomial(m) for elem in elems for m in elem]
+            for t, elems in sorted(self.by_degree.items())
+            if elems
+        }
 
 
 @dataclass
@@ -103,15 +109,6 @@ class IndecomposableSet:
         }
 
 
-def format_element(C, element: dict) -> str:
-    parts = []
-    for m in sorted(element):
-        c = element[m]
-        mono = C.format_monomial(m)
-        parts.append(mono if c == 1 else f"{c}*{mono}")
-    return " + ".join(parts) if parts else "0"
-
-
 def reduced_coproduct(C: CoalgebraPresentation, m: tuple) -> dict:
     """Coproduct of a positive-degree monomial minus its two unit terms."""
     return {
@@ -122,30 +119,18 @@ def reduced_coproduct(C: CoalgebraPresentation, m: tuple) -> dict:
 
 
 def primitives(C: CoalgebraPresentation, max_t: int) -> PrimitiveSet:
-    """Kernel of the reduced coproduct in every degree t <= max_t."""
+    """Basis monomials with an empty reduced coproduct, in each degree t <= max_t.
+
+    The terms (a, b) of the reduced coproduct of m satisfy a + b = m, so no
+    combination of nonzero images of distinct monomials cancels, and these
+    monomials span the kernel.  `coproduct_monomial` drops the coefficients
+    that vanish mod p, which is how w^(p^k) becomes primitive over F_p."""
     if max_t < 0:
         raise InvalidInput(f"max_t={max_t} is negative")
-    fld = C.field
-    by_degree: dict = {}
-    for t in range(1, max_t + 1):
-        basis = C.basis_in_degree(t)
-        pair_index = {}
-        for t1 in range(1, t):
-            for a in C.basis_in_degree(t1):
-                for b in C.basis_in_degree(t - t1):
-                    pair_index[(a, b)] = len(pair_index)
-        triples = []
-        for j, m in enumerate(basis):
-            for pair, c in reduced_coproduct(C, m).items():
-                triples.append((pair_index[pair], j, c))
-        mat = SparseMatrix.from_triples(fld, len(pair_index), len(basis), triples)
-        elems = []
-        for vec in row_reduce(mat).kernel:
-            elems.append(
-                {m: c for m, c in zip(basis, vec) if not fld.is_zero(c)}
-            )
-        by_degree[t] = elems
-    return PrimitiveSet(by_degree)
+    return PrimitiveSet({
+        t: [{m: 1} for m in C.basis_in_degree(t) if not reduced_coproduct(C, m)]
+        for t in range(1, max_t + 1)
+    })
 
 
 def indecomposables(A: AlgebraPresentation, max_t: int) -> IndecomposableSet:

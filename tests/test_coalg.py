@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from cohh.coalg import (
@@ -151,7 +149,8 @@ def test_coproduct_polynomial_binomials():
     assert P2.coproduct_monomial(w(2)) == {(w(0), w(2)): 1, (w(2), w(0)): 1}
     P0 = poly(0, 2)
     v = lambda j: P0.monomial({"w": j})
-    assert P0.coproduct_monomial(v(2))[(v(1), v(1))] == Fraction(2)
+    middle = P0.coproduct_monomial(v(2))[(v(1), v(1))]
+    assert middle == 2 and type(middle) is int
 
 
 def test_coproduct_koszul_sign_on_exterior_product():

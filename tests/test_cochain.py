@@ -252,3 +252,25 @@ def test_coface_codegeneracy_matrix_shapes():
         len(tensor_basis(C, 1, 4, False)),
         len(tensor_basis(C, 2, 4, False)),
     )
+
+
+def test_scalars_over_q_are_plain_ints():
+    """Over Q every coproduct coefficient and differential entry is an int,
+    so the complex is the integral one and d.d = 0 is checked over Z."""
+    window = BidegreeWindow(3, 12)
+    lam_poly = CoalgebraPresentation(
+        Field(0), [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2)]
+    )
+    for C in (poly(0, 2), gamma(0, 2), lam_poly):
+        coefficients = [
+            c
+            for t in range(window.max_t + 1)
+            for m in C.basis_in_degree(t)
+            for c in C.coproduct_monomial(m).values()
+        ]
+        entries = [
+            v for d in build_complex(C, window).differentials.values()
+            for v in d.entries.values()
+        ]
+        assert coefficients and entries
+        assert all(type(v) is int for v in coefficients + entries), C.cogenerators

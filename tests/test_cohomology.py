@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cohh import cohomology, exactfield
+from cohh import cohomology
 from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
@@ -307,24 +307,6 @@ def test_random_presentations_obey_universal_coefficients_and_normalization():
     assert torsion  # some sample has p-torsion, so the bound is not vacuous
 
 
-@pytest.mark.parametrize("p", [3, 0])
-def test_cohh_table_uses_sparse_rank_not_dense_row_reduce(p, monkeypatch):
-    cx = build_complex(poly(p, 2), BidegreeWindow(4, 12))
-    dense = {
-        (s, t): cx.spot_dim(s, t)
-        - exactfield.row_reduce(cx.differentials[(s, t)]).rank
-        - (exactfield.row_reduce(cx.differentials[(s - 1, t)]).rank if s else 0)
-        for (s, t) in cx.differentials
-    }
-
-    def refuse(m):
-        raise AssertionError("dense row_reduce on a rank-only path")
-
-    monkeypatch.setattr(exactfield, "row_reduce", refuse)
-    monkeypatch.setattr(cohomology, "row_reduce", refuse, raising=False)
-    assert cohh_table(cx).entries == dense
-
-
 def test_factor_route_equals_full_complex_on_random_presentations():
     rng = random.Random(60211)
     window = BidegreeWindow(3, 12)
@@ -360,6 +342,42 @@ def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, 
     ]
     assert len(digits) >= 3 and degree * p ** len(digits) > window.max_t
     assert kunneth_table(C, window).entries == cohh_table(build_complex(C, window)).entries
+
+
+@pytest.mark.parametrize(
+    "p, kind, degree, distinct",
+    [(0, POLYNOMIAL, 2, 1), (0, EXTERIOR, 3, 1), (3, POLYNOMIAL, 2, 2)],
+)
+def test_kunneth_table_builds_each_distinct_factor_once(
+    p, kind, degree, distinct, monkeypatch
+):
+    """Two cogenerators of one kind and degree: one checked build per distinct
+    factor (over F_3, k[w2] splits into two Lucas digits up to t = 14)."""
+    window = BidegreeWindow(4, 14)
+    one = cohh_table(
+        build_complex(CoalgebraPresentation(Field(p), [Cogenerator("a", kind, degree)]), window)
+    )
+    C = CoalgebraPresentation(
+        Field(p), [Cogenerator("a", kind, degree), Cogenerator("b", kind, degree)]
+    )
+    built = []
+
+    def counting(F, win, *args, **kwargs):
+        built.append((F.cogenerators, kwargs.get("check", True)))
+        return build_complex(F, win, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "build_complex", counting)
+    table = kunneth_table(C, window)
+    assert len(built) == distinct
+    assert all(check for _, check in built)
+    assert table.entries == {
+        (s, t): sum(
+            one.dim(s1, t1) * one.dim(s - s1, t - t1)
+            for s1 in range(s + 1)
+            for t1 in range(t + 1)
+        )
+        for (s, t) in table.entries
+    }
 
 
 def test_truncated_polynomial_cogenerator_is_not_split():

@@ -1,8 +1,8 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
+from dense_reference import dense_rank
 
 from cohh import exactfield
 from cohh.cochain import build_complex
@@ -12,7 +12,6 @@ from cohh.exactfield import (
     InvalidInput,
     SparseMatrix,
     rank,
-    row_reduce,
 )
 from cohh.selftest import _structural_corpus
 
@@ -46,8 +45,10 @@ def test_scalar_canonicalization():
     assert f3.scalar(7) == 1
     assert f3.scalar(-1) == 2
     q = Field(0)
-    assert q.scalar(4) == Fraction(4)
-    assert q.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    for x in (4, -7, 0, 10**30):
+        assert q.scalar(x) == x and type(q.scalar(x)) is int
+    assert type(q.zero) is int and type(q.one) is int
+    assert q.add(q.mul(3, -5), q.neg(2)) == -17
 
 
 def test_modp_arithmetic_matches_integers():
@@ -61,16 +62,6 @@ def test_modp_arithmetic_matches_integers():
             assert fld.mul(ra, rb) == (a * b) % p
             assert fld.mul(ra, fld.add(rb, rc)) == (a * (b + c)) % p
             assert fld.add(fld.add(ra, rb), rc) == fld.add(ra, fld.add(rb, rc))
-
-
-def test_inverse_and_division():
-    f5 = Field(5)
-    for a in range(1, 5):
-        assert f5.mul(a, f5.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f5.inv(0)
-    q = Field(0)
-    assert q.div(Fraction(3), Fraction(4)) == Fraction(3, 4)
 
 
 def test_from_triples_sums_and_drops_zeros():
@@ -87,65 +78,8 @@ def test_compose_and_apply():
     b = SparseMatrix.from_triples(f7, 2, 2, [(0, 1, 1), (1, 0, 4)])
     ab = a.compose(b)
     assert ab.entries == {(0, 1): 2, (1, 0): 5}
-    assert a.apply([1, 1]) == [2, 3]
-
-
-def test_row_reduce_identity_and_zero():
-    f3 = Field(3)
-    ident = SparseMatrix.identity(f3, 2)
-    ech = row_reduce(ident)
-    assert ech.rank == 2 and ech.kernel == []
-    zero = SparseMatrix.zero(f3, 2, 2)
-    ech = row_reduce(zero)
-    assert ech.rank == 0
-    assert ech.kernel == [[1, 0], [0, 1]]
-
-
-def test_row_reduce_rank_one_over_f2():
-    f2 = Field(2)
-    m = SparseMatrix.from_triples(f2, 2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
-    ech = row_reduce(m)
-    assert ech.rank == 1
-    assert ech.kernel == [[1, 1]]
-
-
-def test_row_reduce_random_rank_nullity_and_annihilation():
-    rng = random.Random(11)
-    for p in (2, 5, 0):
-        fld = Field(p)
-        for _ in range(40):
-            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-            triples = [
-                (r, c, rng.randrange(-3, 4))
-                for r in range(rows)
-                for c in range(cols)
-                if rng.random() < 0.5
-            ]
-            m = SparseMatrix.from_triples(fld, rows, cols, triples)
-            ech = row_reduce(m)
-            assert ech.rank + len(ech.kernel) == cols
-            for vec in ech.kernel:
-                assert all(fld.is_zero(x) for x in m.apply(vec))
-
-
-def test_row_reduce_idempotent_on_rref():
-    f5 = Field(5)
-    m = SparseMatrix.from_triples(
-        f5, 3, 4, [(0, 0, 2), (0, 2, 1), (1, 0, 1), (1, 1, 3), (2, 3, 4)]
-    )
-    first = row_reduce(m)
-    again = SparseMatrix.from_triples(
-        f5, len(first.rref), 4,
-        [
-            (r, c, v)
-            for r, row in enumerate(first.rref)
-            for c, v in enumerate(row)
-            if v
-        ],
-    )
-    second = row_reduce(again)
-    assert second.rref == first.rref
-    assert second.pivots == first.pivots
+    ones = SparseMatrix.from_triples(f7, 2, 1, [(0, 0, 1), (1, 0, 1)])
+    assert a.compose(ones).entries == {(0, 0): 2, (1, 0): 3}
 
 
 def _transpose(m):
@@ -155,10 +89,10 @@ def _transpose(m):
 
 
 def _random_matrix(rng, fld, rows, cols, density):
-    """Random entries; over Q some are non-integer Fractions."""
+    """Random integer entries; over Q some are large, so pivots are not units."""
     def value():
         if fld.characteristic == 0 and rng.random() < 0.3:
-            return Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
+            return rng.randrange(-60, 61)
         return rng.randrange(-4, 5)
 
     return SparseMatrix.from_triples(
@@ -193,7 +127,7 @@ def test_sparse_rank_agrees_with_dense_row_reduce(p):
     deficient = 0
     for m in _random_matrices(rng, fld):
         r = rank(m)
-        assert r == row_reduce(m).rank, m
+        assert r == dense_rank(m), m
         assert r == rank(_transpose(m)), m
         deficient += r < min(m.rows, m.cols)
     assert deficient >= 20  # the oracle saw rank-deficient matrices
@@ -204,4 +138,4 @@ def test_sparse_rank_agrees_with_dense_on_the_structural_corpus(p):
     for label, C, window, _ in _structural_corpus(p):
         cx = build_complex(C, window)
         for key, d in cx.differentials.items():
-            assert rank(d) == row_reduce(d).rank, (label, p, key)
+            assert rank(d) == dense_rank(d), (label, p, key)

@@ -1,4 +1,5 @@
 import pytest
+from dense_reference import dense_rank
 
 from cohh.coalg import (
     DIVIDED_POWER,
@@ -9,11 +10,12 @@ from cohh.coalg import (
     add_term,
     coproduct,
 )
-from cohh.exactfield import Field, InvalidInput
+from cohh.exactfield import Field, InvalidInput, SparseMatrix
 from cohh.hopfstruct import (
     AlgebraPresentation,
     indecomposables,
     primitives,
+    reduced_coproduct,
 )
 
 
@@ -77,6 +79,55 @@ def test_primitives_satisfy_primitive_equation():
                     add_term(delta, (C.unit(), m), C.field.neg(c), C.field)
                     add_term(delta, (m, C.unit()), C.field.neg(c), C.field)
                 assert delta == {}
+
+
+def reduced_coproduct_rank(C, t):
+    """Dense rank of the reduced coproduct on degree t, into the pairs (a, b)
+    of positive-degree monomials with |a| + |b| = t."""
+    pairs = {}
+    for t1 in range(1, t):
+        for a in C.basis_in_degree(t1):
+            for b in C.basis_in_degree(t - t1):
+                pairs[(a, b)] = len(pairs)
+    basis = C.basis_in_degree(t)
+    triples = [
+        (pairs[pair], j, c)
+        for j, m in enumerate(basis)
+        for pair, c in C.coproduct_monomial(m).items()
+        if pair in pairs
+    ]
+    return dense_rank(SparseMatrix.from_triples(C.field, len(pairs), len(basis), triples))
+
+
+def oracle_presentations(p):
+    yield poly_coalg(p, 2)
+    yield gamma_coalg(p, 2)
+    yield CoalgebraPresentation(
+        Field(p), [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2)]
+    )
+    yield exterior_coalg(p, 3, 5)
+    if p == 2:
+        yield exterior_coalg(p, 2)  # an even exterior cogenerator is legal only at p = 2
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_primitive_count_is_the_dense_kernel_dimension(p):
+    max_t = 40
+    for C in oracle_presentations(p):
+        prims = primitives(C, max_t)
+        assert sorted(prims.by_degree) == list(range(1, max_t + 1))
+        for t, elems in prims.by_degree.items():
+            cols = len(C.basis_in_degree(t))
+            assert len(elems) == cols - reduced_coproduct_rank(C, t), (C.cogenerators, t)
+            for elem in elems:
+                ((m, c),) = elem.items()
+                assert c == 1 and C.degree(m) == t and not reduced_coproduct(C, m)
+    if p:  # w^(p^k) is primitive over F_p although its integer reduced coproduct is not
+        reported = primitive_exponents(primitives(poly_coalg(p, 2), max_t))
+        powers = [(p**k,) for k in range(1, 6) if 2 * p**k <= max_t]
+        assert powers
+        for m in powers:
+            assert m in reported and reduced_coproduct(poly_coalg(0, 2), m)
 
 
 def test_algebra_multiplication_signs():
