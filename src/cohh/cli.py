@@ -29,7 +29,6 @@ from .coalg import (
     Cogenerator,
     NotConnected,
     ParityViolation,
-    UnknownCogenerator,
 )
 from .cochain import BidegreeWindow, WindowTooSmall
 from .cohomology import (
@@ -42,7 +41,7 @@ from .cohomology import (
 )
 from .collapse import E2Generator, E2Presentation, WrongShape, analyze
 from .exactfield import CompositeCharacteristic, Field, InvalidInput
-from .hopfstruct import AlgebraPresentation, indecomposables, primitives
+from .hopfstruct import AlgebraPresentation, MonomialSet, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 from . import selftest as selftest_mod
 from .selftest import INVARIANT_ERRORS
@@ -53,7 +52,6 @@ INPUT_ERRORS = (
     CompositeCharacteristic,
     NotConnected,
     ParityViolation,
-    UnknownCogenerator,
     WrongShape,
     WindowTooSmall,
     FileNotFoundError,
@@ -319,19 +317,24 @@ def cmd_hz(args) -> int:
     return 0
 
 
+def render_monomial_report(title: str, C, max_t: int, found: MonomialSet) -> str:
+    """The `primitives` / `indecomposables` report: one line per nonempty degree."""
+    lines = [
+        f"# {title} report",
+        TOOL_LINE,
+        f"# characteristic: {C.field.characteristic}",
+        f"# max internal degree: {max_t}",
+    ]
+    for t, elems in found.formatted(C).items():
+        lines.append(f"t={t}: " + "; ".join(elems))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_primitives(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         C = parse_presentation(fh.read(), args.char)
-    prims = primitives(C, args.max_t)
-    lines = [
-        "# primitives report",
-        TOOL_LINE,
-        f"# characteristic: {C.field.characteristic}",
-        f"# max internal degree: {args.max_t}",
-    ]
-    for t, elems in sorted(prims.formatted(C).items()):
-        lines.append(f"t={t}: " + "; ".join(elems))
-    _emit("\n".join(lines) + "\n", args.out)
+    found = primitives(C, args.max_t)
+    _emit(render_monomial_report("primitives", C, args.max_t, found), args.out)
     return 0
 
 
@@ -339,16 +342,8 @@ def cmd_indecomposables(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         C = parse_presentation(fh.read(), args.char)
     A = AlgebraPresentation(C.field, C.cogenerators)
-    inde = indecomposables(A, args.max_t)
-    lines = [
-        "# indecomposables report",
-        TOOL_LINE,
-        f"# characteristic: {A.field.characteristic}",
-        f"# max internal degree: {args.max_t}",
-    ]
-    for t, elems in sorted(inde.formatted(A).items()):
-        lines.append(f"t={t}: " + "; ".join(elems))
-    _emit("\n".join(lines) + "\n", args.out)
+    found = indecomposables(A, args.max_t)
+    _emit(render_monomial_report("indecomposables", A, args.max_t, found), args.out)
     return 0
 
 
@@ -383,18 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window=(6, 24), with_file=True):
-        if with_file:
-            p.add_argument("file", help="input presentation file")
-        p.add_argument("--max-s", type=int, default=window[0])
-        p.add_argument("--max-t", type=int, default=window[1])
-        p.add_argument("--char", type=int, default=None,
-                       help="override the characteristic header")
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--out", default=None, help="write the report to this path")
-
     p = sub.add_parser("cohh", help="bigraded coHH table of a coalgebra presentation")
-    common(p)
+    p.add_argument("file", help="input presentation file")
+    p.add_argument("--max-s", type=int, default=6)
+    p.add_argument("--max-t", type=int, default=24)
+    p.add_argument("--char", type=int, default=None,
+                   help="override the characteristic header")
+    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--out", default=None, help="write the report to this path")
     p.set_defaults(func=cmd_cohh)
 
     p = sub.add_parser("collapse", help="collapse certificate for an E2 presentation")

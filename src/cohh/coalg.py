@@ -26,10 +26,6 @@ DIVIDED_POWER = "divided_power"
 KINDS = (POLYNOMIAL, EXTERIOR, DIVIDED_POWER)
 
 
-class UnknownCogenerator(KeyError):
-    """An element references a cogenerator name that the presentation lacks."""
-
-
 class NotConnected(ValueError):
     """Presentation has basis outside degree 0's single unit (degree < 1 cogenerator)."""
 
@@ -79,7 +75,6 @@ class CoalgebraPresentation:
                     )
             if cog.truncation is not None and cog.truncation < 1:
                 raise ValueError(f"truncation of {cog.name} must be >= 1")
-        self._index = {c.name: i for i, c in enumerate(self.cogenerators)}
         self._basis_cache: dict = {}
         self._coproduct_cache: dict = {}
 
@@ -87,16 +82,6 @@ class CoalgebraPresentation:
 
     def unit(self) -> tuple:
         return (0,) * len(self.cogenerators)
-
-    def monomial(self, exponents_by_name: dict) -> tuple:
-        exps = [0] * len(self.cogenerators)
-        for name, e in exponents_by_name.items():
-            if name not in self._index:
-                raise UnknownCogenerator(name)
-            exps[self._index[name]] = e
-        m = tuple(exps)
-        self._validate_monomial(m)
-        return m
 
     def _validate_monomial(self, m: tuple):
         if len(m) != len(self.cogenerators):

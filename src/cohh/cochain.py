@@ -69,10 +69,6 @@ def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> 
     return out
 
 
-def is_normalized_tuple(tup: tuple) -> bool:
-    return all(any(m) for m in tup[1:])
-
-
 def twist_first_to_last(C: CoalgebraPresentation, terms: dict) -> dict:
     """Cycle the first tensor factor to the last with the Koszul sign."""
     fld = C.field

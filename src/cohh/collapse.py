@@ -18,7 +18,6 @@ degree passes max_t minus the least polynomial degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
@@ -240,8 +239,11 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
     no 2^m may equal R; and for odd p, no p^m may equal 2R (this kills
     candidates y2*w2 -> w1^(p^m), which survive the first two conditions
     whenever R is half an odd prime power; at p = 2 the R condition already
-    covers the doubled case).  Powers beyond the compared value cannot hit it,
-    so the search per condition is finite."""
+    covers the doubled case).  Each test is cleared of its denominator a - 1,
+    so p^m = R + 1 reads p^m (a-1) = a + b - 2, p^m = R reads
+    p^m (a-1) = b - 1 and p^m = 2R reads p^m (a-1) = 2(b - 1).  Powers beyond
+    the compared value cannot hit it, so the search per condition is finite.
+    For a = 1 the ratio is undefined and the three ratio checks fail."""
     ext = e2.exterior
     if len(ext) != 2:
         raise WrongShape(f"expected exactly 2 column-0 exterior generators, got {len(ext)}")
@@ -250,21 +252,26 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
     checks = {
         "degrees_odd_and_gt1": a % 2 == 1 and b % 2 == 1 and a > 1,
     }
-    ratio = Fraction(b - 1, a - 1)
+    if a == 1:
+        checks.update(
+            pm_ne_ratio_plus_one=False, p2_pm_ne_ratio=False, odd_p_pm_ne_twice_ratio=False
+        )
+        return checks
 
-    def power_hits(value: Fraction) -> bool:
+    def power_hits(value: int) -> bool:
+        """Some p^m with m >= 1 has p^m (a-1) == value."""
         if p == 0:
             return False
-        q = p
+        q = p * (a - 1)
         while q <= value:
             if q == value:
                 return True
             q *= p
         return False
 
-    checks["pm_ne_ratio_plus_one"] = not power_hits(ratio + 1)
-    checks["p2_pm_ne_ratio"] = True if p != 2 else not power_hits(ratio)
-    checks["odd_p_pm_ne_twice_ratio"] = True if p == 2 else not power_hits(2 * ratio)
+    checks["pm_ne_ratio_plus_one"] = not power_hits(a + b - 2)
+    checks["p2_pm_ne_ratio"] = True if p != 2 else not power_hits(b - 1)
+    checks["odd_p_pm_ne_twice_ratio"] = True if p == 2 else not power_hits(2 * (b - 1))
     return checks
 
 

@@ -131,10 +131,6 @@ class SparseMatrix:
         return cls(fld, rows, cols, entries)
 
     @classmethod
-    def zero(cls, fld: Field, rows: int, cols: int) -> "SparseMatrix":
-        return cls(fld, rows, cols, {})
-
-    @classmethod
     def identity(cls, fld: Field, n: int) -> "SparseMatrix":
         return cls(fld, n, n, {(i, i): fld.one for i in range(n)})
 

@@ -1,11 +1,11 @@
 """Tor of F_p against F_p over the integers, fed into the coHH engine.
 
-The two-term free resolution of F_p over Z (multiplication by p, then the
-quotient) is tensored with F_p, where the multiplication map becomes zero, and
-homology is taken exactly.  The resulting classes in degrees 0 and 1 carry the
-coalgebra structure of an exterior generator in degree 1, which is asserted
-after a dimension check; the coHH table of that exterior coalgebra is then
-computed and identified.
+The free resolution 0 -> Z --(x p)--> Z -> F_p has one differential.
+Tensored with F_p it is the 1x1 matrix (p mod p), and Tor is the homology of
+that one matrix: 1 - rank in degrees 0 and 1, zero above.  The resulting
+classes in degrees 0 and 1 carry the coalgebra structure of an exterior
+generator in degree 1, which is asserted after a dimension check; the coHH
+table of that exterior coalgebra is then computed and identified.
 """
 
 from __future__ import annotations
@@ -13,45 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalg import EXTERIOR, CoalgebraPresentation, Cogenerator
-from .cochain import BidegreeWindow, WindowTooSmall, build_complex
+from .cochain import BidegreeWindow, WindowTooSmall
 from .cohomology import (
     EXTERIOR_POLYNOMIAL,
     BigradedTable,
     Identification,
-    cohh_table,
     expected_grid,
     identify_presentation,
+    kunneth_table,
 )
 from .exactfield import Field, InvalidInput, SparseMatrix, rank
-
-
-@dataclass
-class FreeResolution:
-    """Free chain complex over the integers: ranks[i] in homological degree i,
-    differentials[i] the integer matrix F_{i+1} -> F_i."""
-
-    ranks: list
-    differentials: list
-
-    def __post_init__(self):
-        for i, mat in enumerate(self.differentials):
-            if len(mat) != self.ranks[i]:
-                raise ValueError(f"differential {i} has {len(mat)} rows, want {self.ranks[i]}")
-            for row in mat:
-                if len(row) != self.ranks[i + 1]:
-                    raise ValueError(f"differential {i} has a row of wrong length")
-        # successive differentials must compose to zero over Z
-        for i in range(len(self.differentials) - 1):
-            a, b = self.differentials[i], self.differentials[i + 1]
-            for r in range(len(a)):
-                for c in range(len(b[0]) if b else 0):
-                    if sum(a[r][k] * b[k][c] for k in range(len(b))) != 0:
-                        raise ValueError(f"differentials {i},{i + 1} do not compose to zero")
-
-
-def fp_resolution(p: int) -> FreeResolution:
-    """Z --(x p)--> Z, resolving the prime field as a Z-module."""
-    return FreeResolution(ranks=[1, 1], differentials=[[[p]]])
 
 
 def tor_fp(p: int, max_degree: int) -> list:
@@ -59,27 +30,8 @@ def tor_fp(p: int, max_degree: int) -> list:
     fld = Field(p)
     if p == 0:
         raise InvalidInput("characteristic must be a prime here")
-    res = fp_resolution(p)
-    reduced = []
-    for i, mat in enumerate(res.differentials):
-        reduced.append(
-            SparseMatrix.from_triples(
-                fld, res.ranks[i], res.ranks[i + 1],
-                [
-                    (r, c, mat[r][c])
-                    for r in range(res.ranks[i])
-                    for c in range(res.ranks[i + 1])
-                ],
-            )
-        )
-    dims = []
-    n = len(res.ranks)
-    for i in range(n):
-        out_rank = rank(reduced[i - 1]) if i >= 1 else 0
-        in_rank = rank(reduced[i]) if i < n - 1 else 0
-        dims.append(res.ranks[i] - out_rank - in_rank)
-    dims += [0] * (max_degree + 1 - len(dims))
-    return dims[: max_degree + 1]
+    r = rank(SparseMatrix.from_triples(fld, 1, 1, [(0, 0, p)]))
+    return ([1 - r, 1 - r] + [0] * max_degree)[: max_degree + 1]
 
 
 @dataclass
@@ -105,8 +57,7 @@ def hz_e2_pipeline(p: int, window: BidegreeWindow) -> HZPipelineResult:
         raise AssertionError(f"unexpected Tor dimensions {dims}")
     fld = Field(p)
     C = CoalgebraPresentation(fld, [Cogenerator("τ", EXTERIOR, 1)])
-    cx = build_complex(C, window)
-    table = cohh_table(cx)
+    table = kunneth_table(C, window)
     ident = identify_presentation(table)
     if ident is None or ident.shape != EXTERIOR_POLYNOMIAL or ident.degrees != [1]:
         raise AssertionError(f"pipeline table did not identify as expected: {ident}")

@@ -146,6 +146,21 @@ def test_collapse_command_obstructed(tmp_path, capsys):
     assert "pm_ne_ratio_plus_one: FAIL" in out
 
 
+@pytest.mark.parametrize("text", [
+    "char 3\nexterior y1 0 1\nexterior y2 0 3\npolynomial w1 1 1\npolynomial w2 1 3\n",
+    "char 2\nexterior y1 0 1\nexterior y2 0 1\npolynomial w1 1 1\npolynomial w2 1 1\n",
+])
+def test_collapse_command_degree_one_exterior_generator(tmp_path, capsys, text):
+    src = tmp_path / "e2.txt"
+    src.write_text(text)
+    assert main(["collapse", str(src)]) == 0
+    out = capsys.readouterr().out
+    for check in ("degrees_odd_and_gt1", "pm_ne_ratio_plus_one", "p2_pm_ne_ratio",
+                  "odd_p_pm_ne_twice_ratio"):
+        assert f"#   {check}: FAIL" in out
+    assert "verdict: obstructed" in out
+
+
 def test_collapse_command_collapses_json(tmp_path, capsys):
     src = tmp_path / "e2.txt"
     src.write_text("char 5\nexterior y 0 3\npolynomial w 1 3\n")

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,49 @@ def test_exton2_hypotheses_examples():
     assert all(checks.values())  # (7-1)/(3-1)+1 = 4 is not a power of 5
     with pytest.raises(WrongShape):
         exton2_hypotheses(e2_from_exterior_homotopy(3, [3]))
+
+
+def fraction_hypotheses(a: int, b: int, p: int) -> dict:
+    """The ratio checks as first stated, on R = (b-1)/(a-1) in Fractions."""
+    ratio = Fraction(b - 1, a - 1)
+
+    def power_hits(value):
+        q = p
+        while p and q <= value:
+            if q == value:
+                return True
+            q *= p
+        return False
+
+    return {
+        "degrees_odd_and_gt1": a % 2 == 1 and b % 2 == 1 and a > 1,
+        "pm_ne_ratio_plus_one": not power_hits(ratio + 1),
+        "p2_pm_ne_ratio": True if p != 2 else not power_hits(ratio),
+        "odd_p_pm_ne_twice_ratio": True if p == 2 else not power_hits(2 * ratio),
+    }
+
+
+def test_integer_ratio_checks_equal_the_fraction_reference():
+    cases = [(a, b, p) for a in range(3, 62, 2) for b in range(a, 62, 2)
+             for p in (0, 2, 3, 5, 7)]
+    cases += [(a, b, 2) for a in range(2, 62, 2) for b in range(a, 62)]
+    hits = 0
+    for a, b, p in cases:
+        got = exton2_hypotheses(e2_from_exterior_homotopy(p, [b, a]))
+        assert got == fraction_hypotheses(a, b, p), (a, b, p)
+        hits += not all(got.values())
+    assert hits >= 100  # the reference sees every check fail somewhere
+
+
+def test_degree_one_exterior_generator_fails_the_ratio_checks():
+    """R = (b-1)/(a-1) is undefined for a = 1: every ratio check fails, and
+    the verdict comes from the search alone."""
+    for p, degrees in ((3, [1, 3]), (2, [1, 1]), (0, [1, 5])):
+        e2 = e2_from_exterior_homotopy(p, degrees)
+        assert not any(exton2_hypotheses(e2).values()), (p, degrees)
+        cert = analyze(e2, 40)
+        want = "obstructed" if feasible_differentials(e2, 40) else "collapses"
+        assert cert.verdict == want
 
 
 def test_two_condition_gap_cases_need_the_third_check():

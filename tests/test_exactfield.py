@@ -108,7 +108,7 @@ def _random_matrix(rng, fld, rows, cols, density):
 
 def _random_matrices(rng, fld):
     for rows, cols in ((0, 4), (4, 0), (0, 0), (3, 5)):
-        yield SparseMatrix.zero(fld, rows, cols)
+        yield SparseMatrix(fld, rows, cols)
     for _ in range(60):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         yield _random_matrix(rng, fld, rows, cols, rng.choice((0.15, 0.4, 0.8)))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from dense_reference import dense_rank
 
@@ -10,6 +12,7 @@ from cohh.coalg import (
     add_term,
     coproduct,
 )
+from cohh.coalg import NotConnected, ParityViolation
 from cohh.exactfield import Field, InvalidInput, SparseMatrix
 from cohh.hopfstruct import (
     AlgebraPresentation,
@@ -38,7 +41,7 @@ def gamma_coalg(p, degree):
 
 
 def primitive_exponents(prims):
-    return sorted(m for elems in prims.by_degree.values() for e in elems for m in e)
+    return sorted(m for ms in prims.by_degree.values() for m in ms)
 
 
 def test_polynomial_primitives_are_char_powers():
@@ -72,12 +75,11 @@ def test_primitives_satisfy_primitive_equation():
     """Re-verify each reported primitive against the raw coproduct."""
     for C in (poly_coalg(3, 2), exterior_coalg(5, 3, 5), gamma_coalg(2, 2)):
         prims = primitives(C, 18)
-        for elems in prims.by_degree.values():
-            for elem in elems:
-                delta = coproduct(C, elem)
-                for m, c in elem.items():
-                    add_term(delta, (C.unit(), m), C.field.neg(c), C.field)
-                    add_term(delta, (m, C.unit()), C.field.neg(c), C.field)
+        for ms in prims.by_degree.values():
+            for m in ms:
+                delta = coproduct(C, {m: C.field.one})
+                add_term(delta, (C.unit(), m), C.field.neg(C.field.one), C.field)
+                add_term(delta, (m, C.unit()), C.field.neg(C.field.one), C.field)
                 assert delta == {}
 
 
@@ -116,35 +118,17 @@ def test_primitive_count_is_the_dense_kernel_dimension(p):
     for C in oracle_presentations(p):
         prims = primitives(C, max_t)
         assert sorted(prims.by_degree) == list(range(1, max_t + 1))
-        for t, elems in prims.by_degree.items():
+        for t, ms in prims.by_degree.items():
             cols = len(C.basis_in_degree(t))
-            assert len(elems) == cols - reduced_coproduct_rank(C, t), (C.cogenerators, t)
-            for elem in elems:
-                ((m, c),) = elem.items()
-                assert c == 1 and C.degree(m) == t and not reduced_coproduct(C, m)
+            assert len(ms) == cols - reduced_coproduct_rank(C, t), (C.cogenerators, t)
+            for m in ms:
+                assert C.degree(m) == t and not reduced_coproduct(C, m)
     if p:  # w^(p^k) is primitive over F_p although its integer reduced coproduct is not
         reported = primitive_exponents(primitives(poly_coalg(p, 2), max_t))
         powers = [(p**k,) for k in range(1, 6) if 2 * p**k <= max_t]
         assert powers
         for m in powers:
             assert m in reported and reduced_coproduct(poly_coalg(0, 2), m)
-
-
-def test_algebra_multiplication_signs():
-    A = AlgebraPresentation(
-        Field(0), [Cogenerator("y1", EXTERIOR, 3), Cogenerator("y2", EXTERIOR, 5)]
-    )
-    y1 = A.basis_in_degree(3)[0]
-    y2 = A.basis_in_degree(5)[0]
-    prod, sign = A.multiply(y1, y2)
-    assert prod == (1, 1) and sign == 1
-    prod, sign = A.multiply(y2, y1)
-    assert prod == (1, 1) and sign == -1
-    assert A.multiply(y1, y1) is None
-    P = AlgebraPresentation(Field(3), [Cogenerator("w", POLYNOMIAL, 2)])
-    w = P.basis_in_degree(2)[0]
-    prod, sign = P.multiply(w, w)
-    assert prod == (2,) and sign == 1
 
 
 def test_indecomposables_closed_forms():
@@ -170,3 +154,66 @@ def test_indecomposables_trivial_algebra():
 def test_algebra_presentation_rejects_divided_power():
     with pytest.raises(InvalidInput):
         AlgebraPresentation(Field(3), [Cogenerator("x", DIVIDED_POWER, 2)])
+    with pytest.raises(ParityViolation):
+        AlgebraPresentation(Field(3), [Cogenerator("y", EXTERIOR, 2)])
+    with pytest.raises(NotConnected):
+        AlgebraPresentation(Field(3), [Cogenerator("w", POLYNOMIAL, 0)])
+    with pytest.raises(InvalidInput):
+        AlgebraPresentation(
+            Field(3), [Cogenerator("w", POLYNOMIAL, 2), Cogenerator("w", POLYNOMIAL, 4)]
+        )
+
+
+def product_scan_indecomposables(A, max_t):
+    """All-pairs product scan: the basis monomials of each degree that no
+    product of two positive-degree basis monomials hits.  A product adds
+    exponents; it vanishes when an exterior square appears or a truncation
+    is exceeded.  Signs do not matter, since only the hit monomials are kept."""
+    gens = A.cogenerators
+
+    def product(m1, m2):
+        m = tuple(a + b for a, b in zip(m1, m2))
+        for g, e in zip(gens, m):
+            if (g.kind == EXTERIOR and e > 1) or (
+                g.truncation is not None and e > g.truncation
+            ):
+                return None
+        return m
+
+    out = {}
+    for t in range(1, max_t + 1):
+        hit = set()
+        for t1 in range(1, t):
+            for m1 in A.basis_in_degree(t1):
+                for m2 in A.basis_in_degree(t - t1):
+                    m = product(m1, m2)
+                    if m is not None:
+                        hit.add(m)
+        out[t] = [m for m in A.basis_in_degree(t) if m not in hit]
+    return out
+
+
+def random_algebra(rng, p):
+    gens = []
+    for i in range(rng.randrange(0, 5)):
+        kind = rng.choice((POLYNOMIAL, EXTERIOR))
+        if p == 2:
+            degree = rng.randrange(1, 9)
+        else:
+            degree = rng.randrange(1, 9, 2) if kind == EXTERIOR else rng.randrange(2, 9, 2)
+        truncation = rng.choice((None, None, 1, 2, 3)) if kind == POLYNOMIAL else None
+        gens.append(Cogenerator(f"g{i}", kind, degree, truncation))
+    return AlgebraPresentation(Field(p), gens)
+
+
+def test_indecomposables_equal_the_product_scan():
+    rng = random.Random(8)
+    truncated = 0
+    for case in range(240):
+        p = (0, 2, 3, 5)[case % 4]
+        A = random_algebra(rng, p)
+        max_t = rng.randrange(0, 31)
+        got = indecomposables(A, max_t).by_degree
+        assert got == product_scan_indecomposables(A, max_t), (A.cogenerators, p, max_t)
+        truncated += any(g.truncation for g in A.cogenerators)
+    assert truncated >= 50

@@ -3,7 +3,7 @@ import pytest
 from cohh.cochain import BidegreeWindow, WindowTooSmall
 from cohh.cohomology import EXTERIOR_POLYNOMIAL
 from cohh.exactfield import CompositeCharacteristic, InvalidInput
-from cohh.torpipe import FreeResolution, fp_resolution, hz_e2_pipeline, tor_fp
+from cohh.torpipe import hz_e2_pipeline, tor_fp
 
 
 def test_tor_dims():
@@ -17,17 +17,6 @@ def test_tor_rejects_bad_characteristic():
         tor_fp(4, 3)
     with pytest.raises(InvalidInput):
         tor_fp(0, 3)
-
-
-def test_resolution_validation():
-    res = fp_resolution(5)
-    assert res.ranks == [1, 1]
-    with pytest.raises(ValueError):
-        FreeResolution(ranks=[1, 1], differentials=[[[5], [5]]])
-    with pytest.raises(ValueError):
-        # x2 then x3 does not compose to zero over the integers
-        FreeResolution(ranks=[1, 1, 1], differentials=[[[2]], [[3]]])
-    FreeResolution(ranks=[1, 1, 1], differentials=[[[2]], [[0]]])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
