@@ -81,23 +81,6 @@ def _tokenize(text: str):
             yield lineno, tokens
 
 
-def _parse_header_and_lines(text: str):
-    lines = list(_tokenize(text))
-    if not lines:
-        return 0, []
-    lineno, tokens = lines[0]
-    if tokens[0][1] != "char":
-        raise ParseError("expected `char <n>` header", lineno, tokens[0][0])
-    if len(tokens) != 2:
-        raise ParseError("header must be exactly `char <n>`", lineno, tokens[-1][0])
-    col, value = tokens[1]
-    try:
-        characteristic = int(value)
-    except ValueError:
-        raise ParseError(f"characteristic {value!r} is not an integer", lineno, col)
-    return characteristic, lines[1:]
-
-
 def _int_token(tokens, idx, what, lineno):
     col, value = tokens[idx]
     try:
@@ -106,25 +89,41 @@ def _int_token(tokens, idx, what, lineno):
         raise ParseError(f"{what} {value!r} is not an integer", lineno, col)
 
 
-def parse_presentation(text: str, override_char=None) -> CoalgebraPresentation:
-    characteristic, lines = _parse_header_and_lines(text)
+def _parse_records(text: str, override_char, usage: str, int_fields: tuple):
+    """The `char <n>` header and the `<kind> <name> <ints...>` records after it.
+
+    Returns (characteristic, [(kind, name, [ints])]); `int_fields` names the
+    integers of a record, as error messages call them."""
+    lines = list(_tokenize(text))
+    characteristic = 0
+    if lines:
+        lineno, tokens = lines[0]
+        if tokens[0][1] != "char":
+            raise ParseError("expected `char <n>` header", lineno, tokens[0][0])
+        if len(tokens) != 2:
+            raise ParseError("header must be exactly `char <n>`", lineno, tokens[-1][0])
+        characteristic = _int_token(tokens, 1, "characteristic", lineno)
     if override_char is not None:
         characteristic = override_char
-    cogens = []
-    for lineno, tokens in lines:
-        if len(tokens) != 3:
-            raise ParseError(
-                "expected `<kind> <name> <degree>`", lineno, tokens[0][0]
-            )
-        kind = tokens[0][1]
+    records = []
+    for lineno, tokens in lines[1:]:
+        if len(tokens) != 2 + len(int_fields):
+            raise ParseError(f"expected `{usage}`", lineno, tokens[0][0])
+        col, kind = tokens[0]
         if kind not in KINDS:
             raise ParseError(
-                f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})",
-                lineno, tokens[0][0],
+                f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})", lineno, col
             )
-        name = tokens[1][1]
-        degree = _int_token(tokens, 2, "degree", lineno)
-        cogens.append(Cogenerator(name, kind, degree))
+        ints = [_int_token(tokens, 2 + i, what, lineno) for i, what in enumerate(int_fields)]
+        records.append((kind, tokens[1][1], ints))
+    return characteristic, records
+
+
+def parse_presentation(text: str, override_char=None) -> CoalgebraPresentation:
+    characteristic, records = _parse_records(
+        text, override_char, "<kind> <name> <degree>", ("degree",)
+    )
+    cogens = [Cogenerator(name, kind, degree) for kind, name, (degree,) in records]
     return CoalgebraPresentation(Field(characteristic), cogens)
 
 
@@ -136,23 +135,10 @@ def format_presentation(C: CoalgebraPresentation) -> str:
 
 
 def parse_e2(text: str, override_char=None) -> E2Presentation:
-    characteristic, lines = _parse_header_and_lines(text)
-    if override_char is not None:
-        characteristic = override_char
-    gens = []
-    for lineno, tokens in lines:
-        if len(tokens) != 4:
-            raise ParseError("expected `<kind> <name> <s> <t>`", lineno, tokens[0][0])
-        kind = tokens[0][1]
-        if kind not in KINDS:
-            raise ParseError(
-                f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})",
-                lineno, tokens[0][0],
-            )
-        name = tokens[1][1]
-        s = _int_token(tokens, 2, "column", lineno)
-        t = _int_token(tokens, 3, "internal degree", lineno)
-        gens.append(E2Generator(name, kind, s, t))
+    characteristic, records = _parse_records(
+        text, override_char, "<kind> <name> <s> <t>", ("column", "internal degree")
+    )
+    gens = [E2Generator(name, kind, s, t) for kind, name, (s, t) in records]
     return E2Presentation(characteristic, gens)
 
 
@@ -179,46 +165,72 @@ def render_grid(table: BigradedTable) -> str:
     return "\n".join(lines)
 
 
+def render_table_report(
+    kind, title, table, characteristic, ident_str, comments, json_fields, fmt: str
+) -> str:
+    """A bigraded-table report (`cohh`, `hz`) in one format.
+
+    csv is the table alone; json is the table's dict plus the report fields
+    and `json_fields`; the table format prints `comments` between the
+    characteristic and the identification, then the grid."""
+    if fmt == "csv":
+        return table_to_csv(table)
+    if fmt == "json":
+        data = table_to_json_dict(table)
+        data.update(
+            {
+                "kind": kind,
+                "tool": f"cohh {__version__}",
+                "characteristic": characteristic,
+                "identification": ident_str,
+                **json_fields,
+            }
+        )
+        return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    lines = [
+        f"# {title} report",
+        TOOL_LINE,
+        f"# characteristic: {characteristic}",
+        *comments,
+        f"# identification: {ident_str}",
+        render_grid(table),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
     """The `cohh cohh` report in one format.
 
     `d_squared=ok` is printed unconditionally: the table is only computed
     after d.d = 0 has been checked exactly on every factor complex it comes
     from (`kunneth_table`), and a failure raises before anything renders."""
-    if fmt == "csv":
-        return table_to_csv(table)
-    ident_str = ident.describe() if ident is not None else "unrecognized"
-    if fmt == "json":
-        data = table_to_json_dict(table)
-        data.update(
-            {
-                "kind": "cohh_report",
-                "tool": f"cohh {__version__}",
-                "characteristic": C.field.characteristic,
-                "presentation": format_presentation(C).splitlines(),
-                "identification": ident_str,
-                "checks": {
-                    "d_squared": "ok",
-                    "euler": euler.describe(),
-                },
-            }
-        )
-        return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-    lines = [
-        "# cohh report",
-        TOOL_LINE,
-        f"# characteristic: {C.field.characteristic}",
+    presentation = format_presentation(C).splitlines()
+    comments = [
         f"# window: max_s={window.max_s} max_t={window.max_t}",
         "# presentation:",
-    ]
-    lines += [f"#   {ln}" for ln in format_presentation(C).splitlines()]
-    lines += [
+        *(f"#   {ln}" for ln in presentation),
         "# checks: d_squared=ok"
         f" euler={'pass' if euler.passed else 'FAIL t=' + str(euler.first_violation)}",
-        f"# identification: {ident_str}",
-        render_grid(table),
     ]
-    return "\n".join(lines) + "\n"
+    json_fields = {
+        "presentation": presentation,
+        "checks": {"d_squared": "ok", "euler": euler.describe()},
+    }
+    ident_str = ident.describe() if ident is not None else "unrecognized"
+    return render_table_report(
+        "cohh_report", "cohh", table, C.field.characteristic, ident_str,
+        comments, json_fields, fmt,
+    )
+
+
+def render_hz_report(result, fmt: str) -> str:
+    """The `hz` report in one format."""
+    tor_dims = result.tor_dims[:5]
+    return render_table_report(
+        "hz_report", "hz pipeline", result.table, result.characteristic,
+        result.description, [f"# tor dims (degrees 0..4): {tor_dims}"],
+        {"tor_dims": tor_dims}, fmt,
+    )
 
 
 def render_collapse_report(e2, cert, fmt: str) -> str:
@@ -266,9 +278,14 @@ def _emit(text: str, out_path):
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_cohh(args) -> int:
+def _read(args, parse):
+    """Parse the input file of a command, with its --char override."""
     with open(args.file, encoding="utf-8") as fh:
-        C = parse_presentation(fh.read(), args.char)
+        return parse(fh.read(), args.char)
+
+
+def cmd_cohh(args) -> int:
+    C = _read(args, parse_presentation)
     window = BidegreeWindow(args.max_s, args.max_t)
     table = kunneth_table(C, window)
     euler = presentation_euler_check(C, window, table)
@@ -278,42 +295,15 @@ def cmd_cohh(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        e2 = parse_e2(fh.read(), args.char)
+    e2 = _read(args, parse_e2)
     cert = analyze(e2, args.max_t)
     _emit(render_collapse_report(e2, cert, args.format), args.out)
     return 0
 
 
 def cmd_hz(args) -> int:
-    window = BidegreeWindow(args.max_s, args.max_t)
-    result = hz_e2_pipeline(args.char, window)
-    if args.format == "csv":
-        _emit(table_to_csv(result.table), args.out)
-        return 0
-    if args.format == "json":
-        data = table_to_json_dict(result.table)
-        data.update(
-            {
-                "kind": "hz_report",
-                "tool": f"cohh {__version__}",
-                "characteristic": result.characteristic,
-                "tor_dims": result.tor_dims[:5],
-                "identification": result.description,
-            }
-        )
-        _emit(json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-              args.out)
-        return 0
-    lines = [
-        "# hz pipeline report",
-        TOOL_LINE,
-        f"# characteristic: {result.characteristic}",
-        f"# tor dims (degrees 0..4): {result.tor_dims[:5]}",
-        f"# identification: {result.description}",
-        render_grid(result.table),
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    result = hz_e2_pipeline(args.char, BidegreeWindow(args.max_s, args.max_t))
+    _emit(render_hz_report(result, args.format), args.out)
     return 0
 
 
@@ -331,16 +321,14 @@ def render_monomial_report(title: str, C, max_t: int, found: MonomialSet) -> str
 
 
 def cmd_primitives(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        C = parse_presentation(fh.read(), args.char)
+    C = _read(args, parse_presentation)
     found = primitives(C, args.max_t)
     _emit(render_monomial_report("primitives", C, args.max_t, found), args.out)
     return 0
 
 
 def cmd_indecomposables(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        C = parse_presentation(fh.read(), args.char)
+    C = _read(args, parse_presentation)
     A = AlgebraPresentation(C.field, C.cogenerators)
     found = indecomposables(A, args.max_t)
     _emit(render_monomial_report("indecomposables", A, args.max_t, found), args.out)

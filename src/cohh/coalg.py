@@ -9,7 +9,10 @@ transposing homogeneous factors u, v multiplies by (-1)^(|u||v|).
 A basis monomial is its exponent tuple over the cogenerator list, in list
 order: 0 or 1 for an exterior cogenerator, j for w^j or gamma_j(x).  The unit
 is the all-zero tuple.  Elements are dicts keyed by monomials (or by tuples of
-monomials, for tensor powers).
+monomials, for tensor powers) with plain int coefficients: canonical residues
+in [1, p) over F_p, nonzero ints over Q.  Code here multiplies and negates
+ints and accumulates every term through `exactfield.add_term`, the one place
+where coefficients are reduced and vanishing terms dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .exactfield import Field, InvalidInput
+from .exactfield import Field, InvalidInput, add_term
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -147,66 +150,40 @@ class CoalgebraPresentation:
     def _single_coproduct(self, cog: Cogenerator, e: int) -> list:
         """Coproduct terms of one cogenerator power: [(left_exp, coefficient)]."""
         if cog.kind == POLYNOMIAL:
-            terms = []
+            terms: dict = {}
             for k in range(e + 1):
-                c = self.field.scalar(comb(e, k))
-                if not self.field.is_zero(c):
-                    terms.append((k, c))
-            return terms
+                add_term(terms, k, comb(e, k), self.field)
+            return list(terms.items())
         # exterior (e <= 1) and divided power both split with unit coefficients
-        return [(k, self.field.one) for k in range(e + 1)]
+        return [(k, 1) for k in range(e + 1)]
 
     def coproduct_monomial(self, m: tuple) -> dict:
         """Coproduct of a basis monomial as {(left, right): coefficient}."""
         if m in self._coproduct_cache:
             return self._coproduct_cache[m]
         self._validate_monomial(m)
-        fld = self.field
         # partial terms: (left exps, right exps, right degree, coefficient)
-        partial = [((), (), 0, fld.one)]
+        partial = [((), (), 0, 1)]
         for cog, e in zip(self.cogenerators, m):
             nxt = []
             for left, right, rdeg, coeff in partial:
                 for k, ck in self._single_coproduct(cog, e):
-                    c = fld.mul(coeff, ck)
+                    c = coeff * ck
                     # Koszul sign: the left factor g^k crosses the right part
                     if (rdeg * k * cog.degree) % 2:
-                        c = fld.neg(c)
+                        c = -c
                     nxt.append(
                         (left + (k,), right + (e - k,), rdeg + (e - k) * cog.degree, c)
                     )
             partial = nxt
         result: dict = {}
         for left, right, _, coeff in partial:
-            key = (left, right)
-            s = fld.add(result.get(key, fld.zero), coeff)
-            if fld.is_zero(s):
-                result.pop(key, None)
-            else:
-                result[key] = s
+            add_term(result, (left, right), coeff, self.field)
         self._coproduct_cache[m] = result
         return result
 
 
 # -- linear-combination helpers ---------------------------------------------
-
-
-def add_term(acc: dict, key, coeff, fld: Field):
-    s = fld.add(acc.get(key, fld.zero), coeff)
-    if fld.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def coproduct(C: CoalgebraPresentation, element: dict) -> dict:
-    """Linear extension of the coproduct: {m: c} -> {(m1, m2): c}."""
-    fld = C.field
-    out: dict = {}
-    for m, coeff in element.items():
-        for key, c in C.coproduct_monomial(m).items():
-            add_term(out, key, fld.mul(coeff, c), fld)
-    return out
 
 
 def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) -> dict:
@@ -220,7 +197,7 @@ def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) ->
     for tup, coeff in terms.items():
         for (a, b), c in C.coproduct_monomial(tup[slot]).items():
             key = tup[:slot] + (a, b) + tup[slot + 1:]
-            add_term(out, key, fld.mul(coeff, c), fld)
+            add_term(out, key, coeff * c, fld)
     return out
 
 
@@ -228,7 +205,7 @@ def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
     """(coproduct x Id).coproduct == (Id x coproduct).coproduct on the basis."""
     for t in range(max_t + 1):
         for m in C.basis_in_degree(t):
-            start = {(m,): C.field.one}
+            start = {(m,): 1}
             once = apply_coproduct_to_slot(C, start, 0)
             if apply_coproduct_to_slot(C, once, 0) != apply_coproduct_to_slot(C, once, 1):
                 return False
@@ -247,7 +224,7 @@ def counitality_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
                     add_term(left, b, c, fld)
                 if not any(b):
                     add_term(right, a, c, fld)
-            if left != {m: fld.one} or right != {m: fld.one}:
+            if left != {m: 1} or right != {m: 1}:
                 return False
     return True
 
@@ -261,7 +238,7 @@ def cocommutativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
             twisted: dict = {}
             for (a, b), c in expansion.items():
                 if (C.degree(a) * C.degree(b)) % 2:
-                    c = fld.neg(c)
+                    c = -c
                 add_term(twisted, (b, a), c, fld)
             if twisted != expansion:
                 return False

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coalg import CoalgebraPresentation, add_term, apply_coproduct_to_slot
-from .exactfield import SparseMatrix
+from .coalg import CoalgebraPresentation, apply_coproduct_to_slot
+from .exactfield import SparseMatrix, add_term
 
 DEFAULT_MAX_S = 6
 DEFAULT_MAX_T = 24
@@ -76,8 +76,7 @@ def twist_first_to_last(C: CoalgebraPresentation, terms: dict) -> dict:
     for tup, coeff in terms.items():
         first, rest = tup[0], tup[1:]
         crossing = C.degree(first) * sum(C.degree(m) for m in rest)
-        c = coeff if crossing % 2 == 0 else fld.neg(coeff)
-        add_term(out, rest + (first,), c, fld)
+        add_term(out, rest + (first,), -coeff if crossing % 2 else coeff, fld)
     return out
 
 
@@ -85,7 +84,7 @@ def coface_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
     """Image of one basis tuple (s+1 factors) under the i-th coface, 0 <= i <= s+1."""
     if not 0 <= i <= s + 1:
         raise IndexError(f"coface index {i} outside [0, {s + 1}]")
-    start = {tup: C.field.one}
+    start = {tup: 1}
     if i <= s:
         # i = 0 is the right coaction on the coefficient slot, which for C
         # as its own coefficients is again the coproduct.
@@ -102,7 +101,7 @@ def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> 
         raise ValueError("codegeneracy input must have s+2 factors")
     if any(tup[i + 1]):
         return {}
-    return {tup[: i + 1] + tup[i + 2:]: C.field.one}
+    return {tup[: i + 1] + tup[i + 2:]: 1}
 
 
 def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
@@ -112,7 +111,7 @@ def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     out: dict = {}
     for i in range(s + 2):
         for key, c in coface_terms(C, i, s, tup).items():
-            add_term(out, key, c if i % 2 == 0 else fld.neg(c), fld)
+            add_term(out, key, -c if i % 2 else c, fld)
     return out
 
 
@@ -277,7 +276,7 @@ def verify_cosimplicial_identities(
                     lhs = cf(j, s + 1, t).compose(cf(i, s, t))
                     rhs = cf(i, s + 1, t).compose(cf(j - 1, s, t))
                     checked += 1
-                    if not lhs.equals(rhs):
+                    if lhs != rhs:
                         return fail("coface-coface", i, j, s, t)
     # codegeneracy-codegeneracy: sigma_j . sigma_i = sigma_i . sigma_{j+1} for i <= j
     for s in range(max_s):
@@ -287,7 +286,7 @@ def verify_cosimplicial_identities(
                     lhs = cd(j, s, t).compose(cd(i, s + 1, t))
                     rhs = cd(i, s, t).compose(cd(j + 1, s + 1, t))
                     checked += 1
-                    if not lhs.equals(rhs):
+                    if lhs != rhs:
                         return fail("codegeneracy-codegeneracy", i, j, s, t)
     # mixed: sigma_j . delta_i
     for s in range(max_s + 1):
@@ -302,6 +301,6 @@ def verify_cosimplicial_identities(
                     else:
                         rhs = cf(i - 1, s - 1, t).compose(cd(j, s - 1, t))
                     checked += 1
-                    if not lhs.equals(rhs):
+                    if lhs != rhs:
                         return fail("mixed", i, j, s, t)
     return IdentityReport(passed=True, checked=checked)

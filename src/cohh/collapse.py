@@ -12,7 +12,9 @@ The search enumerates each object once.  A source (ss, st) can hit a target
 (ts, tt) only if st - ss = tt - ts + 1 (with r = ts - ss >= 2), so targets are
 looked up by that key.  Sources are streamed depth-first over the exterior
 generators in ascending degree, and a branch is pruned once its internal
-degree passes max_t minus the least polynomial degree.
+degree passes max_t minus the least polynomial degree.  Before streaming, the
+sources are counted by a subset sum over the exterior degrees, and a page with
+more than MAX_SOURCES of them is refused.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ LAMBDA_POLY = "lambda_poly"
 GAMMA_EXTERIOR = "gamma_exterior"
 TRIVIAL = "trivial"
 OTHER = "other"
+# Largest source stream a page may ask for.  Time, memory and report size grow
+# with it: y_d, w_d for odd d <= 41 at max_t = 160 over F_2 is 1.6M sources,
+# which took 4.6 s and 194 MB and printed 8.7 MB.
+MAX_SOURCES = 500_000
 
 CERTIFICATE_CAVEATS = (
     "obstructed means a differential survives bidegree and structure filters; "
@@ -133,6 +139,39 @@ def e2_from_divided_homotopy(characteristic: int, degrees) -> E2Presentation:
     return E2Presentation(characteristic, gens)
 
 
+def _refuse_sources(count: str):
+    raise InvalidInput(
+        f"the collapse search would stream {count} sources; at most "
+        f"{MAX_SOURCES} are allowed (lower max_t)"
+    )
+
+
+def source_count(e2: E2Presentation, max_t: int) -> int:
+    """How many sources `_sources` streams, counted without streaming them.
+
+    `_sources` visits exactly the exterior sets of internal degree t <= max_t
+    minus the least polynomial degree, and pairs each with every w that
+    fits.  ways[t] counts the sets of degree t (a 0/1 subset-sum count over
+    the exterior degrees), so the count is the sum over w of the ways[t] with
+    t + |w| <= max_t.  A page past MAX_SOURCES is refused with InvalidInput:
+    also as soon as the distinct set degrees alone exceed it."""
+    poly_t = [g.t for g in e2.polynomial]
+    if not poly_t:
+        return 0
+    bound = max_t - min(poly_t)
+    ways = {0: 1}
+    for g in e2.exterior:
+        for t, n in list(ways.items()):
+            if t + g.t <= bound:
+                ways[t + g.t] = ways.get(t + g.t, 0) + n
+        if len(ways) > MAX_SOURCES:
+            _refuse_sources(f"more than {len(ways)}")
+    count = sum(n for t, n in ways.items() for wt in poly_t if t + wt <= max_t)
+    if count > MAX_SOURCES:
+        _refuse_sources(str(count))
+    return count
+
+
 def _sources(e2: E2Presentation, max_t: int):
     """Stream (exponents, bidegree) of every indecomposable source with t <= max_t.
 
@@ -142,7 +181,9 @@ def _sources(e2: E2Presentation, max_t: int):
     only if the degree stays within max_t minus the least polynomial degree;
     the first one that does not fit ends the branch, as every later one has
     no smaller degree.  So every visited set pairs with at least one w, and
-    a page whose generators lie above max_t costs nothing, not 2^(#exterior)."""
+    a page whose generators lie above max_t costs nothing, not 2^(#exterior).
+    A page with more than MAX_SOURCES sources is refused before the first."""
+    source_count(e2, max_t)
     gens = e2.generators
     poly = [(i, g) for i, g in enumerate(gens) if g.kind == POLYNOMIAL]
     if not poly:
@@ -275,23 +316,16 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
     return checks
 
 
-@dataclass
-class Obstruction:
-    """Candidates sharing (source bidegree, target, page): one potential map d_r."""
+@dataclass(frozen=True)
+class Obstruction(CandidateDifferential):
+    """Candidates sharing (source bidegree, target, page): one potential map d_r.
 
-    source: tuple            # lexicographically least witness
-    target: tuple
-    page: int
-    source_bidegree: tuple
-    target_bidegree: tuple
+    `source` is the lexicographically least of the witnesses."""
+
     witnesses: tuple         # all source monomials in this bidegree
 
     def describe(self, e2: E2Presentation) -> str:
-        head = (
-            f"d_{self.page}: {e2.format_monomial(self.source)} "
-            f"{self.source_bidegree} -> {e2.format_monomial(self.target)} "
-            f"{self.target_bidegree}"
-        )
+        head = super().describe(e2)
         if len(self.witnesses) > 1:
             others = ", ".join(
                 e2.format_monomial(w) for w in self.witnesses if w != self.source

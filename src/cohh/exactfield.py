@@ -1,14 +1,20 @@
-"""Exact scalar arithmetic over F_p / Q and sparse exact linear algebra.
+"""Exact scalars over F_p or Q, and sparse exact linear algebra.
 
-Scalars are plain Python ints: canonical residues in [0, p) for prime
-characteristic, and integers for characteristic zero.  Every coefficient the
-program produces is an integer combination of binomials and signs, so over Q
-the scalars never leave Z: a complex over Q is the integral complex, and an
-identity checked on it holds over Z.  Equality of scalars is structural
-equality and no rounding can occur anywhere.
+Scalars are plain Python ints.  `Field` is a checked characteristic (0 or a
+prime) with one method, `scalar`, which reduces an int into the field.  Every
+stored value (a coproduct coefficient, a term of a linear combination, a
+matrix entry) is a canonical residue in [1, p) over F_p, or a nonzero int over
+Q.  `add_term` is the only place where values are reduced and accumulated:
+callers multiply and negate plain ints and leave the rest to it.  So equality
+of stored values is structural equality, which the d.d = 0 check, the identity
+scan and the axiom checks rely on.  Every coefficient the program produces is
+an integer combination of binomials and signs, so over Q the scalars never
+leave Z: a complex over Q is the integral complex, and an identity checked on
+it holds over Z.
 
-`rank` is the only elimination: sparse rows reduced in place, fraction-free
-over Q.  No dense matrix, echelon form or kernel is ever built.
+`rank` is the only elimination: sparse rows reduced in place, mod p inline
+over F_p and fraction-free over Q.  No dense matrix, echelon form or kernel is
+ever built.
 """
 
 from __future__ import annotations
@@ -61,48 +67,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class Field:
-    """F_p for a prime p, or the rationals when characteristic == 0."""
+    """F_p for a prime p, or Q when characteristic == 0."""
 
-    __slots__ = ("characteristic",)
-    zero = 0
-    one = 1
+    characteristic: int
 
-    def __init__(self, characteristic: int):
-        if characteristic != 0 and not _is_prime(characteristic):
+    def __post_init__(self):
+        if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise CompositeCharacteristic(
-                f"characteristic must be 0 or a prime, got {characteristic}"
+                f"characteristic must be 0 or a prime, got {self.characteristic}"
             )
-        self.characteristic = characteristic
-
-    def __repr__(self) -> str:
-        return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Field) and other.characteristic == self.characteristic
-
-    def __hash__(self) -> int:
-        return hash(("Field", self.characteristic))
 
     def scalar(self, x: int) -> int:
         """Canonicalize an integer into the field: its residue mod p, or itself."""
         p = self.characteristic
         return x % p if p else x
 
-    def is_zero(self, a: int) -> bool:
-        return a == 0
 
-    def add(self, a: int, b: int) -> int:
-        p = self.characteristic
-        return (a + b) % p if p else a + b
-
-    def neg(self, a: int) -> int:
-        p = self.characteristic
-        return (-a) % p if p else -a
-
-    def mul(self, a: int, b: int) -> int:
-        p = self.characteristic
-        return (a * b) % p if p else a * b
+def add_term(acc: dict, key, coeff: int, fld: Field):
+    """acc[key] += coeff in the field, dropping the key when the sum vanishes."""
+    s = fld.scalar(acc.get(key, 0) + coeff)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -123,16 +112,12 @@ class SparseMatrix:
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = fld.add(entries.get((r, c), fld.zero), fld.scalar(v))
-            if fld.is_zero(v):
-                entries.pop((r, c), None)
-            else:
-                entries[(r, c)] = v
+            add_term(entries, (r, c), v, fld)
         return cls(fld, rows, cols, entries)
 
     @classmethod
     def identity(cls, fld: Field, n: int) -> "SparseMatrix":
-        return cls(fld, n, n, {(i, i): fld.one for i in range(n)})
+        return cls(fld, n, n, {(i, i): 1 for i in range(n)})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -148,19 +133,8 @@ class SparseMatrix:
         entries: dict = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = fld.add(entries.get(key, fld.zero), fld.mul(v, w))
-                if fld.is_zero(s):
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
+                add_term(entries, (r, c), v * w, fld)
         return SparseMatrix(fld, self.rows, inner.cols, entries)
-
-    def equals(self, other: "SparseMatrix") -> bool:
-        return (
-            (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
 
 
 def _primitive(row: dict) -> dict:

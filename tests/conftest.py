@@ -13,6 +13,6 @@ def corrupted_twist(monkeypatch):
     twist = cochain.twist_first_to_last
 
     def flipped(C, terms):
-        return {key: C.field.neg(c) for key, c in twist(C, terms).items()}
+        return {key: C.field.scalar(-c) for key, c in twist(C, terms).items()}
 
     monkeypatch.setattr(cochain, "twist_first_to_last", flipped)

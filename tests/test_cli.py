@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -285,6 +286,19 @@ def test_negative_max_t_exits_2_with_reason(tmp_path, capsys, command, text):
     assert main([command, str(src), "--max-t", "-1"]) == 2
     captured = capsys.readouterr()
     assert "input error: max_t=-1 is negative" in captured.err
+    assert captured.out == ""
+
+
+def test_over_budget_collapse_page_exits_2_with_the_count(tmp_path, capsys):
+    src = tmp_path / "wide.e2"
+    src.write_text("char 3\n" + "".join(
+        f"exterior y{d} 0 {d}\npolynomial w{d} 1 {d}\n" for d in range(3, 42, 2)
+    ))
+    start = time.perf_counter()
+    assert main(["collapse", str(src), "--max-t", "160"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "input error: the collapse search would stream 1610037 sources" in captured.err
     assert captured.out == ""
 
 

@@ -1,11 +1,14 @@
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from cohh import collapse
 from cohh.coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
 from cohh.collapse import (
+    MAX_SOURCES,
     E2Generator,
     E2Presentation,
     WrongShape,
@@ -18,6 +21,7 @@ from cohh.collapse import (
     feasible_differentials,
     gamma_collapse,
     group_obstructions,
+    source_count,
 )
 from cohh.exactfield import InvalidInput
 from cohh.selftest import brute_force_feasible
@@ -261,6 +265,42 @@ def test_pruned_search_skips_generators_above_max_t():
     assert candidate_sources(e2, 40) == []
     assert time.perf_counter() - start < 1.0
     assert cert.verdict == "collapses" and not cert.obstructions
+
+
+def test_source_count_equals_the_stream():
+    rng = random.Random(11)
+    for _ in range(40):
+        gens = [
+            E2Generator(f"y{i}", EXTERIOR, 0, rng.randrange(1, 30, 2))
+            for i in range(rng.randrange(0, 9))
+        ]
+        gens += [
+            E2Generator(f"w{i}", POLYNOMIAL, 1, rng.randrange(1, 30))
+            for i in range(rng.randrange(0, 4))
+        ]
+        e2 = E2Presentation(3, gens)
+        max_t = rng.randrange(0, 90)
+        assert source_count(e2, max_t) == len(list(collapse._sources(e2, max_t))), gens
+    benchmark_page = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
+    assert source_count(benchmark_page, 160) == 48623 <= MAX_SOURCES
+
+
+def test_over_budget_page_is_refused_before_streaming():
+    e2 = e2_from_exterior_homotopy(3, list(range(3, 42, 2)))
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="stream 1610037 sources"):
+        analyze(e2, 160)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_page_with_too_many_set_degrees_is_refused(monkeypatch):
+    """Distinct exterior set degrees bound the count from below, so the count
+    stops once they alone pass the budget."""
+    monkeypatch.setattr(collapse, "MAX_SOURCES", 100)
+    gens = [E2Generator(f"y{i}", EXTERIOR, 0, 2**i + 1) for i in range(1, 12)]
+    e2 = E2Presentation(3, gens + [E2Generator("w", POLYNOMIAL, 1, 2)])
+    with pytest.raises(InvalidInput, match="stream more than 1[0-9][0-9] sources"):
+        source_count(e2, 10**6)
 
 
 def test_negative_max_t_is_refused():
