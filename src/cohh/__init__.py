@@ -3,35 +3,42 @@
 Builds the cosimplicial coproduct complex of a presented coalgebra, computes
 its bigraded cohomology exactly, extracts primitives and indecomposables, and
 certifies spectral-sequence collapse by exhaustive bidegree analysis.
+
+The public names below load their module on first access (PEP 562), so
+importing the package, as every CLI process does, loads no engine module.
 """
 
 __version__ = "0.1.0"
 
-from .coalg import CoalgebraPresentation, Cogenerator
-from .cochain import BidegreeWindow, build_complex
-from .cohomology import cohh_table, identify_presentation, kunneth_table
-from .collapse import E2Presentation, analyze, feasible_differentials
-from .exactfield import Field, SparseMatrix, rank
-from .hopfstruct import AlgebraPresentation, indecomposables, primitives
-from .torpipe import hz_e2_pipeline
+_EXPORTS = {
+    "AlgebraPresentation": "hopfstruct",
+    "BidegreeWindow": "cochain",
+    "CoalgebraPresentation": "coalg",
+    "Cogenerator": "coalg",
+    "E2Presentation": "collapse",
+    "Field": "exactfield",
+    "SparseMatrix": "exactfield",
+    "analyze": "collapse",
+    "build_complex": "cochain",
+    "cohh_table": "cohomology",
+    "feasible_differentials": "collapse",
+    "hz_e2_pipeline": "torpipe",
+    "identify_presentation": "cohomology",
+    "indecomposables": "hopfstruct",
+    "kunneth_table": "cohomology",
+    "primitives": "hopfstruct",
+    "rank": "exactfield",
+}
 
-__all__ = [
-    "__version__",
-    "AlgebraPresentation",
-    "BidegreeWindow",
-    "CoalgebraPresentation",
-    "Cogenerator",
-    "E2Presentation",
-    "Field",
-    "SparseMatrix",
-    "analyze",
-    "build_complex",
-    "cohh_table",
-    "feasible_differentials",
-    "hz_e2_pipeline",
-    "identify_presentation",
-    "indecomposables",
-    "kunneth_table",
-    "primitives",
-    "rank",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

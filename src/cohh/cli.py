@@ -13,51 +13,22 @@ Shipley and Ziegenhagen, 2018).  The complex of the whole presentation is
 never built.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
+Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,
+`InvalidInput`), a module that imports nothing.
+
+Start-up rule: a command imports only the engine modules it runs, inside its
+own function, and `--help` imports none of them (nor `json`).  Every process
+is a fresh interpreter, so a module-level import here is paid by every call.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 import time
 
 from . import __version__
-from .coalg import (
-    KINDS,
-    CoalgebraPresentation,
-    Cogenerator,
-    NotConnected,
-    ParityViolation,
-)
-from .cochain import BidegreeWindow, WindowTooSmall
-from .cohomology import (
-    BigradedTable,
-    identify_presentation,
-    kunneth_table,
-    presentation_euler_check,
-    table_to_csv,
-    table_to_json_dict,
-)
-from .collapse import E2Generator, E2Presentation, WrongShape, analyze
-from .exactfield import CompositeCharacteristic, Field, InvalidInput
-from .hopfstruct import AlgebraPresentation, MonomialSet, indecomposables, primitives
-from .torpipe import hz_e2_pipeline
-from . import selftest as selftest_mod
-from .selftest import INVARIANT_ERRORS
+from .errors import InvalidInput, InvariantFailure
 
 TOOL_LINE = f"# tool: cohh {__version__}"
-INPUT_ERRORS = (
-    InvalidInput,
-    CompositeCharacteristic,
-    NotConnected,
-    ParityViolation,
-    WrongShape,
-    WindowTooSmall,
-    FileNotFoundError,
-    IsADirectoryError,
-    UnicodeDecodeError,
-)
 
 
 class ParseError(InvalidInput):
@@ -94,6 +65,8 @@ def _parse_records(text: str, override_char, usage: str, int_fields: tuple):
 
     Returns (characteristic, [(kind, name, [ints])]); `int_fields` names the
     integers of a record, as error messages call them."""
+    from .coalg import KINDS
+
     lines = list(_tokenize(text))
     characteristic = 0
     if lines:
@@ -119,7 +92,11 @@ def _parse_records(text: str, override_char, usage: str, int_fields: tuple):
     return characteristic, records
 
 
-def parse_presentation(text: str, override_char=None) -> CoalgebraPresentation:
+def parse_presentation(text: str, override_char=None):
+    """A `CoalgebraPresentation` from the presentation file grammar."""
+    from .coalg import CoalgebraPresentation, Cogenerator
+    from .exactfield import Field
+
     characteristic, records = _parse_records(
         text, override_char, "<kind> <name> <degree>", ("degree",)
     )
@@ -127,14 +104,17 @@ def parse_presentation(text: str, override_char=None) -> CoalgebraPresentation:
     return CoalgebraPresentation(Field(characteristic), cogens)
 
 
-def format_presentation(C: CoalgebraPresentation) -> str:
+def format_presentation(C) -> str:
     lines = [f"char {C.field.characteristic}"]
     for cog in C.cogenerators:
         lines.append(f"{cog.kind} {cog.name} {cog.degree}")
     return "\n".join(lines) + "\n"
 
 
-def parse_e2(text: str, override_char=None) -> E2Presentation:
+def parse_e2(text: str, override_char=None):
+    """An `E2Presentation` from the E2 file grammar."""
+    from .collapse import E2Generator, E2Presentation
+
     characteristic, records = _parse_records(
         text, override_char, "<kind> <name> <s> <t>", ("column", "internal degree")
     )
@@ -142,7 +122,7 @@ def parse_e2(text: str, override_char=None) -> E2Presentation:
     return E2Presentation(characteristic, gens)
 
 
-def format_e2(e2: E2Presentation) -> str:
+def format_e2(e2) -> str:
     lines = [f"char {e2.characteristic}"]
     for g in e2.generators:
         lines.append(f"{g.kind} {g.name} {g.s} {g.t}")
@@ -152,7 +132,7 @@ def format_e2(e2: E2Presentation) -> str:
 # -- report rendering ---------------------------------------------------------
 
 
-def render_grid(table: BigradedTable) -> str:
+def render_grid(table) -> str:
     w = table.window
     width = max(2, *(len(str(v)) for v in table.entries.values()), len(str(w.max_s)))
     header = "# t\\s " + " ".join(f"{s:>{width}}" for s in range(w.max_s + 1))
@@ -173,9 +153,13 @@ def render_table_report(
     csv is the table alone; json is the table's dict plus the report fields
     and `json_fields`; the table format prints `comments` between the
     characteristic and the identification, then the grid."""
+    from .cohomology import table_to_csv, table_to_json_dict
+
     if fmt == "csv":
         return table_to_csv(table)
     if fmt == "json":
+        import json
+
         data = table_to_json_dict(table)
         data.update(
             {
@@ -235,6 +219,8 @@ def render_hz_report(result, fmt: str) -> str:
 
 def render_collapse_report(e2, cert, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         data = cert.to_json_dict(e2)
         data["tool"] = f"cohh {__version__}"
         data["presentation"] = format_e2(e2).splitlines()
@@ -268,23 +254,36 @@ def render_collapse_report(e2, cert, fmt: str) -> str:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    """Write a report to --out, or to stdout; a file that cannot be written is
+    an input error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidInput(str(exc)) from exc
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def _read(args, parse):
-    """Parse the input file of a command, with its --char override."""
-    with open(args.file, encoding="utf-8") as fh:
-        return parse(fh.read(), args.char)
+    """Parse the input file of a command, with its --char override; a file
+    that cannot be read as UTF-8 text is an input error."""
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(str(exc)) from exc
+    return parse(text, args.char)
 
 
 def cmd_cohh(args) -> int:
+    from .cochain import BidegreeWindow
+    from .cohomology import identify_presentation, kunneth_table, presentation_euler_check
+
     C = _read(args, parse_presentation)
     window = BidegreeWindow(args.max_s, args.max_t)
     table = kunneth_table(C, window)
@@ -295,6 +294,8 @@ def cmd_cohh(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    from .collapse import analyze
+
     e2 = _read(args, parse_e2)
     cert = analyze(e2, args.max_t)
     _emit(render_collapse_report(e2, cert, args.format), args.out)
@@ -302,13 +303,17 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_hz(args) -> int:
+    from .cochain import BidegreeWindow
+    from .torpipe import hz_e2_pipeline
+
     result = hz_e2_pipeline(args.char, BidegreeWindow(args.max_s, args.max_t))
     _emit(render_hz_report(result, args.format), args.out)
     return 0
 
 
-def render_monomial_report(title: str, C, max_t: int, found: MonomialSet) -> str:
-    """The `primitives` / `indecomposables` report: one line per nonempty degree."""
+def render_monomial_report(title: str, C, max_t: int, found) -> str:
+    """The `primitives` / `indecomposables` report of a `MonomialSet`: one
+    line per nonempty degree."""
     lines = [
         f"# {title} report",
         TOOL_LINE,
@@ -321,6 +326,8 @@ def render_monomial_report(title: str, C, max_t: int, found: MonomialSet) -> str
 
 
 def cmd_primitives(args) -> int:
+    from .hopfstruct import primitives
+
     C = _read(args, parse_presentation)
     found = primitives(C, args.max_t)
     _emit(render_monomial_report("primitives", C, args.max_t, found), args.out)
@@ -328,6 +335,8 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_indecomposables(args) -> int:
+    from .hopfstruct import AlgebraPresentation, indecomposables
+
     C = _read(args, parse_presentation)
     A = AlgebraPresentation(C.field, C.cogenerators)
     found = indecomposables(A, args.max_t)
@@ -336,7 +345,9 @@ def cmd_indecomposables(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest_mod.run_selftest()
+    from .selftest import TIME_BUDGETS_SECONDS, run_selftest
+
+    results = run_selftest()
     lines = ["# selftest report", TOOL_LINE]
     failures = 0
     for res in results:
@@ -344,7 +355,7 @@ def cmd_selftest(args) -> int:
         failures += 0 if res.passed else 1
         detail = f" ({res.detail})" if res.detail else ""
         lines.append(f"{status} {res.name}{detail}")
-        budget = selftest_mod.TIME_BUDGETS_SECONDS[res.name]
+        budget = TIME_BUDGETS_SECONDS[res.name]
         print(f"# {res.name}: {res.elapsed:.3f} s (budget {budget} s)", file=sys.stderr)
     lines.append(f"# total: {len(results)} checks, {failures} failed")
     _emit("\n".join(lines) + "\n", args.out)
@@ -420,10 +431,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except INVARIANT_ERRORS as exc:
+    except InvariantFailure as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
-    except INPUT_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .exactfield import Field, InvalidInput, add_term
+from .errors import InvalidInput
+from .exactfield import Field, add_term
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -29,11 +30,11 @@ DIVIDED_POWER = "divided_power"
 KINDS = (POLYNOMIAL, EXTERIOR, DIVIDED_POWER)
 
 
-class NotConnected(ValueError):
+class NotConnected(InvalidInput):
     """Presentation has basis outside degree 0's single unit (degree < 1 cogenerator)."""
 
 
-class ParityViolation(ValueError):
+class ParityViolation(InvalidInput):
     """Exterior cogenerators must be odd, polynomial/divided-power even (char != 2)."""
 
 

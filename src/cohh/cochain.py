@@ -14,17 +14,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coalg import CoalgebraPresentation, apply_coproduct_to_slot
+from .errors import InvalidInput, InvariantFailure
 from .exactfield import SparseMatrix, add_term
 
 DEFAULT_MAX_S = 6
 DEFAULT_MAX_T = 24
 
 
-class WindowTooSmall(ValueError):
+class WindowTooSmall(InvalidInput):
     """Bidegree window has a negative bound."""
 
 
-class DifferentialNotSquareZero(ValueError):
+class DifferentialNotSquareZero(InvariantFailure):
     """d composed with d is nonzero at some bigraded spot."""
 
 

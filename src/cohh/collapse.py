@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
-from .exactfield import Field, InvalidInput
+from .errors import InvalidInput
+from .exactfield import Field
 
 LAMBDA_POLY = "lambda_poly"
 GAMMA_EXTERIOR = "gamma_exterior"
@@ -50,7 +51,7 @@ CONVERGENCE_NOTE = (
 )
 
 
-class WrongShape(ValueError):
+class WrongShape(InvalidInput):
     """E2 presentation does not have the shape this operation analyzes."""
 
 

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
+from .errors import InvalidInput  # re-exported
 
-class CompositeCharacteristic(ValueError):
+
+class CompositeCharacteristic(InvalidInput):
     """Requested characteristic is neither 0 nor a prime."""
-
-
-class InvalidInput(ValueError):
-    """Input the program refuses; the CLI reports it as an input error (exit 2)."""
 
 
 # Miller-Rabin with the first twelve prime bases decides primality exactly for

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalg import DIVIDED_POWER, CoalgebraPresentation
-from .exactfield import InvalidInput
+from .errors import InvalidInput
 
 
 class AlgebraPresentation(CoalgebraPresentation):

@@ -22,12 +22,7 @@ from .coalg import (
     cocommutativity_ok,
     counitality_ok,
 )
-from .cochain import (
-    BidegreeWindow,
-    DifferentialNotSquareZero,
-    build_complex,
-    verify_cosimplicial_identities,
-)
+from .cochain import BidegreeWindow, build_complex, verify_cosimplicial_identities
 from .cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
@@ -44,6 +39,7 @@ from .collapse import (
     exton2_hypotheses,
     feasible_differentials,
 )
+from .errors import InvariantFailure
 from .exactfield import Field, add_term
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
@@ -65,9 +61,6 @@ TIME_BUDGETS_SECONDS = {
     "primitive-indecomposable-closed-forms": 5,
     "collapse-oracle-equivalence": 30,
 }
-# What a broken invariant raises inside a check: a failure of that check, not
-# of the run.  The CLI exits 1 on the same errors raised anywhere else.
-INVARIANT_ERRORS = (DifferentialNotSquareZero, AssertionError)
 
 
 @dataclass
@@ -395,14 +388,15 @@ ACCEPTANCE_CHECKS = (
 
 
 def run_selftest() -> list:
-    """Run every acceptance check, also after one fails or raises an
-    invariant error, which is reported as that check's failure."""
+    """Run every acceptance check, also after one fails or raises
+    `InvariantFailure`, which is reported as that check's failure, not the
+    run's.  The CLI exits 1 on the same error raised anywhere else."""
     results = []
     for name, fn in ACCEPTANCE_CHECKS:
         t0 = time.perf_counter()
         try:
             passed, detail = fn()
-        except INVARIANT_ERRORS as exc:
+        except InvariantFailure as exc:
             passed, detail = False, str(exc) or type(exc).__name__
         results.append(CheckResult(name, passed, detail, time.perf_counter() - t0))
     return results

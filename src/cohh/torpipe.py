@@ -22,7 +22,8 @@ from .cohomology import (
     identify_presentation,
     kunneth_table,
 )
-from .exactfield import Field, InvalidInput, SparseMatrix, rank
+from .errors import InvalidInput, InvariantFailure
+from .exactfield import Field, SparseMatrix, rank
 
 
 def tor_fp(p: int, max_degree: int) -> list:
@@ -54,15 +55,15 @@ def hz_e2_pipeline(p: int, window: BidegreeWindow) -> HZPipelineResult:
         raise WindowTooSmall(f"pipeline needs a window of at least (3, 6), got {window}")
     dims = tor_fp(p, max_degree=max(4, window.max_t))
     if dims[0] != 1 or dims[1] != 1 or any(d != 0 for d in dims[2:]):
-        raise AssertionError(f"unexpected Tor dimensions {dims}")
+        raise InvariantFailure(f"unexpected Tor dimensions {dims}")
     fld = Field(p)
     C = CoalgebraPresentation(fld, [Cogenerator("τ", EXTERIOR, 1)])
     table = kunneth_table(C, window)
     ident = identify_presentation(table)
     if ident is None or ident.shape != EXTERIOR_POLYNOMIAL or ident.degrees != [1]:
-        raise AssertionError(f"pipeline table did not identify as expected: {ident}")
+        raise InvariantFailure(f"pipeline table did not identify as expected: {ident}")
     if expected_grid(EXTERIOR_POLYNOMIAL, [1], window) != table.entries:
-        raise AssertionError("pipeline table deviates from the closed-form grid")
+        raise InvariantFailure("pipeline table deviates from the closed-form grid")
     description = ident.describe(
         base_names=["τ"], column_names=["ω"], coefficients=f"F_{p}"
     )

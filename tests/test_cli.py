@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cohh import cli
+from cohh import cohomology
 from cohh.cli import (
     ParseError,
     format_e2,
@@ -255,6 +255,38 @@ def test_missing_file(capsys):
 
 
 @pytest.mark.parametrize(
+    "make_argv, reason",
+    [
+        (lambda f: ["cohh", str(f / "x")], "Not a directory"),
+        (lambda f: ["cohh", str(f.parent / ("a" * 5000))], "File name too long"),
+        (lambda f: ["cohh", str(f), "--out", str(f / "report")], "Not a directory"),
+    ],
+    ids=["input-under-a-file", "input-name-too-long", "out-under-a-file"],
+)
+def test_os_errors_on_the_cli_files_exit_2(tmp_path, capsys, make_argv, reason):
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    assert main(make_argv(src)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: [Errno ")
+    assert reason in captured.err and "internal error" not in captured.err
+    assert captured.out == ""
+
+
+def test_engine_os_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    def broken(C, window):
+        raise FileNotFoundError("a file the engine expected is missing")
+
+    monkeypatch.setattr(cohomology, "kunneth_table", broken)
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    assert main(["cohh", str(src), "--max-t", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "input error" not in err
+    assert "FileNotFoundError: a file the engine expected is missing" in err
+
+
+@pytest.mark.parametrize(
     "command, text, reason",
     [
         ("cohh", "char 3\nexterior y 3\nexterior y 5\n", "duplicate cogenerator names"),
@@ -311,7 +343,7 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatc
     def broken(C, window):
         raise ValueError("shape mismatch inside the engine")
 
-    monkeypatch.setattr(cli, "kunneth_table", broken)
+    monkeypatch.setattr(cohomology, "kunneth_table", broken)
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
     assert main(["cohh", str(src), "--max-t", "6"]) == 3
@@ -324,14 +356,14 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatc
 def test_cohh_command_fails_the_euler_check_on_a_corrupted_convolution(
     tmp_path, capsys, monkeypatch
 ):
-    route = cli.kunneth_table
+    route = cohomology.kunneth_table
 
     def off_by_one(C, window):
         table = route(C, window)
         table.entries[(1, 6)] += 1
         return table
 
-    monkeypatch.setattr(cli, "kunneth_table", off_by_one)
+    monkeypatch.setattr(cohomology, "kunneth_table", off_by_one)
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
     assert main(["cohh", str(src), "--max-s", "4", "--max-t", "12"]) == 1

@@ -1,11 +1,15 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cohh
 
-REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+ROOT = Path(__file__).resolve().parents[1]
+REPLAY = ROOT / "perfbench" / "replay.py"
 
 
 def test_star_import_binds_every_public_name():
@@ -46,3 +50,41 @@ def test_benchmark_replay_imports_exist():
         inspect.signature(fn).bind(*[None] * len(node.args), **kwargs)
         keywords.update((node.func.id, k) for k in kwargs)
     assert {("build_complex", "check"), ("tensor_basis", "normalized")} <= keywords
+
+
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running `code`, as a CLI
+    process would with `PYTHONPATH=src`."""
+    probe = code + "\nimport sys\nprint('MODULES', *sorted(sys.modules))\n"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(run.stdout.rsplit("MODULES ", 1)[1].split())
+
+
+def test_startup_loads_only_the_engine_of_the_command(tmp_path):
+    """A command imports only the engine it runs, and `--help` none of it:
+    every CLI call is a fresh process and pays for each module it loads."""
+    loaded = _modules_after(
+        "from cohh.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass"
+    )
+    assert {m for m in loaded if m.split(".")[0] == "cohh"} == {
+        "cohh", "cohh.cli", "cohh.errors"
+    }
+    assert not loaded & {"dataclasses", "json"}
+
+    coalg = tmp_path / "lambda.coalg"
+    coalg.write_text("char 3\nexterior y 3\n")
+    loaded = _modules_after(
+        f"from cohh.cli import main\nmain(['cohh', {str(coalg)!r}, '--max-t', '6'])"
+    )
+    assert "cohh.cohomology" in loaded
+    assert not loaded & {"cohh.collapse", "cohh.hopfstruct", "cohh.torpipe", "cohh.selftest"}
+
+    e2 = tmp_path / "page.e2"
+    e2.write_text("char 3\nexterior y 0 3\npolynomial w 1 2\n")
+    loaded = _modules_after(f"from cohh.cli import main\nmain(['collapse', {str(e2)!r}])")
+    assert "cohh.collapse" in loaded
+    assert not loaded & {"cohh.cochain", "cohh.cohomology", "cohh.selftest"}
