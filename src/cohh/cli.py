@@ -14,7 +14,9 @@ never built.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,
-`InvalidInput`), a module that imports nothing.
+`InvalidInput`), a module that imports nothing.  A `MemoryError` also exits
+2, with one line and no traceback: the input asked for more than the machine
+has, which is not a bug.
 
 Start-up rule: a command imports only the engine modules it runs, inside its
 own function, and `--help` imports none of them (nor `json`).  Every process
@@ -437,12 +439,18 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # Reported after the handler, which frees the frames the traceback holds.
+        code = None
     except Exception:
         import traceback  # here, not at the top: start-up never pays for it
 
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3
+    if code is None:
+        print("input error: ran out of memory; lower the window", file=sys.stderr)
+        return 2
     print(f"# elapsed_seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

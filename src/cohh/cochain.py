@@ -130,24 +130,6 @@ def _matrix_from_terms(C, source_basis, target_basis, expand, project=False) -> 
     return SparseMatrix.from_triples(C.field, len(target_basis), len(source_basis), triples)
 
 
-def coface(C: CoalgebraPresentation, i: int, s: int, t: int) -> SparseMatrix:
-    """Matrix of the i-th coface on the full tensor basis in internal degree t."""
-    if not 0 <= i <= s + 1:
-        raise IndexError(f"coface index {i} outside [0, {s + 1}]")
-    src = tensor_basis(C, s, t, normalized=False)
-    tgt = tensor_basis(C, s + 1, t, normalized=False)
-    return _matrix_from_terms(C, src, tgt, lambda tup: coface_terms(C, i, s, tup))
-
-
-def codegeneracy(C: CoalgebraPresentation, i: int, s: int, t: int) -> SparseMatrix:
-    """Matrix of the i-th codegeneracy (s+2 factors -> s+1) in internal degree t."""
-    if not 0 <= i <= s:
-        raise IndexError(f"codegeneracy index {i} outside [0, {s}]")
-    src = tensor_basis(C, s + 1, t, normalized=False)
-    tgt = tensor_basis(C, s, t, normalized=False)
-    return _matrix_from_terms(C, src, tgt, lambda tup: codegeneracy_terms(C, i, s, tup))
-
-
 @dataclass
 class CochainComplex:
     """Bigraded complex with one sparse differential matrix per (s, t) spot."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coalg import POLYNOMIAL, CoalgebraPresentation, Cogenerator
+from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
 from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_complex
 from .exactfield import rank
 
@@ -155,9 +155,13 @@ def _series_product(x: list, y: list) -> list:
 def spot_dimensions(C: CoalgebraPresentation, window: BidegreeWindow) -> dict:
     """Normalized spot sizes n_{s,t} = [q^t] a(q)(a(q) - 1)^s over the window.
 
-    a(q) is the Poincaré series of C, read off its basis; no tensor basis is
-    enumerated."""
-    a = [len(C.basis_in_degree(t)) for t in range(window.max_t + 1)]
+    a(q) is the Poincaré series of C: the product over its cogenerators of
+    1 + q^d + ... + q^(n d), with n = 1 for an exterior cogenerator and n its
+    truncation otherwise (all powers if untruncated).  Nothing is enumerated,
+    neither the basis of C nor a tensor basis."""
+    a = [1] + [0] * window.max_t
+    for cog in C.cogenerators:
+        a = _push_factor(a, cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
     reduced = [0] + a[1:]
     out: dict = {}
     row = a
@@ -240,20 +244,22 @@ class Identification:
         return f"{head}, {degs}"
 
 
-def _push_factor(coeffs: list, degree: int, geometric: bool) -> list:
-    """Multiply a coefficient series by (1 + q^d) or by 1/(1 - q^d)."""
+def _push_factor(coeffs: list, degree: int, cap) -> list:
+    """Multiply a coefficient series by 1 + q^d + ... + q^(cap d), or by
+    1/(1 - q^d) if cap is None."""
     out = list(coeffs)
-    if geometric:
-        for t in range(degree, len(out)):
-            out[t] += out[t - degree]
-    else:
-        for t in range(len(out) - 1, degree - 1, -1):
-            out[t] += out[t - degree]
+    if cap is not None:
+        step = (cap + 1) * degree
+        for t in range(len(out) - 1, step - 1, -1):
+            out[t] -= out[t - step]
+    for t in range(degree, len(out)):
+        out[t] += out[t - degree]
     return out
 
 
-def _recover_degrees(row0, max_t: int, geometric: bool) -> Optional[list]:
-    """Greedy generator-degree recovery from the s=0 row of a table."""
+def _recover_degrees(row0, max_t: int, cap) -> Optional[list]:
+    """Greedy generator-degree recovery from the s=0 row of a table, each
+    generator contributing 1 + q^d + ... + q^(cap d) (cap None: all powers)."""
     degrees: list = []
     coeffs = [0] * (max_t + 1)
     coeffs[0] = 1
@@ -263,7 +269,7 @@ def _recover_degrees(row0, max_t: int, geometric: bool) -> Optional[list]:
             return None
         for _ in range(have - coeffs[t]):
             degrees.append(t)
-            coeffs = _push_factor(coeffs, t, geometric)
+            coeffs = _push_factor(coeffs, t, cap)
     return degrees
 
 
@@ -299,7 +305,7 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
     row0 = {t: table.dim(0, t) for t in range(window.max_t + 1)}
     for shape in (EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR):
         degrees = _recover_degrees(
-            row0, window.max_t, geometric=(shape == DIVIDED_EXTERIOR)
+            row0, window.max_t, None if shape == DIVIDED_EXTERIOR else 1
         )
         if not degrees:
             continue

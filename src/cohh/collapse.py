@@ -25,6 +25,7 @@ from typing import Optional
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
 from .errors import InvalidInput
 from .exactfield import Field
+from .hopfstruct import primitive_exponents
 
 LAMBDA_POLY = "lambda_poly"
 GAMMA_EXTERIOR = "gamma_exterior"
@@ -215,22 +216,15 @@ def candidate_sources(e2: E2Presentation, max_t: int) -> list:
 
 
 def candidate_targets(e2: E2Presentation, max_t: int) -> list:
-    """Primitive target monomials: each y_i, and w_i^(p^m) up to max_t (w_i if p=0)."""
+    """Primitive target monomials up to max_t: each column-0 y_i, and w_i^(p^m)
+    (w_i alone if p = 0), by `hopfstruct.primitive_exponents`."""
     gens = e2.generators
-    p = e2.characteristic
     out = []
     for i, g in enumerate(gens):
-        if g.kind == EXTERIOR and g.s == 0:
-            exps = tuple(1 if j == i else 0 for j in range(len(gens)))
-            out.append((exps, e2.bidegree(exps)))
-        elif g.kind == POLYNOMIAL:
-            e = 1
-            while e * g.t <= max_t:
+        if g.kind == POLYNOMIAL or (g.kind == EXTERIOR and g.s == 0):
+            for e in primitive_exponents(g.kind, g.t, e2.characteristic, max_t):
                 exps = tuple(e if j == i else 0 for j in range(len(gens)))
                 out.append((exps, e2.bidegree(exps)))
-                if p == 0:
-                    break
-                e *= p
     out.sort(key=lambda item: (item[1][1], item[0]))
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .coalg import (
     DIVIDED_POWER,
@@ -216,79 +216,52 @@ def check_structural_suite():
     return True, "d.d=0, identities, axioms, Euler, and normalization agree on the corpus"
 
 
-def _expected_poly_primitives(p: int, degree: int, max_t: int):
-    if p == 0:
-        return [(1,)]
-    out = []
-    e = 1
-    while e * degree <= max_t:
-        out.append((e,))
-        e *= p
-    return out
+def reduced_coproduct(C: CoalgebraPresentation, m: tuple) -> dict:
+    """Coproduct of a positive-degree monomial minus its two unit terms."""
+    return {
+        (a, b): c
+        for (a, b), c in C.coproduct_monomial(m).items()
+        if any(a) and any(b)
+    }
+
+
+def basis_filter(C: CoalgebraPresentation, max_t: int, keep) -> dict:
+    """Reference for the closed forms: the basis monomials m with keep(m), per
+    nonempty degree 1..max_t, read off the enumerated basis."""
+    return {
+        t: ms
+        for t in range(1, max_t + 1)
+        if (ms := [m for m in C.basis_in_degree(t) if keep(m)])
+    }
 
 
 def check_closed_forms():
-    max_t = 30
-    for p in CHARACTERISTICS:
-        # polynomial coalgebra: primitives are the p-th power columns
-        for d in GAMMA_DEGREES:
-            C = _poly_presentation(p, d)
-            got = primitives(C, max_t)
-            exps = sorted(m for ms in got.by_degree.values() for m in ms)
-            want = sorted(_expected_poly_primitives(p, d, max_t))
-            if exps != want:
-                return False, f"k[w] primitives wrong for |w|={d}, p={p}"
-            if p:
-                count = sum(len(v) for v in got.by_degree.values())
-                bound = 0
-                q = 1
-                while q * d <= max_t:
-                    bound += 1
-                    q *= p
-                if count != bound:
-                    return False, f"k[w] primitive count wrong for |w|={d}, p={p}"
-        # exterior coalgebras: primitives are exactly the generators
-        for degrees in ([3], [5], [7], [3, 5]):
-            C = _lambda_presentation(p, degrees)
-            got = primitives(C, max_t)
-            found = sorted(m for ms in got.by_degree.values() for m in ms)
-            gens = sorted(
-                tuple(1 if j == i else 0 for j in range(len(degrees)))
-                for i in range(len(degrees))
-            )
-            if found != gens:
-                return False, f"exterior primitives wrong for degrees {degrees}, p={p}"
-        # divided powers: only the degree-d class itself
-        for d in GAMMA_DEGREES:
-            got = primitives(_gamma_presentation(p, d), max_t)
-            found = [m for ms in got.by_degree.values() for m in ms]
-            if found != [(1,)]:
-                return False, f"divided-power primitives wrong for |x|={d}, p={p}"
-        # every reported primitive satisfies the primitive equation exactly
-        for C in [_poly_presentation(p, 2), _lambda_presentation(p, [3, 5])]:
-            prims = primitives(C, max_t)
-            for ms in prims.by_degree.values():
+    """The closed forms against the reduced-coproduct and exponent-sum basis
+    filters, and each reported primitive against the primitive equation.  At
+    max_t = 3 most cogenerators lie above the window."""
+    for p, max_t in product(CHARACTERISTICS, (3, 30)):
+        truncated = CoalgebraPresentation(
+            Field(p), [Cogenerator("w", POLYNOMIAL, 2, truncation=GAMMA_TRUNCATION)]
+        )
+        for C in [truncated, *(corpus[1] for corpus in _structural_corpus(p))]:
+            where = f"{[g.name for g in C.cogenerators]}, p={p}, max_t={max_t}"
+            prims = primitives(C, max_t).by_degree
+            if prims != basis_filter(C, max_t, lambda m: not reduced_coproduct(C, m)):
+                return False, f"primitives differ from the basis filter: {where}"
+            for ms in prims.values():
                 for m in ms:
                     delta = dict(C.coproduct_monomial(m))
                     add_term(delta, (C.unit(), m), -1, C.field)
                     add_term(delta, (m, C.unit()), -1, C.field)
                     if delta:
-                        return False, f"reported primitive is not primitive over p={p}"
-        # indecomposables: exactly the algebra generators
-        for gens in (
-            [Cogenerator("w", POLYNOMIAL, 2)],
-            [Cogenerator("w", POLYNOMIAL, 4)],
-            [Cogenerator("y1", EXTERIOR, 3), Cogenerator("y2", EXTERIOR, 5)],
-        ):
-            A = AlgebraPresentation(Field(p), gens)
-            got = indecomposables(A, max_t)
-            found = sorted(m for ms in got.by_degree.values() for m in ms)
-            want = sorted(
-                tuple(1 if j == i else 0 for j in range(len(gens)))
-                for i in range(len(gens))
-            )
-            if found != want:
-                return False, f"indecomposables wrong for {[g.name for g in gens]}, p={p}"
+                        return False, f"reported primitive is not primitive: {where}"
+            if DIVIDED_POWER in (g.kind for g in C.cogenerators):
+                continue
+            A = AlgebraPresentation(C.field, C.cogenerators)
+            if indecomposables(A, max_t).by_degree != basis_filter(
+                A, max_t, lambda m: sum(m) == 1
+            ):
+                return False, f"indecomposables differ from the basis filter: {where}"
     return True, "primitive and indecomposable closed forms hold to degree 30"
 
 

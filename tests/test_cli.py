@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cohh import cohomology
+from cohh import cli, cohomology
 from cohh.cli import (
     ParseError,
     format_e2,
@@ -214,6 +218,43 @@ def test_indecomposables_command(tmp_path, capsys):
     assert "t=3: y1" in out
     assert "t=5: y2" in out
     assert "t=8" not in out
+
+
+@pytest.mark.parametrize("command", ["primitives", "indecomposables"])
+def test_structure_commands_on_ten_generators_are_closed_forms(tmp_path, command):
+    """Ten polynomial generators over Q: the basis at t = 40 has C(29, 9)
+    monomials, but the answer is the ten generators at t = 2."""
+    src = tmp_path / "ten.coalg"
+    src.write_text("char 0\n" + "".join(f"polynomial w{i} 2\n" for i in range(10)))
+    run = subprocess.run(
+        [sys.executable, "-m", "cohh.cli", command, str(src), "--max-t", "40"],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    body = [ln for ln in run.stdout.splitlines() if not ln.startswith("#")]
+    assert body == ["t=2: " + "; ".join(f"w{i}" for i in reversed(range(10)))]
+
+
+def test_primitives_command_at_a_huge_max_t(tmp_path, capsys):
+    src = tmp_path / "poly.coalg"
+    src.write_text("char 5\npolynomial w 2\n")
+    assert main(["primitives", str(src), "--max-t", str(10**12)]) == 0
+    body = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert body == [f"t={2 * 5**k}: " + ("w" if k == 0 else f"w^{5**k}") for k in range(17)]
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_primitives", exhausted)
+    src = tmp_path / "poly.coalg"
+    src.write_text("char 3\npolynomial w 2\n")
+    assert main(["primitives", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: ran out of memory; lower the window\n"
+    assert captured.out == ""
 
 
 def test_indecomposables_rejects_divided_power(tmp_path, capsys):

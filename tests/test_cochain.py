@@ -13,10 +13,9 @@ from cohh.cochain import (
     BidegreeWindow,
     DifferentialNotSquareZero,
     WindowTooSmall,
+    _matrix_from_terms,
     build_complex,
-    codegeneracy,
     codegeneracy_terms,
-    coface,
     coface_terms,
     differential_terms,
     tensor_basis,
@@ -202,6 +201,22 @@ def test_normalized_differential_image_stays_normalized():
                         assert all(any(m) for m in key[1:]), (tup, key, coeff)
 
 
+def coface_matrix(C, i, s, t):
+    """Matrix of the i-th coface on the full tensor basis in internal degree t."""
+    return _matrix_from_terms(
+        C, tensor_basis(C, s, t, False), tensor_basis(C, s + 1, t, False),
+        lambda tup: coface_terms(C, i, s, tup),
+    )
+
+
+def codegeneracy_matrix(C, i, s, t):
+    """Matrix of the i-th codegeneracy (s+2 factors -> s+1) in internal degree t."""
+    return _matrix_from_terms(
+        C, tensor_basis(C, s + 1, t, False), tensor_basis(C, s, t, False),
+        lambda tup: codegeneracy_terms(C, i, s, tup),
+    )
+
+
 def test_normalized_basis_equals_codegeneracy_kernel_intersection():
     """Restriction agrees with the kernel-of-codegeneracies definition."""
     for C in (exterior(3, 3), poly(5, 2)):
@@ -210,7 +225,7 @@ def test_normalized_basis_equals_codegeneracy_kernel_intersection():
                 full = tensor_basis(C, s, t, normalized=False)
                 stacked = []
                 offset = 0
-                mats = [codegeneracy(C, i, s - 1, t) for i in range(s)]
+                mats = [codegeneracy_matrix(C, i, s - 1, t) for i in range(s)]
                 rows = sum(m.rows for m in mats)
                 triples = []
                 for m in mats:
@@ -240,12 +255,12 @@ def test_cosimplicial_identities_detect_corrupted_twist(corrupted_twist):
 def test_coface_codegeneracy_matrix_shapes():
     C = poly(3, 2)
     for i in range(3):
-        m = coface(C, i, 1, 4)
+        m = coface_matrix(C, i, 1, 4)
         assert (m.rows, m.cols) == (
             len(tensor_basis(C, 2, 4, False)),
             len(tensor_basis(C, 1, 4, False)),
         )
-    s = codegeneracy(C, 0, 1, 4)
+    s = codegeneracy_matrix(C, 0, 1, 4)
     assert (s.rows, s.cols) == (
         len(tensor_basis(C, 1, 4, False)),
         len(tensor_basis(C, 2, 4, False)),

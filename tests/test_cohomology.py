@@ -12,7 +12,7 @@ from cohh.coalg import (
     CoalgebraPresentation,
     Cogenerator,
 )
-from cohh.cochain import BidegreeWindow, build_complex
+from cohh.cochain import BidegreeWindow, build_complex, tensor_basis
 from cohh.cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
@@ -424,3 +424,10 @@ def test_spot_dimensions_from_the_poincare_series_equal_the_enumerated_spots(p):
         assert spot_dimensions(C, window) == {
             (s, t): cx.spot_dim(s, t) for s in range(4) for t in range(13)
         }
+    rng = random.Random(417 + p)
+    for _ in range(20):
+        C = CoalgebraPresentation(Field(p), random_cogenerators(rng, most=3))
+        assert spot_dimensions(C, window) == {
+            (s, t): len(tensor_basis(C, s, t, normalized=True))
+            for s in range(4) for t in range(13)
+        }, C.cogenerators

@@ -12,12 +12,8 @@ from cohh.coalg import (
 )
 from cohh.coalg import NotConnected, ParityViolation
 from cohh.exactfield import Field, InvalidInput, SparseMatrix, add_term
-from cohh.hopfstruct import (
-    AlgebraPresentation,
-    indecomposables,
-    primitives,
-    reduced_coproduct,
-)
+from cohh.hopfstruct import AlgebraPresentation, indecomposables, primitives
+from cohh.selftest import reduced_coproduct
 
 
 def exterior_coalg(p, *degrees):
@@ -67,6 +63,9 @@ def test_exterior_and_divided_primitives():
     assert primitive_exponents(primitives(C, 20)) == [(0, 1), (1, 0)]
     G = gamma_coalg(3, 2)
     assert primitive_exponents(primitives(G, 16)) == [(1,)]
+    # a cogenerator above max_t contributes nothing
+    assert primitive_exponents(primitives(C, 4)) == [(1, 0)]
+    assert primitives(G, 1).by_degree == {}
 
 
 def test_primitives_satisfy_primitive_equation():
@@ -102,6 +101,10 @@ def reduced_coproduct_rank(C, t):
 def oracle_presentations(p):
     yield poly_coalg(p, 2)
     yield gamma_coalg(p, 2)
+    yield CoalgebraPresentation(Field(p), [Cogenerator("x", DIVIDED_POWER, 4, truncation=3)])
+    if p == 3:  # truncation 2 stops below w^3; truncation 3 keeps it
+        for n in (2, 3):
+            yield CoalgebraPresentation(Field(p), [Cogenerator("w", POLYNOMIAL, 2, n)])
     yield CoalgebraPresentation(
         Field(p), [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2)]
     )
@@ -114,11 +117,13 @@ def oracle_presentations(p):
 def test_primitive_count_is_the_dense_kernel_dimension(p):
     max_t = 40
     for C in oracle_presentations(p):
-        prims = primitives(C, max_t)
-        assert sorted(prims.by_degree) == list(range(1, max_t + 1))
-        for t, ms in prims.by_degree.items():
+        prims = primitives(C, max_t).by_degree
+        assert all(prims.values()) and set(prims) <= set(range(1, max_t + 1))
+        for t in range(1, max_t + 1):
+            ms = prims.get(t, [])
             cols = len(C.basis_in_degree(t))
             assert len(ms) == cols - reduced_coproduct_rank(C, t), (C.cogenerators, t)
+            assert ms == sorted(ms)
             for m in ms:
                 assert C.degree(m) == t and not reduced_coproduct(C, m)
     if p:  # w^(p^k) is primitive over F_p although its integer reduced coproduct is not
@@ -145,8 +150,7 @@ def test_indecomposables_closed_forms():
 
 def test_indecomposables_trivial_algebra():
     A = AlgebraPresentation(Field(3), [])
-    inde = indecomposables(A, 5)
-    assert all(not ms for ms in inde.by_degree.values())
+    assert indecomposables(A, 5).by_degree == {}
 
 
 def test_algebra_presentation_rejects_divided_power():
@@ -163,8 +167,8 @@ def test_algebra_presentation_rejects_divided_power():
 
 
 def product_scan_indecomposables(A, max_t):
-    """All-pairs product scan: the basis monomials of each degree that no
-    product of two positive-degree basis monomials hits.  A product adds
+    """All-pairs product scan: the basis monomials of each nonempty degree
+    that no product of two positive-degree basis monomials hits.  A product adds
     exponents; it vanishes when an exterior square appears or a truncation
     is exceeded.  Signs do not matter, since only the hit monomials are kept."""
     gens = A.cogenerators
@@ -187,7 +191,9 @@ def product_scan_indecomposables(A, max_t):
                     m = product(m1, m2)
                     if m is not None:
                         hit.add(m)
-        out[t] = [m for m in A.basis_in_degree(t) if m not in hit]
+        unhit = [m for m in A.basis_in_degree(t) if m not in hit]
+        if unhit:
+            out[t] = unhit
     return out
 
 
@@ -215,3 +221,26 @@ def test_indecomposables_equal_the_product_scan():
         assert got == product_scan_indecomposables(A, max_t), (A.cogenerators, p, max_t)
         truncated += any(g.truncation for g in A.cogenerators)
     assert truncated >= 50
+
+
+def test_structure_commands_and_euler_check_enumerate_no_basis(monkeypatch):
+    """Primitives, indecomposables and the Euler check are closed forms in the
+    cogenerators: none of them enumerates a basis or computes a coproduct."""
+    from cohh.cochain import BidegreeWindow
+    from cohh.cohomology import kunneth_table, presentation_euler_check
+
+    gens = [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2, truncation=4)]
+    C = CoalgebraPresentation(Field(3), gens)
+    window = BidegreeWindow(3, 12)
+    table = kunneth_table(C, window)
+
+    def forbidden(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(CoalgebraPresentation, "basis_in_degree", forbidden)
+    monkeypatch.setattr(CoalgebraPresentation, "coproduct_monomial", forbidden)
+    assert primitive_exponents(primitives(C, 40)) == [(0, 1), (0, 3), (1, 0)]
+    assert indecomposables(AlgebraPresentation(Field(3), gens), 40).by_degree == {
+        2: [(0, 1)], 3: [(1, 0)]
+    }
+    assert presentation_euler_check(C, window, table).passed
