@@ -9,8 +9,13 @@ deterministic (byte-identical for identical inputs); timing goes to stderr.
 complex per cogenerator, and over F_p one per base-p digit of a polynomial
 cogenerator (Lucas's theorem), each built and checked for d.d = 0 exactly.
 Their tables are convolved (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven,
-Shipley and Ziegenhagen, 2018).  The complex of the whole presentation is
-never built.
+Shipley and Ziegenhagen, 2018).  Each factor's complex is the small one,
+dual to the Hochschild complex of its one-generator dual algebra
+(`factor_complex`); only a polynomial cogenerator over F_p truncated at
+n >= p gets its cyclic cobar complex.  So the report's `d_squared=ok` is
+checked on each factor's small complex, or on its cobar complex for that
+kind.  The complex of the whole presentation is never built.  A window of
+more than `cohomology.MAX_WINDOW_CELLS` cells is refused with exit 2.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,
@@ -189,7 +194,9 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
 
     `d_squared=ok` is printed unconditionally: the table is only computed
     after d.d = 0 has been checked exactly on every factor complex it comes
-    from (`kunneth_table`), and a failure raises before anything renders."""
+    from (`kunneth_table`), and a failure raises before anything renders.
+    That is each factor's small complex, or its cobar complex for a
+    polynomial cogenerator over F_p truncated at n >= p (`factor_complex`)."""
     presentation = format_presentation(C).splitlines()
     comments = [
         f"# window: max_s={window.max_s} max_t={window.max_t}",

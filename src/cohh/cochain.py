@@ -179,10 +179,15 @@ def build_complex(
             )
     cx = CochainComplex(C, window, normalized, spots, diffs)
     if check:
-        bad = first_square_failure(cx)
-        if bad is not None:
-            raise DifferentialNotSquareZero(f"d.d != 0 first fails at (s,t)={bad}")
+        check_square_zero(cx)
     return cx
+
+
+def check_square_zero(cx: CochainComplex):
+    """Raise DifferentialNotSquareZero at the `first_square_failure` of cx."""
+    bad = first_square_failure(cx)
+    if bad is not None:
+        raise DifferentialNotSquareZero(f"d.d != 0 first fails at (s,t)={bad}")
 
 
 def first_square_failure(cx: CochainComplex) -> Optional[tuple]:

@@ -7,8 +7,8 @@ Over a field each entry is fixed by ranks alone:
 where n_{s,t} is the spot dimension.  The differential preserves internal
 degree and the window starts at s = 0, so every incoming differential lies
 inside the window and every entry is exact.  The formula counts cohomology
-only when d.d = 0, which `build_complex` checks exactly (with its default
-check=True) before any table is computed from the complex.
+only when d.d = 0, which `check_square_zero` checks exactly before any table
+is computed from a complex.
 
 The table of a presentation is computed by the factor route, `kunneth_table`:
 the coalgebra is the tensor product of its one-cogenerator factors, and over
@@ -16,8 +16,24 @@ a field the coHH table of C (x) D is the (s, t)-convolution of the tables of C
 and D (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven, Shipley and
 Ziegenhagen, "Computational tools for topological coHochschild homology",
 2018).  Over F_p a polynomial cogenerator splits further into truncated
-factors by Lucas's theorem (`kunneth_factors`).  The full complex of the
-whole presentation is built only as an oracle, by the tests and `selftest`.
+factors by Lucas's theorem (`kunneth_factors`).
+
+Each factor's table comes from a small complex (`factor_complex`).  For a
+finite-type connected coalgebra C, the cyclic cobar complex is the
+degreewise linear dual of the Hochschild complex of the dual algebra
+A = Hom(C, k), so both have the same table.  For one cogenerator of degree d, A is
+k[x] or k[x]/(x^N) with |x| = d: an exterior cogenerator gives N = 2, a
+divided power truncated at n gives N = n + 1 (untruncated: k[x]), and so does
+a polynomial cogenerator truncated at n when n! is a unit (over Q, or n < p).
+Such an A has a small resolution over A (x) A, 2-periodic for k[x]/(x^N) and
+of length 1 for k[x], whose maps become 0 and multiplication by N x^(N-1)
+after tensoring with A (Buenos Aires Cyclic Homology Group, "Cyclic homology
+of algebras with one generator", K-Theory 5, 1991).  Its dual has at most one
+class per spot.  A polynomial cogenerator over F_p truncated at n >= p has a
+truncated divided-power dual with more than one generator; it alone keeps its
+cobar complex.  The cobar complexes of the factors and of the whole
+presentation are otherwise built only as oracles, by the tests and
+`selftest`.
 """
 
 from __future__ import annotations
@@ -26,10 +42,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
-from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_complex
-from .exactfield import rank
+from .cochain import (
+    BidegreeWindow,
+    CochainComplex,
+    WindowTooSmall,
+    build_complex,
+    check_square_zero,
+)
+from .errors import InvalidInput
+from .exactfield import SparseMatrix, rank
 
 FORMAT_VERSION = 2
+# Most (max_s + 1) * (max_t + 1) cells `kunneth_table` accepts; see its
+# docstring for the timings behind the value.
+MAX_WINDOW_CELLS = 20_000
+
+
+class WindowTooLarge(InvalidInput):
+    """Bidegree window has more cells than `MAX_WINDOW_CELLS`."""
 
 
 @dataclass
@@ -109,22 +139,88 @@ def convolve(window: BidegreeWindow, grids) -> dict:
     }
 
 
+def factor_complex(F: CoalgebraPresentation, window: BidegreeWindow) -> CochainComplex:
+    """The small complex of a one-cogenerator presentation F over the window.
+
+    The dual of the small Hochschild complex of F's dual algebra k[x]/(x^N)
+    (see the module docstring).  Spot s = 2k + e, e in {0, 1}, holds the
+    classes x^j, labelled j, at t = (kN + e + j) d for j = 0..N-1; for k[x]
+    only k = 0 occurs, with every j >= 0.  The only map that may be nonzero
+    is multiplication by N (up to a sign no rank sees) from (2k+1, (k+1)Nd)
+    to (2k+2, (k+1)Nd).  An exterior factor has N = 2 and zero maps: for odd
+    |y| the Koszul sign cancels the two terms of the map, and for even |y|
+    the field is F_2.  A polynomial cogenerator over F_p, untruncated or
+    truncated at n >= p, gets its cobar complex.  Nothing is checked here;
+    `kunneth_table` checks d.d = 0 on what this returns.
+    """
+    (cog,) = F.cogenerators
+    fld = F.field
+    p = fld.characteristic
+    if cog.kind == POLYNOMIAL and p and (cog.truncation is None or cog.truncation >= p):
+        return build_complex(F, window, check=False)
+    d = cog.degree
+    if cog.kind == EXTERIOR:
+        N, mult = 2, 0
+    elif cog.truncation is None:
+        N, mult = None, 0
+    else:
+        N = cog.truncation + 1
+        mult = fld.scalar(N)
+
+    def labels(s: int, t: int) -> list:
+        k, e = divmod(s, 2)
+        if t % d or (N is None and k):
+            return []
+        j = t // d - e - k * (N or 0)
+        return [j] if j >= 0 and (N is None or j < N) else []
+
+    spots = {
+        (s, t): labels(s, t)
+        for s in range(window.max_s + 2)
+        for t in range(window.max_t + 1)
+    }
+    diffs = {}
+    for s in range(window.max_s + 1):
+        for t in range(window.max_t + 1):
+            hit = mult and s % 2 and t == (s // 2 + 1) * N * d
+            diffs[(s, t)] = SparseMatrix(
+                fld, len(spots[(s + 1, t)]), len(spots[(s, t)]),
+                {(0, 0): mult} if hit else {},
+            )
+    return CochainComplex(F, window, True, spots, diffs)
+
+
 def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedTable:
     """Cohomology table of C: the convolution of its `kunneth_factors`' tables.
 
-    Each factor complex is built with check=True, so d.d = 0 is checked
-    exactly on every complex the table comes from.  A factor's table depends
-    only on its cogenerator's kind, degree and truncation, not on its name,
-    so equal factors are built and ranked once per call."""
+    Each factor's table comes from its `factor_complex`, on which d.d = 0 is
+    checked exactly, so it is checked on every complex the table comes from.
+    A factor's table depends only on its cogenerator's kind, degree and
+    truncation, not on its name, so equal factors are built and ranked once
+    per call.
+
+    A window of more than `MAX_WINDOW_CELLS` cells is refused before any work.
+    The cost is O(factors * cells) for the factor tables plus the
+    convolution.  At (40, 400), 16 441 cells, this takes about 1 s for k[w2]
+    over F_3 and 3 s for ten exterior cogenerators over Q, and the whole
+    `cohh` run at most 1.5 s longer (Python 3.11, shared 2-vCPU host).
+    """
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
+    cells = (window.max_s + 1) * (window.max_t + 1)
+    if cells > MAX_WINDOW_CELLS:
+        raise WindowTooLarge(
+            f"window {window} has {cells} cells; the limit is {MAX_WINDOW_CELLS}"
+        )
     tables: dict = {}  # (kind, degree, truncation) -> entries
     grids = []
     for F in kunneth_factors(C, window.max_t):
         (cog,) = F.cogenerators
         key = (cog.kind, cog.degree, cog.truncation)
         if key not in tables:
-            tables[key] = cohh_table(build_complex(F, window)).entries
+            cx = factor_complex(F, window)
+            check_square_zero(cx)
+            tables[key] = cohh_table(cx).entries
         grids.append(tables[key])
     return BigradedTable(window, convolve(window, grids))
 

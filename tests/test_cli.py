@@ -19,6 +19,7 @@ from cohh.cli import (
 )
 from cohh.cochain import BidegreeWindow, build_complex
 from cohh.cohomology import cohh_table, table_to_csv
+from cohh.exactfield import SparseMatrix
 from cohh.selftest import TIME_BUDGETS_SECONDS
 
 LAMBDA3 = "# one odd exterior class\nchar 3\nexterior y 3\n"
@@ -220,20 +221,67 @@ def test_indecomposables_command(tmp_path, capsys):
     assert "t=8" not in out
 
 
+def run_cli(*argv):
+    """One `python -m cohh.cli` process on the source tree under test."""
+    return subprocess.run(
+        [sys.executable, "-m", "cohh.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        capture_output=True, text=True, timeout=30,
+    )
+
+
 @pytest.mark.parametrize("command", ["primitives", "indecomposables"])
 def test_structure_commands_on_ten_generators_are_closed_forms(tmp_path, command):
     """Ten polynomial generators over Q: the basis at t = 40 has C(29, 9)
     monomials, but the answer is the ten generators at t = 2."""
     src = tmp_path / "ten.coalg"
     src.write_text("char 0\n" + "".join(f"polynomial w{i} 2\n" for i in range(10)))
-    run = subprocess.run(
-        [sys.executable, "-m", "cohh.cli", command, str(src), "--max-t", "40"],
-        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
-        capture_output=True, text=True, timeout=30,
-    )
+    run = run_cli(command, str(src), "--max-t", "40")
     assert run.returncode == 0, run.stderr
     body = [ln for ln in run.stdout.splitlines() if not ln.startswith("#")]
     assert body == ["t=2: " + "; ".join(f"w{i}" for i in reversed(range(10)))]
+
+
+@pytest.mark.parametrize(
+    "text, window",
+    [
+        ("char 0\npolynomial w 2\n", (8, 32)),
+        ("char 0\npolynomial w 2\n", (12, 60)),
+        ("char 0\ndivided_power x 2\n", (8, 32)),
+    ],
+)
+def test_cohh_over_q_at_large_windows_is_the_closed_form(tmp_path, text, window):
+    """k[w2] and Γ(x2) over Q: k[x] has entries at (0, 2j), j >= 0, and at
+    (1, 2j), j >= 1.  Their cobar complexes took minutes at (8, 32)."""
+    src = tmp_path / "one.coalg"
+    src.write_text(text)
+    max_s, max_t = window
+    run = run_cli("cohh", str(src), "--max-s", str(max_s), "--max-t", str(max_t),
+                  "--format", "csv")
+    assert run.returncode == 0, run.stderr
+    entries = {}
+    for line in run.stdout.splitlines()[1:]:
+        s, t, dim = map(int, line.split(","))
+        entries[(s, t)] = dim
+    assert entries == {
+        (s, t): int(t % 2 == 0 and (s == 0 or (s == 1 and t > 0)))
+        for s in range(max_s + 1)
+        for t in range(max_t + 1)
+    }
+
+
+def test_cohh_refuses_a_huge_window_up_front(tmp_path):
+    src = tmp_path / "poly.coalg"
+    src.write_text("char 3\npolynomial w 2\n")
+    start = time.perf_counter()
+    run = run_cli("cohh", str(src), "--max-s", "100000", "--max-t", "100000")
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 2
+    assert run.stderr == (
+        "input error: window BidegreeWindow(max_s=100000, max_t=100000) has "
+        f"10000200001 cells; the limit is {cohomology.MAX_WINDOW_CELLS}\n"
+    )
+    assert run.stdout == ""
 
 
 def test_primitives_command_at_a_huge_max_t(tmp_path, capsys):
@@ -276,7 +324,7 @@ def test_selftest_command(capsys):
         )
 
 
-def test_selftest_corrupt_twist(corrupted_twist, capsys):
+def test_selftest_corrupt_twist(corrupted_twist, cobar_factors, capsys):
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     out = captured.out
@@ -289,6 +337,38 @@ def test_selftest_corrupt_twist(corrupted_twist, capsys):
     assert "# total: 8 checks, 4 failed" in out
     for name in TIME_BUDGETS_SECONDS:
         assert re.search(rf"^# {name}: ", captured.err, re.M)
+
+
+def test_a_corrupt_twist_reaches_only_the_cobar_oracle(corrupted_twist, capsys):
+    """The small factor complexes use no twist: the grid and pipeline checks
+    pass, and the selftest's cobar oracle tells the two routes apart."""
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL structural-invariants (factor route differs from the cobar complex: "
+        "Lambda(3) over characteristic 0)"
+    ) in out
+    assert "# total: 8 checks, 1 failed" in out
+
+
+def test_selftest_catches_a_small_complex_without_its_map(capsys, monkeypatch):
+    small = cohomology.factor_complex
+
+    def zero_maps(F, window):
+        cx = small(F, window)
+        cx.differentials = {
+            k: SparseMatrix(m.field, m.rows, m.cols) for k, m in cx.differentials.items()
+        }
+        return cx
+
+    monkeypatch.setattr(cohomology, "factor_complex", zero_maps)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL structural-invariants (factor route differs from the cobar complex: "
+        "Gamma_2(2) over characteristic 0)"
+    ) in out
+    assert "# total: 8 checks, 1 failed" in out
 
 
 def test_missing_file(capsys):
@@ -415,7 +495,7 @@ def test_cohh_command_fails_the_euler_check_on_a_corrupted_convolution(
 
 
 def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(
-    tmp_path, capsys, corrupted_twist
+    tmp_path, capsys, corrupted_twist, cobar_factors
 ):
     src = tmp_path / "gamma.coalg"
     src.write_text("char 3\ndivided_power x 2\n")

@@ -20,6 +20,7 @@ from cohh.cohomology import (
     cohh_table,
     euler_check,
     expected_grid,
+    factor_complex,
     identify_presentation,
     kunneth_factors,
     kunneth_table,
@@ -360,16 +361,22 @@ def test_kunneth_table_builds_each_distinct_factor_once(
     C = CoalgebraPresentation(
         Field(p), [Cogenerator("a", kind, degree), Cogenerator("b", kind, degree)]
     )
-    built = []
+    built, checked = [], []
+    build, check = cohomology.factor_complex, cohomology.check_square_zero
 
-    def counting(F, win, *args, **kwargs):
-        built.append((F.cogenerators, kwargs.get("check", True)))
-        return build_complex(F, win, *args, **kwargs)
+    def counting_build(F, win):
+        built.append(build(F, win))
+        return built[-1]
 
-    monkeypatch.setattr(cohomology, "build_complex", counting)
+    def counting_check(cx):
+        checked.append(cx)
+        return check(cx)
+
+    monkeypatch.setattr(cohomology, "factor_complex", counting_build)
+    monkeypatch.setattr(cohomology, "check_square_zero", counting_check)
     table = kunneth_table(C, window)
     assert len(built) == distinct
-    assert all(check for _, check in built)
+    assert [id(cx) for cx in checked] == [id(cx) for cx in built]
     assert table.entries == {
         (s, t): sum(
             one.dim(s1, t1) * one.dim(s - s1, t - t1)
@@ -378,6 +385,68 @@ def test_kunneth_table_builds_each_distinct_factor_once(
         )
         for (s, t) in table.entries
     }
+
+
+def small_complex_factors(degrees, primes=(0, 2, 3, 5, 7)):
+    """Every parity-valid one-cogenerator factor, truncated at most at 6, that
+    gets a small complex."""
+    kinds = (EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
+    for kind, d, p, n in product(kinds, degrees, primes, (None, 1, 2, 3, 4, 5, 6)):
+        if p != 2 and (d % 2 == 1) != (kind == EXTERIOR):
+            continue
+        if kind == EXTERIOR and n is not None:
+            continue
+        if kind == POLYNOMIAL and p and (n is None or n >= p):
+            continue  # a truncated divided-power dual with several generators
+        yield CoalgebraPresentation(Field(p), [Cogenerator("x", kind, d, n)])
+
+
+def test_small_factor_complexes_equal_cobar_factor_tables():
+    window = BidegreeWindow(3, 12)
+    factors = list(small_complex_factors(range(1, 9)))
+    assert len(factors) == 276
+    for F in factors:
+        small = factor_complex(F, window)
+        assert all(len(labels) <= 1 for labels in small.spots.values())
+        assert (
+            cohh_table(small).entries == cohh_table(build_complex(F, window)).entries
+        ), (F.cogenerators, F.field)
+
+
+def test_small_factor_complexes_equal_cobar_in_degree_two_at_a_deeper_window():
+    """(5, 20) reaches the maps at t = N d and t = 2 N d for small N."""
+    window = BidegreeWindow(5, 20)
+    for F in small_complex_factors([2]):
+        assert (
+            cohh_table(factor_complex(F, window)).entries
+            == cohh_table(build_complex(F, window)).entries
+        ), (F.cogenerators, F.field)
+
+
+def test_only_a_non_monogenic_factor_gets_its_cobar_complex(monkeypatch):
+    built = []
+
+    def counting(F, win, *args, **kwargs):
+        built.append(F.cogenerators)
+        return build_complex(F, win, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "build_complex", counting)
+    window = BidegreeWindow(3, 12)
+    F = CoalgebraPresentation(Field(3), [Cogenerator("w", POLYNOMIAL, 2, truncation=5)])
+    cx = factor_complex(F, window)
+    assert built == [F.cogenerators]
+    assert cx.spot_dim(1, 4) > 1  # the cobar complex, not a small one
+    for G in small_complex_factors([2], primes=(0, 3)):
+        factor_complex(G, window)
+    assert built == [F.cogenerators]
+
+
+def test_factor_route_refuses_a_window_over_the_cell_limit():
+    limit = cohomology.MAX_WINDOW_CELLS
+    kunneth_table(exterior(0, 3), BidegreeWindow(0, limit - 1))
+    with pytest.raises(cohomology.WindowTooLarge) as err:
+        kunneth_table(exterior(0, 3), BidegreeWindow(1, limit // 2))
+    assert f"has {2 * (limit // 2 + 1)} cells; the limit is {limit}" in str(err.value)
 
 
 def test_truncated_polynomial_cogenerator_is_not_split():
