@@ -26,6 +26,11 @@ has, which is not a bug.
 Start-up rule: a command imports only the engine modules it runs, inside its
 own function, and `--help` imports none of them (nor `json`).  Every process
 is a fresh interpreter, so a module-level import here is paid by every call.
+For the same reason no engine module imports `dataclasses`: each process
+compiles the modules it loads and pays for their imports, and `dataclasses`
+pulls in `inspect`, `ast`, `dis` and `tokenize`, which cost more than the
+table of a small presentation.  Records are `typing.NamedTuple`s, or plain
+classes with `__slots__` where they validate, mutate or define equality.
 """
 
 import argparse
@@ -218,11 +223,10 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
 
 def render_hz_report(result, fmt: str) -> str:
     """The `hz` report in one format."""
-    tor_dims = result.tor_dims[:5]
     return render_table_report(
         "hz_report", "hz pipeline", result.table, result.characteristic,
-        result.description, [f"# tor dims (degrees 0..4): {tor_dims}"],
-        {"tor_dims": tor_dims}, fmt,
+        result.description, [f"# tor dims (degrees 0..4): {result.tor_dims}"],
+        {"tor_dims": result.tor_dims}, fmt,
     )
 
 

@@ -17,9 +17,8 @@ where coefficients are reduced and vanishing terms dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInput
 from .exactfield import Field, add_term
@@ -38,8 +37,7 @@ class ParityViolation(InvalidInput):
     """Exterior cogenerators must be odd, polynomial/divided-power even (char != 2)."""
 
 
-@dataclass(frozen=True)
-class Cogenerator:
+class Cogenerator(NamedTuple):
     """One named cogenerator; truncation caps the exponent (divided powers: max j)."""
 
     name: str
@@ -200,47 +198,3 @@ def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) ->
             key = tup[:slot] + (a, b) + tup[slot + 1:]
             add_term(out, key, coeff * c, fld)
     return out
-
-
-def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
-    """(coproduct x Id).coproduct == (Id x coproduct).coproduct on the basis."""
-    for t in range(max_t + 1):
-        for m in C.basis_in_degree(t):
-            start = {(m,): 1}
-            once = apply_coproduct_to_slot(C, start, 0)
-            if apply_coproduct_to_slot(C, once, 0) != apply_coproduct_to_slot(C, once, 1):
-                return False
-    return True
-
-
-def counitality_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
-    """(counit x Id).coproduct == Id == (Id x counit).coproduct on the basis."""
-    fld = C.field
-    for t in range(max_t + 1):
-        for m in C.basis_in_degree(t):
-            left: dict = {}
-            right: dict = {}
-            for (a, b), c in C.coproduct_monomial(m).items():
-                if not any(a):
-                    add_term(left, b, c, fld)
-                if not any(b):
-                    add_term(right, a, c, fld)
-            if left != {m: 1} or right != {m: 1}:
-                return False
-    return True
-
-
-def cocommutativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
-    """twist.coproduct == coproduct, with the Koszul sign in the twist."""
-    fld = C.field
-    for t in range(max_t + 1):
-        for m in C.basis_in_degree(t):
-            expansion = C.coproduct_monomial(m)
-            twisted: dict = {}
-            for (a, b), c in expansion.items():
-                if (C.degree(a) * C.degree(b)) % 2:
-                    c = -c
-                add_term(twisted, (b, a), c, fld)
-            if twisted != expansion:
-                return False
-    return True

@@ -3,15 +3,15 @@
 Level s holds tensor powers with s+1 factors (coefficients in slot 0), each a
 tuple of monomials.  Cofaces 0..s apply the coproduct to one slot; coface s+1
 applies it to slot 0 and then cycles the first factor to the last with the
-Koszul sign.  Codegeneracies apply the counit in an interior slot.  The
-differential is the alternating sum of the cofaces, restricted to the
-normalized basis (no unit factor in slots >= 1) when requested.
+Koszul sign.  The differential is the alternating sum of the cofaces,
+restricted to the normalized basis (no unit factor in slots >= 1) when
+requested.  The codegeneracies, which apply the counit in an interior slot,
+serve only the cosimplicial identity scan, so they live with it in `selftest`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coalg import CoalgebraPresentation, apply_coproduct_to_slot
 from .errors import InvalidInput, InvariantFailure
@@ -29,8 +29,7 @@ class DifferentialNotSquareZero(InvariantFailure):
     """d composed with d is nonzero at some bigraded spot."""
 
 
-@dataclass(frozen=True)
-class BidegreeWindow:
+class BidegreeWindow(NamedTuple):
     """Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."""
 
     max_s: int = DEFAULT_MAX_S
@@ -94,17 +93,6 @@ def coface_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
     return twist_first_to_last(C, expanded)
 
 
-def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
-    """Image of one basis tuple (s+2 factors) under the i-th codegeneracy, 0 <= i <= s."""
-    if not 0 <= i <= s:
-        raise IndexError(f"codegeneracy index {i} outside [0, {s}]")
-    if len(tup) != s + 2:
-        raise ValueError("codegeneracy input must have s+2 factors")
-    if any(tup[i + 1]):
-        return {}
-    return {tup[: i + 1] + tup[i + 2:]: 1}
-
-
 def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     """Alternating sum of all cofaces on one tuple, before any normalization."""
     s = len(tup) - 1
@@ -130,15 +118,24 @@ def _matrix_from_terms(C, source_basis, target_basis, expand, project=False) -> 
     return SparseMatrix.from_triples(C.field, len(target_basis), len(source_basis), triples)
 
 
-@dataclass
 class CochainComplex:
     """Bigraded complex with one sparse differential matrix per (s, t) spot."""
 
-    presentation: CoalgebraPresentation
-    window: BidegreeWindow
-    normalized: bool
-    spots: dict          # (s, t) -> basis tuples, for 0 <= s <= max_s + 1
-    differentials: dict  # (s, t) -> SparseMatrix spot(s,t) -> spot(s+1,t)
+    __slots__ = ("presentation", "window", "normalized", "spots", "differentials")
+
+    def __init__(
+        self,
+        presentation: CoalgebraPresentation,
+        window: BidegreeWindow,
+        normalized: bool,
+        spots: dict,          # (s, t) -> basis tuples, for 0 <= s <= max_s + 1
+        differentials: dict,  # (s, t) -> SparseMatrix spot(s,t) -> spot(s+1,t)
+    ):
+        self.presentation = presentation
+        self.window = window
+        self.normalized = normalized
+        self.spots = spots
+        self.differentials = differentials
 
     def spot_dim(self, s: int, t: int) -> int:
         return len(self.spots.get((s, t), ()))
@@ -199,96 +196,3 @@ def first_square_failure(cx: CochainComplex) -> Optional[tuple]:
             if not outer.compose(inner).is_zero():
                 return (s, t)
     return None
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of the cosimplicial identity scan; failures are data, not errors."""
-
-    passed: bool
-    checked: int
-    failure: Optional[dict] = None
-
-    def describe(self) -> str:
-        if self.passed:
-            return f"pass ({self.checked} identities checked)"
-        f = self.failure
-        return (
-            f"FAIL {f['family']} identity at (i,j)=({f['i']},{f['j']}), "
-            f"s={f['s']}, t={f['t']}"
-        )
-
-
-def verify_cosimplicial_identities(
-    C: CoalgebraPresentation, window: BidegreeWindow
-) -> IdentityReport:
-    """Check all coface/codegeneracy identities as matrix identities in the window."""
-    cache: dict = {}
-    bases: dict = {}  # each full tensor basis is enumerated once per scan
-
-    def basis(s, t):
-        if (s, t) not in bases:
-            bases[(s, t)] = tensor_basis(C, s, t, normalized=False)
-        return bases[(s, t)]
-
-    def cf(i, s, t):
-        key = ("d", i, s, t)
-        if key not in cache:
-            cache[key] = _matrix_from_terms(
-                C, basis(s, t), basis(s + 1, t), lambda tup: coface_terms(C, i, s, tup)
-            )
-        return cache[key]
-
-    def cd(i, s, t):
-        key = ("s", i, s, t)
-        if key not in cache:
-            cache[key] = _matrix_from_terms(
-                C, basis(s + 1, t), basis(s, t), lambda tup: codegeneracy_terms(C, i, s, tup)
-            )
-        return cache[key]
-
-    checked = 0
-
-    def fail(family, i, j, s, t):
-        return IdentityReport(
-            passed=False, checked=checked,
-            failure={"family": family, "i": i, "j": j, "s": s, "t": t},
-        )
-
-    max_s, max_t = window.max_s, window.max_t
-    # coface-coface: delta_j . delta_i = delta_i . delta_{j-1} for i < j
-    for s in range(max_s):
-        for i in range(s + 2):
-            for j in range(i + 1, s + 3):
-                for t in range(max_t + 1):
-                    lhs = cf(j, s + 1, t).compose(cf(i, s, t))
-                    rhs = cf(i, s + 1, t).compose(cf(j - 1, s, t))
-                    checked += 1
-                    if lhs != rhs:
-                        return fail("coface-coface", i, j, s, t)
-    # codegeneracy-codegeneracy: sigma_j . sigma_i = sigma_i . sigma_{j+1} for i <= j
-    for s in range(max_s):
-        for i in range(s + 2):
-            for j in range(i, s + 1):
-                for t in range(max_t + 1):
-                    lhs = cd(j, s, t).compose(cd(i, s + 1, t))
-                    rhs = cd(i, s, t).compose(cd(j + 1, s + 1, t))
-                    checked += 1
-                    if lhs != rhs:
-                        return fail("codegeneracy-codegeneracy", i, j, s, t)
-    # mixed: sigma_j . delta_i
-    for s in range(max_s + 1):
-        for i in range(s + 2):
-            for j in range(s + 1):
-                for t in range(max_t + 1):
-                    lhs = cd(j, s, t).compose(cf(i, s, t))
-                    if i == j or i == j + 1:
-                        rhs = SparseMatrix.identity(C.field, len(basis(s, t)))
-                    elif i < j:
-                        rhs = cf(i, s - 1, t).compose(cd(j - 1, s - 1, t))
-                    else:
-                        rhs = cf(i - 1, s - 1, t).compose(cd(j, s - 1, t))
-                    checked += 1
-                    if lhs != rhs:
-                        return fail("mixed", i, j, s, t)
-    return IdentityReport(passed=True, checked=checked)

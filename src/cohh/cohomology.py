@@ -38,8 +38,7 @@ presentation are otherwise built only as oracles, by the tests and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
 from .cochain import (
@@ -62,8 +61,7 @@ class WindowTooLarge(InvalidInput):
     """Bidegree window has more cells than `MAX_WINDOW_CELLS`."""
 
 
-@dataclass
-class BigradedTable:
+class BigradedTable(NamedTuple):
     """Exact dimensions per (s, t) in the window."""
 
     window: BidegreeWindow
@@ -92,6 +90,18 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
             entries[(s, t)] = cx.spot_dim(s, t) - r - incoming
             incoming = r
     return BigradedTable(cx.window, entries)
+
+
+def check_window(window: BidegreeWindow):
+    """Refuse a window with a negative bound or more than `MAX_WINDOW_CELLS`
+    cells, before any work is done for it."""
+    if window.max_s < 0 or window.max_t < 0:
+        raise WindowTooSmall(f"window {window} has a negative bound")
+    cells = (window.max_s + 1) * (window.max_t + 1)
+    if cells > MAX_WINDOW_CELLS:
+        raise WindowTooLarge(
+            f"window {window} has {cells} cells; the limit is {MAX_WINDOW_CELLS}"
+        )
 
 
 def kunneth_factors(C: CoalgebraPresentation, max_t: int) -> list:
@@ -199,19 +209,14 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     truncation, not on its name, so equal factors are built and ranked once
     per call.
 
-    A window of more than `MAX_WINDOW_CELLS` cells is refused before any work.
+    A window of more than `MAX_WINDOW_CELLS` cells is refused before any work
+    (`check_window`).
     The cost is O(factors * cells) for the factor tables plus the
     convolution.  At (40, 400), 16 441 cells, this takes about 1 s for k[w2]
     over F_3 and 3 s for ten exterior cogenerators over Q, and the whole
     `cohh` run at most 1.5 s longer (Python 3.11, shared 2-vCPU host).
     """
-    if window.max_s < 0 or window.max_t < 0:
-        raise WindowTooSmall(f"window {window} has a negative bound")
-    cells = (window.max_s + 1) * (window.max_t + 1)
-    if cells > MAX_WINDOW_CELLS:
-        raise WindowTooLarge(
-            f"window {window} has {cells} cells; the limit is {MAX_WINDOW_CELLS}"
-        )
+    check_window(window)
     tables: dict = {}  # (kind, degree, truncation) -> entries
     grids = []
     for F in kunneth_factors(C, window.max_t):
@@ -225,8 +230,7 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     return BigradedTable(window, convolve(window, grids))
 
 
-@dataclass
-class EulerReport:
+class EulerReport(NamedTuple):
     """Alternating-sum comparison of spot dims vs table dims, per internal degree."""
 
     passed: bool
@@ -243,27 +247,30 @@ class EulerReport:
         return f"FAIL at internal degree t={self.first_violation}"
 
 
-def _series_product(x: list, y: list) -> list:
-    """Product of two power series truncated to the length of x."""
-    return [sum(x[i] * y[t - i] for i in range(t + 1)) for t in range(len(x))]
-
-
 def spot_dimensions(C: CoalgebraPresentation, window: BidegreeWindow) -> dict:
     """Normalized spot sizes n_{s,t} = [q^t] a(q)(a(q) - 1)^s over the window.
 
     a(q) is the Poincaré series of C: the product over its cogenerators of
     1 + q^d + ... + q^(n d), with n = 1 for an exterior cogenerator and n its
     truncation otherwise (all powers if untruncated).  Nothing is enumerated,
-    neither the basis of C nor a tensor basis."""
-    a = [1] + [0] * window.max_t
-    for cog in C.cogenerators:
-        a = _push_factor(a, cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
-    reduced = [0] + a[1:]
+    neither the basis of C nor a tensor basis.  Each next row is
+    row * a - row, and row * a pushes the row through one factor per
+    cogenerator, so the cost is O(max_s * cogenerators * max_t)."""
+    factors = [
+        (cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
+        for cog in C.cogenerators
+    ]
+
+    def times_a(row: list) -> list:
+        for degree, cap in factors:
+            row = _push_factor(row, degree, cap)
+        return row
+
     out: dict = {}
-    row = a
+    row = times_a([1] + [0] * window.max_t)
     for s in range(window.max_s + 1):
         out.update({(s, t): n for t, n in enumerate(row)})
-        row = _series_product(row, reduced)
+        row = [x - y for x, y in zip(times_a(row), row)]
     return out
 
 
@@ -311,8 +318,7 @@ DIVIDED_EXTERIOR = "divided_exterior"
 TRIVIAL = "trivial"
 
 
-@dataclass
-class Identification:
+class Identification(NamedTuple):
     """Matched grid shape with the internal degrees of its column-0 generators."""
 
     shape: str

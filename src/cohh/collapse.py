@@ -19,8 +19,7 @@ more than MAX_SOURCES of them is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
 from .errors import InvalidInput
@@ -56,8 +55,7 @@ class WrongShape(InvalidInput):
     """E2 presentation does not have the shape this operation analyzes."""
 
 
-@dataclass(frozen=True)
-class E2Generator:
+class E2Generator(NamedTuple):
     name: str
     kind: str
     s: int
@@ -229,8 +227,7 @@ def candidate_targets(e2: E2Presentation, max_t: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CandidateDifferential:
+class CandidateDifferential(NamedTuple):
     """One (source monomial, target monomial, page) triple obeying the bidegree law."""
 
     source: tuple
@@ -311,16 +308,21 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
     return checks
 
 
-@dataclass(frozen=True)
-class Obstruction(CandidateDifferential):
+class Obstruction(NamedTuple):
     """Candidates sharing (source bidegree, target, page): one potential map d_r.
 
-    `source` is the lexicographically least of the witnesses."""
+    The fields of `CandidateDifferential`, plus the witnesses; `source` is the
+    lexicographically least of them."""
 
+    source: tuple
+    target: tuple
+    page: int
+    source_bidegree: tuple
+    target_bidegree: tuple
     witnesses: tuple         # all source monomials in this bidegree
 
     def describe(self, e2: E2Presentation) -> str:
-        head = super().describe(e2)
+        head = CandidateDifferential.describe(self, e2)
         if len(self.witnesses) > 1:
             others = ", ".join(
                 e2.format_monomial(w) for w in self.witnesses if w != self.source
@@ -352,8 +354,7 @@ def group_obstructions(candidates: list) -> list:
     return out
 
 
-@dataclass
-class CollapseCertificate:
+class CollapseCertificate(NamedTuple):
     verdict: str                      # "collapses" | "obstructed"
     obstructions: list
     hypothesis_checks: dict

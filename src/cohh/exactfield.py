@@ -19,9 +19,8 @@ ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import InvalidInput  # re-exported
 
@@ -65,17 +64,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
 class Field:
     """F_p for a prime p, or Q when characteristic == 0."""
 
-    characteristic: int
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+    def __init__(self, characteristic: int):
+        if characteristic != 0 and not _is_prime(characteristic):
             raise CompositeCharacteristic(
-                f"characteristic must be 0 or a prime, got {self.characteristic}"
+                f"characteristic must be 0 or a prime, got {characteristic}"
             )
+        self.characteristic = characteristic
+
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
+
+    def __repr__(self):
+        return f"Field(characteristic={self.characteristic!r})"
 
     def scalar(self, x: int) -> int:
         """Canonicalize an integer into the field: its residue mod p, or itself."""
@@ -92,14 +102,33 @@ def add_term(acc: dict, key, coeff: int, fld: Field):
         acc.pop(key, None)
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse matrix over a fixed field; only nonzero entries are stored."""
+    """Sparse matrix over a fixed field; only nonzero entries are stored.
 
-    field: Field
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> nonzero int
+    Equal when field, shape and entries are; unhashable, as entries is a dict."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: Optional[dict] = None):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = {} if entries is None else entries  # (row, col) -> nonzero int
+
+    def __eq__(self, other):
+        if other.__class__ is not SparseMatrix:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.entries) == (
+            other.field, other.rows, other.cols, other.entries
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"SparseMatrix(field={self.field!r}, rows={self.rows!r}, "
+            f"cols={self.cols!r}, entries={self.entries!r})"
+        )
 
     @classmethod
     def from_triples(

@@ -35,7 +35,7 @@ product of two positive-degree monomials, since exponent sums add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coalg import DIVIDED_POWER, POLYNOMIAL, CoalgebraPresentation
 from .errors import InvalidInput
@@ -77,8 +77,7 @@ def primitive_exponents(kind: str, degree: int, p: int, max_t: int, truncation=N
     return out
 
 
-@dataclass
-class MonomialSet:
+class MonomialSet(NamedTuple):
     """Monomials (exponent tuples) per nonempty internal degree 1..max_t, each
     list in lexicographic exponent order."""
 

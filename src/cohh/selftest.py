@@ -4,13 +4,18 @@ The same harness backs the `cohh selftest` CLI command and the pytest
 acceptance module.  Each check is exact (integer equality against an
 independently enumerated answer) and deterministic; timing lives on the
 result object, never inside the printable detail.
+
+The oracles that only these checks and the tests use live here, not in the
+modules production commands load: the coalgebra axiom checks, the
+codegeneracies and the cosimplicial identity scan, the basis filters for the
+primitive and indecomposable closed forms, and the all-pairs collapse scan.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple, Optional
 
 from .coalg import (
     DIVIDED_POWER,
@@ -18,11 +23,15 @@ from .coalg import (
     POLYNOMIAL,
     CoalgebraPresentation,
     Cogenerator,
-    coassociativity_ok,
-    cocommutativity_ok,
-    counitality_ok,
+    apply_coproduct_to_slot,
 )
-from .cochain import BidegreeWindow, build_complex, verify_cosimplicial_identities
+from .cochain import (
+    BidegreeWindow,
+    _matrix_from_terms,
+    build_complex,
+    coface_terms,
+    tensor_basis,
+)
 from .cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
@@ -40,7 +49,7 @@ from .collapse import (
     feasible_differentials,
 )
 from .errors import InvariantFailure
-from .exactfield import Field, add_term
+from .exactfield import Field, SparseMatrix, add_term
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 
@@ -63,8 +72,7 @@ TIME_BUDGETS_SECONDS = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -175,6 +183,156 @@ def check_hypothesis_sweep():
                     return False, f"hypotheses hold but candidates survive: |y|=({a},{b}), p={p}"
                 verified += 1
     return True, f"{verified} hypothesis-clean cases have empty candidate lists"
+
+
+# -- oracles: coalgebra axioms and cosimplicial identities --------------------
+
+
+def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
+    """(coproduct x Id).coproduct == (Id x coproduct).coproduct on the basis."""
+    for t in range(max_t + 1):
+        for m in C.basis_in_degree(t):
+            start = {(m,): 1}
+            once = apply_coproduct_to_slot(C, start, 0)
+            if apply_coproduct_to_slot(C, once, 0) != apply_coproduct_to_slot(C, once, 1):
+                return False
+    return True
+
+
+def counitality_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
+    """(counit x Id).coproduct == Id == (Id x counit).coproduct on the basis."""
+    fld = C.field
+    for t in range(max_t + 1):
+        for m in C.basis_in_degree(t):
+            left: dict = {}
+            right: dict = {}
+            for (a, b), c in C.coproduct_monomial(m).items():
+                if not any(a):
+                    add_term(left, b, c, fld)
+                if not any(b):
+                    add_term(right, a, c, fld)
+            if left != {m: 1} or right != {m: 1}:
+                return False
+    return True
+
+
+def cocommutativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
+    """twist.coproduct == coproduct, with the Koszul sign in the twist."""
+    fld = C.field
+    for t in range(max_t + 1):
+        for m in C.basis_in_degree(t):
+            expansion = C.coproduct_monomial(m)
+            twisted: dict = {}
+            for (a, b), c in expansion.items():
+                if (C.degree(a) * C.degree(b)) % 2:
+                    c = -c
+                add_term(twisted, (b, a), c, fld)
+            if twisted != expansion:
+                return False
+    return True
+
+
+def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
+    """Image of one basis tuple (s+2 factors) under the i-th codegeneracy, 0 <= i <= s."""
+    if not 0 <= i <= s:
+        raise IndexError(f"codegeneracy index {i} outside [0, {s}]")
+    if len(tup) != s + 2:
+        raise ValueError("codegeneracy input must have s+2 factors")
+    if any(tup[i + 1]):
+        return {}
+    return {tup[: i + 1] + tup[i + 2:]: 1}
+
+
+class IdentityReport(NamedTuple):
+    """Outcome of the cosimplicial identity scan; failures are data, not errors."""
+
+    passed: bool
+    checked: int
+    failure: Optional[dict] = None
+
+    def describe(self) -> str:
+        if self.passed:
+            return f"pass ({self.checked} identities checked)"
+        f = self.failure
+        return (
+            f"FAIL {f['family']} identity at (i,j)=({f['i']},{f['j']}), "
+            f"s={f['s']}, t={f['t']}"
+        )
+
+
+def verify_cosimplicial_identities(
+    C: CoalgebraPresentation, window: BidegreeWindow
+) -> IdentityReport:
+    """Check all coface/codegeneracy identities as matrix identities in the window."""
+    cache: dict = {}
+    bases: dict = {}  # each full tensor basis is enumerated once per scan
+
+    def basis(s, t):
+        if (s, t) not in bases:
+            bases[(s, t)] = tensor_basis(C, s, t, normalized=False)
+        return bases[(s, t)]
+
+    def cf(i, s, t):
+        key = ("d", i, s, t)
+        if key not in cache:
+            cache[key] = _matrix_from_terms(
+                C, basis(s, t), basis(s + 1, t), lambda tup: coface_terms(C, i, s, tup)
+            )
+        return cache[key]
+
+    def cd(i, s, t):
+        key = ("s", i, s, t)
+        if key not in cache:
+            cache[key] = _matrix_from_terms(
+                C, basis(s + 1, t), basis(s, t), lambda tup: codegeneracy_terms(C, i, s, tup)
+            )
+        return cache[key]
+
+    checked = 0
+
+    def fail(family, i, j, s, t):
+        return IdentityReport(
+            passed=False, checked=checked,
+            failure={"family": family, "i": i, "j": j, "s": s, "t": t},
+        )
+
+    max_s, max_t = window.max_s, window.max_t
+    # coface-coface: delta_j . delta_i = delta_i . delta_{j-1} for i < j
+    for s in range(max_s):
+        for i in range(s + 2):
+            for j in range(i + 1, s + 3):
+                for t in range(max_t + 1):
+                    lhs = cf(j, s + 1, t).compose(cf(i, s, t))
+                    rhs = cf(i, s + 1, t).compose(cf(j - 1, s, t))
+                    checked += 1
+                    if lhs != rhs:
+                        return fail("coface-coface", i, j, s, t)
+    # codegeneracy-codegeneracy: sigma_j . sigma_i = sigma_i . sigma_{j+1} for i <= j
+    for s in range(max_s):
+        for i in range(s + 2):
+            for j in range(i, s + 1):
+                for t in range(max_t + 1):
+                    lhs = cd(j, s, t).compose(cd(i, s + 1, t))
+                    rhs = cd(i, s, t).compose(cd(j + 1, s + 1, t))
+                    checked += 1
+                    if lhs != rhs:
+                        return fail("codegeneracy-codegeneracy", i, j, s, t)
+    # mixed: sigma_j . delta_i
+    for s in range(max_s + 1):
+        for i in range(s + 2):
+            for j in range(s + 1):
+                for t in range(max_t + 1):
+                    lhs = cd(j, s, t).compose(cf(i, s, t))
+                    if i == j or i == j + 1:
+                        rhs = SparseMatrix.identity(C.field, len(basis(s, t)))
+                    elif i < j:
+                        rhs = cf(i, s - 1, t).compose(cd(j - 1, s - 1, t))
+                    else:
+                        rhs = cf(i - 1, s - 1, t).compose(cd(j, s - 1, t))
+                    checked += 1
+                    if lhs != rhs:
+                        return fail("mixed", i, j, s, t)
+    return IdentityReport(passed=True, checked=checked)
 
 
 def _structural_corpus(p: int):

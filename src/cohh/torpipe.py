@@ -10,7 +10,7 @@ table of that exterior coalgebra is then computed and identified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coalg import EXTERIOR, CoalgebraPresentation, Cogenerator
 from .cochain import BidegreeWindow, WindowTooSmall
@@ -18,12 +18,16 @@ from .cohomology import (
     EXTERIOR_POLYNOMIAL,
     BigradedTable,
     Identification,
+    check_window,
     expected_grid,
     identify_presentation,
     kunneth_table,
 )
 from .errors import InvalidInput, InvariantFailure
 from .exactfield import Field, SparseMatrix, rank
+
+# Tor is computed, checked and reported in degrees 0..TOR_MAX_DEGREE only.
+TOR_MAX_DEGREE = 4
 
 
 def tor_fp(p: int, max_degree: int) -> list:
@@ -35,8 +39,7 @@ def tor_fp(p: int, max_degree: int) -> list:
     return ([1 - r, 1 - r] + [0] * max_degree)[: max_degree + 1]
 
 
-@dataclass
-class HZPipelineResult:
+class HZPipelineResult(NamedTuple):
     characteristic: int
     tor_dims: list
     table: BigradedTable
@@ -50,10 +53,12 @@ def hz_e2_pipeline(p: int, window: BidegreeWindow) -> HZPipelineResult:
     The input coalgebra is the exterior coalgebra on one degree-1 class, which
     is what the Tor computation produces (dimension-checked here; the coalgebra
     structure on Tor is asserted, not derived from a coproduct computation).
+    The window is refused, as by `kunneth_table`, before Tor is computed.
     """
     if window.max_s < 3 or window.max_t < 6:
         raise WindowTooSmall(f"pipeline needs a window of at least (3, 6), got {window}")
-    dims = tor_fp(p, max_degree=max(4, window.max_t))
+    check_window(window)
+    dims = tor_fp(p, TOR_MAX_DEGREE)
     if dims[0] != 1 or dims[1] != 1 or any(d != 0 for d in dims[2:]):
         raise InvariantFailure(f"unexpected Tor dimensions {dims}")
     fld = Field(p)

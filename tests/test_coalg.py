@@ -9,11 +9,9 @@ from cohh.coalg import (
     NotConnected,
     ParityViolation,
     apply_coproduct_to_slot,
-    coassociativity_ok,
-    cocommutativity_ok,
-    counitality_ok,
 )
 from cohh.exactfield import Field, InvalidInput
+from cohh.selftest import coassociativity_ok, cocommutativity_ok, counitality_ok
 
 
 def exterior(p, *degrees):

@@ -15,14 +15,13 @@ from cohh.cochain import (
     WindowTooSmall,
     _matrix_from_terms,
     build_complex,
-    codegeneracy_terms,
     coface_terms,
     differential_terms,
     tensor_basis,
     twist_first_to_last,
-    verify_cosimplicial_identities,
 )
 from cohh.exactfield import Field, SparseMatrix, rank
+from cohh.selftest import codegeneracy_terms, verify_cosimplicial_identities
 
 
 def exterior(p, *degrees):

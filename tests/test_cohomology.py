@@ -12,11 +12,12 @@ from cohh.coalg import (
     CoalgebraPresentation,
     Cogenerator,
 )
-from cohh.cochain import BidegreeWindow, build_complex, tensor_basis
+from cohh.cochain import BidegreeWindow, WindowTooSmall, build_complex, tensor_basis
 from cohh.cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
     BigradedTable,
+    check_window,
     cohh_table,
     euler_check,
     expected_grid,
@@ -449,6 +450,21 @@ def test_factor_route_refuses_a_window_over_the_cell_limit():
     assert f"has {2 * (limit // 2 + 1)} cells; the limit is {limit}" in str(err.value)
 
 
+def test_window_refusals_keep_their_messages():
+    with pytest.raises(WindowTooSmall) as err:
+        check_window(BidegreeWindow(-1, 24))
+    assert str(err.value) == "window BidegreeWindow(max_s=-1, max_t=24) has a negative bound"
+    with pytest.raises(WindowTooSmall) as err:
+        kunneth_table(exterior(3, 3), BidegreeWindow(6, -3))
+    assert str(err.value) == "window BidegreeWindow(max_s=6, max_t=-3) has a negative bound"
+    with pytest.raises(cohomology.WindowTooLarge) as err:
+        kunneth_table(exterior(3, 3), BidegreeWindow(100, 1000))
+    assert str(err.value) == (
+        "window BidegreeWindow(max_s=100, max_t=1000) has 101101 cells; the limit is 20000"
+    )
+    check_window(BidegreeWindow(0, 0))
+
+
 def test_truncated_polynomial_cogenerator_is_not_split():
     # w^0..w^5 over F_3 is a subcoalgebra, but not a product of digit factors
     cog = Cogenerator("w", POLYNOMIAL, 2, truncation=5)
@@ -500,3 +516,45 @@ def test_spot_dimensions_from_the_poincare_series_equal_the_enumerated_spots(p):
             (s, t): len(tensor_basis(C, s, t, normalized=True))
             for s in range(4) for t in range(13)
         }, C.cogenerators
+
+
+def series_product_spots(C, window):
+    """n_{s,t} = [q^t] a(q)(a(q) - 1)^s by truncated series products, with a(q)
+    the product of each cogenerator's series 1 + q^d + ... + q^(n d)."""
+    n = window.max_t + 1
+
+    def times(x, y):
+        return [sum(x[i] * y[t - i] for i in range(t + 1)) for t in range(n)]
+
+    a = [1] + [0] * window.max_t
+    for cog in C.cogenerators:
+        top = 1 if cog.kind == EXTERIOR else cog.truncation
+        a = times(a, [int(t % cog.degree == 0 and (top is None or t <= top * cog.degree))
+                      for t in range(n)])
+    reduced = [0] + a[1:]
+    out, row = {}, a
+    for s in range(window.max_s + 1):
+        out.update({(s, t): v for t, v in enumerate(row)})
+        row = times(row, reduced)
+    return out
+
+
+def test_spot_dimensions_equal_the_series_product_on_tall_and_wide_windows():
+    rng = random.Random(1313)
+    windows = (BidegreeWindow(0, 0), BidegreeWindow(12, 30), BidegreeWindow(3, 90))
+    presentations = [
+        exterior(3, 3, 5),
+        CoalgebraPresentation(
+            Field(0), [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 4)]
+        ),
+        CoalgebraPresentation(Field(2), []),
+    ]
+    presentations += [
+        CoalgebraPresentation(Field(p), random_cogenerators(rng, most=3))
+        for p in (0, 2, 3) for _ in range(4)
+    ]
+    for C in presentations:
+        for window in windows:
+            assert spot_dimensions(C, window) == series_product_spots(C, window), (
+                C.cogenerators, window
+            )

@@ -51,6 +51,33 @@ def test_scalar_canonicalization():
     assert Field(3) == Field(3) != Field(5) and hash(Field(3)) == hash(Field(3))
 
 
+def test_field_record_semantics():
+    """Equal and hashed by characteristic, with the repr error messages print;
+    a composite characteristic is refused at construction."""
+    assert Field(5) == Field(5) and hash(Field(5)) == hash(Field(5))
+    assert Field(5) != Field(7) and Field(0) != 0 and Field(3) != (3,)
+    assert len({Field(3), Field(3), Field(0)}) == 2
+    assert repr(Field(3)) == "Field(characteristic=3)"
+    with pytest.raises(CompositeCharacteristic, match="must be 0 or a prime, got 9"):
+        Field(9)
+
+
+def test_sparse_matrix_equality_sees_field_shape_and_entries():
+    f3, f5 = Field(3), Field(5)
+    m = SparseMatrix(f3, 2, 3, {(0, 1): 2})
+    assert m == SparseMatrix(f3, 2, 3, {(0, 1): 2})
+    assert m != SparseMatrix(f5, 2, 3, {(0, 1): 2})
+    assert m != SparseMatrix(f3, 3, 2, {(0, 1): 2})
+    assert m != SparseMatrix(f3, 2, 3, {(0, 1): 1})
+    assert SparseMatrix(f3, 0, 4) == SparseMatrix(f3, 0, 4) != SparseMatrix(f3, 4, 0)
+    # each matrix built without entries gets its own dict
+    a, b = SparseMatrix(f3, 1, 1), SparseMatrix(f3, 1, 1)
+    a.entries[(0, 0)] = 1
+    assert b.entries == {}
+    with pytest.raises(TypeError):
+        hash(m)
+
+
 def test_modp_arithmetic_matches_integers():
     """add_term sums plain ints into canonical nonzero residues (ints over Q)."""
     rng = random.Random(7)

@@ -66,7 +66,9 @@ def _modules_after(code: str) -> set:
 
 def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     """A command imports only the engine it runs, and `--help` none of it:
-    every CLI call is a fresh process and pays for each module it loads."""
+    every CLI call is a fresh process and pays for each module it loads.  No
+    command loads `dataclasses`, which pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, nor `inspect` by another route."""
     loaded = _modules_after(
         "from cohh.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass"
     )
@@ -75,16 +77,29 @@ def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     }
     assert not loaded & {"dataclasses", "json"}
 
+    slow_imports = {"dataclasses", "inspect"}
     coalg = tmp_path / "lambda.coalg"
     coalg.write_text("char 3\nexterior y 3\n")
     loaded = _modules_after(
         f"from cohh.cli import main\nmain(['cohh', {str(coalg)!r}, '--max-t', '6'])"
     )
     assert "cohh.cohomology" in loaded
-    assert not loaded & {"cohh.collapse", "cohh.hopfstruct", "cohh.torpipe", "cohh.selftest"}
+    assert not loaded & {
+        "cohh.collapse", "cohh.hopfstruct", "cohh.torpipe", "cohh.selftest", *slow_imports
+    }
 
     e2 = tmp_path / "page.e2"
     e2.write_text("char 3\nexterior y 0 3\npolynomial w 1 2\n")
     loaded = _modules_after(f"from cohh.cli import main\nmain(['collapse', {str(e2)!r}])")
     assert "cohh.collapse" in loaded
-    assert not loaded & {"cohh.cochain", "cohh.cohomology", "cohh.selftest"}
+    assert not loaded & {"cohh.cochain", "cohh.cohomology", "cohh.selftest", *slow_imports}
+
+    for argv, engine in [
+        (["hz", "--char", "3"], "cohh.torpipe"),
+        (["primitives", str(coalg)], "cohh.hopfstruct"),
+        (["indecomposables", str(coalg)], "cohh.hopfstruct"),
+        (["selftest"], "cohh.selftest"),
+    ]:
+        loaded = _modules_after(f"from cohh.cli import main\nmain({argv!r})")
+        assert engine in loaded, argv
+        assert not loaded & slow_imports, argv

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from cohh.cochain import BidegreeWindow, WindowTooSmall
-from cohh.cohomology import EXTERIOR_POLYNOMIAL
+from cohh.cohomology import EXTERIOR_POLYNOMIAL, WindowTooLarge
 from cohh.exactfield import CompositeCharacteristic, InvalidInput
 from cohh.torpipe import hz_e2_pipeline, tor_fp
 
@@ -41,6 +43,18 @@ def test_pipeline_window_precondition():
         hz_e2_pipeline(3, BidegreeWindow(2, 6))
     with pytest.raises(WindowTooSmall):
         hz_e2_pipeline(3, BidegreeWindow(3, 5))
+
+
+def test_pipeline_refuses_an_oversized_window_before_computing_tor():
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLarge, match="has 120000004 cells"):
+        hz_e2_pipeline(3, BidegreeWindow(3, 30_000_000))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_pipeline_reports_tor_in_degrees_0_to_4():
+    for max_t in (6, 40):
+        assert hz_e2_pipeline(5, BidegreeWindow(3, max_t)).tor_dims == [1, 1, 0, 0, 0]
 
 
 def test_pipeline_rejects_composite():
