@@ -52,13 +52,15 @@ from .errors import InvalidInput
 from .exactfield import SparseMatrix, rank
 
 FORMAT_VERSION = 2
-# Most (max_s + 1) * (max_t + 1) cells `kunneth_table` accepts; see its
-# docstring for the timings behind the value.
+# Most (max_s + 1) * (max_t + 1) cells, and most factors * cells, that
+# `kunneth_table` accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
+MAX_FACTOR_CELLS = 600_000
 
 
 class WindowTooLarge(InvalidInput):
-    """Bidegree window has more cells than `MAX_WINDOW_CELLS`."""
+    """Bidegree window has more cells than `MAX_WINDOW_CELLS`, or more
+    factors * cells than `MAX_FACTOR_CELLS`."""
 
 
 class BigradedTable(NamedTuple):
@@ -92,15 +94,21 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
     return BigradedTable(cx.window, entries)
 
 
-def check_window(window: BidegreeWindow):
-    """Refuse a window with a negative bound or more than `MAX_WINDOW_CELLS`
-    cells, before any work is done for it."""
+def check_window(window: BidegreeWindow, factors: int = 1):
+    """Refuse a window with a negative bound, more than `MAX_WINDOW_CELLS`
+    cells, or, for a table of `factors` Künneth factors, more than
+    `MAX_FACTOR_CELLS` factors * cells, before any work is done for it."""
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
     cells = (window.max_s + 1) * (window.max_t + 1)
     if cells > MAX_WINDOW_CELLS:
         raise WindowTooLarge(
             f"window {window} has {cells} cells; the limit is {MAX_WINDOW_CELLS}"
+        )
+    if factors * cells > MAX_FACTOR_CELLS:
+        raise WindowTooLarge(
+            f"{factors} factors times the {cells} cells of window {window} "
+            f"make {factors * cells}; the limit is {MAX_FACTOR_CELLS}"
         )
 
 
@@ -209,17 +217,23 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     truncation, not on its name, so equal factors are built and ranked once
     per call.
 
-    A window of more than `MAX_WINDOW_CELLS` cells is refused before any work
-    (`check_window`).
-    The cost is O(factors * cells) for the factor tables plus the
-    convolution.  At (40, 400), 16 441 cells, this takes about 1 s for k[w2]
-    over F_3 and 3 s for ten exterior cogenerators over Q, and the whole
-    `cohh` run at most 1.5 s longer (Python 3.11, shared 2-vCPU host).
+    A window of more than `MAX_WINDOW_CELLS` cells, or more than
+    `MAX_FACTOR_CELLS` factors * cells, is refused before any work
+    (`check_window`).  The cost is O(factors * cells) for the factor tables
+    plus the convolution.  At (40, 400), 16 441 cells, this takes about 1 s
+    for k[w2] over F_3.  The most expensive kind per factor cell measured is
+    distinct exterior degrees at (40, 400), ~17 us per factor cell, where
+    each factor is built and ranked and the convolved table fills the window;
+    the largest such input accepted, 36 factors, takes ~10 s (Python 3.11,
+    shared 2-vCPU host).  The bound does not see a factor grid that is dense
+    in t, such as Γ(x_1) over F_2, whose convolution costs up to cells times
+    max_t per factor.
     """
-    check_window(window)
+    factors = kunneth_factors(C, window.max_t)
+    check_window(window, len(factors))
     tables: dict = {}  # (kind, degree, truncation) -> entries
     grids = []
-    for F in kunneth_factors(C, window.max_t):
+    for F in factors:
         (cog,) = F.cogenerators
         key = (cog.kind, cog.degree, cog.truncation)
         if key not in tables:

@@ -4,8 +4,9 @@ Scalars are plain Python ints.  `Field` is a checked characteristic (0 or a
 prime) with one method, `scalar`, which reduces an int into the field.  Every
 stored value (a coproduct coefficient, a term of a linear combination, a
 matrix entry) is a canonical residue in [1, p) over F_p, or a nonzero int over
-Q.  `add_term` is the only place where values are reduced and accumulated:
-callers multiply and negate plain ints and leave the rest to it.  So equality
+Q.  `add_term` is the one accumulator: callers multiply and negate plain ints
+and leave the rest to it.  `SparseMatrix.compose`, the hot loop of the d.d = 0
+check, sums its products as ints and reduces each sum once.  So equality
 of stored values is structural equality, which the d.d = 0 check, the identity
 scan and the axiom checks rely on.  Every coefficient the program produces is
 an integer combination of binomials and signs, so over Q the scalars never
@@ -150,17 +151,23 @@ class SparseMatrix:
         return not self.entries
 
     def compose(self, inner: "SparseMatrix") -> "SparseMatrix":
-        """self @ inner (apply inner first)."""
+        """self @ inner (apply inner first).  The products are summed as ints
+        and each sum is reduced once."""
         if inner.rows != self.cols:
             raise ValueError("composition shape mismatch")
         fld = self.field
+        if not self.entries or not inner.entries:
+            return SparseMatrix(fld, self.rows, inner.cols)
         by_row: dict = {}
         for (r, c), v in inner.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        entries: dict = {}
+        sums: dict = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
-                add_term(entries, (r, c), v * w, fld)
+                key = (r, c)
+                sums[key] = sums.get(key, 0) + v * w
+        scalar = fld.scalar
+        entries = {key: x for key, v in sums.items() if (x := scalar(v))}
         return SparseMatrix(fld, self.rows, inner.cols, entries)
 
 

@@ -284,6 +284,23 @@ def test_cohh_refuses_a_huge_window_up_front(tmp_path):
     assert run.stdout == ""
 
 
+def test_cohh_refuses_too_many_factors_up_front(tmp_path):
+    """300 exterior factors at (40, 400): each factor pays for every cell,
+    ~24 s in-process without the budget."""
+    src = tmp_path / "many.coalg"
+    src.write_text("char 0\n" + "".join(f"exterior y{i} 3\n" for i in range(300)))
+    start = time.perf_counter()
+    run = run_cli("cohh", str(src), "--max-s", "40", "--max-t", "400")
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 2
+    assert run.stderr == (
+        "input error: 300 factors times the 16441 cells of window "
+        "BidegreeWindow(max_s=40, max_t=400) make 4932300; "
+        f"the limit is {cohomology.MAX_FACTOR_CELLS}\n"
+    )
+    assert run.stdout == ""
+
+
 def test_primitives_command_at_a_huge_max_t(tmp_path, capsys):
     src = tmp_path / "poly.coalg"
     src.write_text("char 5\npolynomial w 2\n")

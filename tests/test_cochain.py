@@ -9,6 +9,7 @@ from cohh.coalg import (
     CoalgebraPresentation,
     Cogenerator,
 )
+from cohh import cochain, selftest
 from cohh.cochain import (
     BidegreeWindow,
     DifferentialNotSquareZero,
@@ -17,11 +18,18 @@ from cohh.cochain import (
     build_complex,
     coface_terms,
     differential_terms,
+    normalized_differential_terms,
     tensor_basis,
+    tensor_bases,
     twist_first_to_last,
 )
 from cohh.exactfield import Field, SparseMatrix, rank
-from cohh.selftest import codegeneracy_terms, verify_cosimplicial_identities
+from cohh.selftest import (
+    CHARACTERISTICS,
+    _structural_corpus,
+    codegeneracy_terms,
+    verify_cosimplicial_identities,
+)
 
 
 def exterior(p, *degrees):
@@ -109,6 +117,29 @@ def test_tensor_basis_order_matches_independent_enumeration(C, max_t):
     assert tensor_basis(C, 0, 0, True) == [(C.unit(),)]
     assert tensor_basis(C, 2, 0, False) == [(C.unit(),) * 3]
     assert tensor_basis(C, 2, 0, True) == []
+
+
+@pytest.mark.parametrize(
+    "C, window",
+    [
+        (exterior(3, 7), (3, 14)),
+        (exterior(3, 3, 5), (4, 12)),
+        (exterior(3, 3, 3), (2, 9)),
+        (poly(3, 2), (4, 8)),
+        (gamma(3, 2), (3, 8)),
+        (CoalgebraPresentation(Field(5), []), (2, 3)),
+    ],
+    ids=["Lambda(7)", "Lambda(3,5)", "Lambda(3,3)", "k[w2]", "Gamma(2)", "trivial"],
+)
+def test_tensor_bases_list_every_spot_of_a_window_in_order(C, window):
+    max_s, max_t = window
+    spots = [(s, t) for s in range(max_s + 1) for t in range(max_t + 1)]
+    for normalized in (True, False):
+        bases = tensor_bases(C, max_s, max_t, normalized)
+        assert sorted(bases) == spots
+        for s, t in spots:
+            assert bases[(s, t)] == brute_tensor_basis(C, s, t, normalized), (s, t)
+    assert tensor_bases(C, -1, max_t, True) == tensor_bases(C, max_s, -1, False) == {}
 
 
 def test_normalized_tuples_have_no_interior_units():
@@ -200,6 +231,59 @@ def test_normalized_differential_image_stays_normalized():
                         assert all(any(m) for m in key[1:]), (tup, key, coeff)
 
 
+def differential_grid():
+    """Λ(y_d), k[w_d], Γ(x_d), truncated Γ_n(x_d) and w^0..w^n, and mixed
+    presentations, over Q, F_2, F_3 and F_5, each with a window."""
+    for p in (0, 2, 3, 5):
+        grid = [
+            ([Cogenerator("y", EXTERIOR, 1)], (4, 16)),
+            ([Cogenerator("y", EXTERIOR, 3)], (4, 16)),
+            ([Cogenerator("w", POLYNOMIAL, 2)], (4, 16)),
+            ([Cogenerator("w", POLYNOMIAL, 4)], (4, 16)),
+            ([Cogenerator("w", POLYNOMIAL, 2, truncation=4)], (4, 14)),
+            ([Cogenerator("x", DIVIDED_POWER, 2)], (4, 16)),
+            ([Cogenerator("x", DIVIDED_POWER, 2, truncation=2)], (4, 16)),
+            ([Cogenerator("x", DIVIDED_POWER, 4, truncation=3)], (4, 16)),
+            ([Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2)], (4, 12)),
+            ([Cogenerator("x", DIVIDED_POWER, 2, truncation=2),
+              Cogenerator("y", EXTERIOR, 3)], (4, 12)),
+            ([Cogenerator("y1", EXTERIOR, 3), Cogenerator("y2", EXTERIOR, 5)], (4, 16)),
+        ]
+        for cogs, window in grid:
+            yield CoalgebraPresentation(Field(p), cogs), BidegreeWindow(*window)
+
+
+def test_normalized_differential_equals_the_full_alternating_sum():
+    """The kept-terms formula equals `differential_terms` term for term on
+    every normalized tuple: the unit-bearing terms it never generates cancel
+    in the full sum."""
+    tuples = 0
+    for C, window in differential_grid():
+        reduced: dict = {}
+        for tups in tensor_bases(C, window.max_s, window.max_t, True).values():
+            for tup in tups:
+                want = differential_terms(C, tup)
+                assert normalized_differential_terms(C, tup) == want, (C.cogenerators, tup)
+                assert normalized_differential_terms(C, tup, reduced) == want
+                tuples += 1
+    assert tuples > 5_000
+
+
+def test_a_stray_unit_bearing_term_makes_build_complex_raise(monkeypatch):
+    """No projection drops a unit-bearing image term: it raises."""
+    kept = cochain.normalized_differential_terms
+
+    def stray(C, tup, reduced=None):
+        out = dict(kept(C, tup, reduced))
+        out[tup[:1] + (C.unit(),) + tup[1:]] = 1  # [c_0|1|c_1|...], same degree
+        return out
+
+    monkeypatch.setattr(cochain, "normalized_differential_terms", stray)
+    build_complex(gamma(3, 2), BidegreeWindow(2, 6), normalized=False)
+    with pytest.raises(KeyError, match="missing from the target basis"):
+        build_complex(gamma(3, 2), BidegreeWindow(2, 6))
+
+
 def coface_matrix(C, i, s, t):
     """Matrix of the i-th coface on the full tensor basis in internal degree t."""
     return _matrix_from_terms(
@@ -249,6 +333,32 @@ def test_cosimplicial_identities_detect_corrupted_twist(corrupted_twist):
     assert not report.passed
     assert (report.failure["i"], report.failure["j"]) == (1, 2)
     assert report.failure["family"] == "coface-coface"
+
+
+def test_identity_scan_counts_every_identity_of_the_structural_corpus():
+    """Identities out of an empty spot are counted without being evaluated."""
+    checked = sum(
+        verify_cosimplicial_identities(C, id_window).checked
+        for p in CHARACTERISTICS
+        for _, C, _, id_window in _structural_corpus(p)
+    )
+    assert checked == 15864
+
+
+def test_identity_scan_fails_on_a_coface_term_outside_the_target_basis(monkeypatch):
+    kept = selftest.coface_terms
+
+    def stray(C, i, s, tup):
+        out = dict(kept(C, i, s, tup))
+        if i == 1:
+            out[(C.unit(),) * (s + 2)] = 1  # degree 0, in a spot of degree t > 0
+        return out
+
+    C = exterior(3, 3)
+    assert verify_cosimplicial_identities(C, BidegreeWindow(2, 9)).passed
+    monkeypatch.setattr(selftest, "coface_terms", stray)
+    with pytest.raises(KeyError, match="missing from the target basis"):
+        verify_cosimplicial_identities(C, BidegreeWindow(2, 9))
 
 
 def test_coface_codegeneracy_matrix_shapes():

@@ -450,6 +450,29 @@ def test_factor_route_refuses_a_window_over_the_cell_limit():
     assert f"has {2 * (limit // 2 + 1)} cells; the limit is {limit}" in str(err.value)
 
 
+def test_factor_route_refuses_more_factor_cells_than_the_budget():
+    """The budget counts every Künneth factor, the Lucas digits of a
+    polynomial cogenerator over F_p too, before any factor is built."""
+    limit = cohomology.MAX_FACTOR_CELLS
+    window = BidegreeWindow(0, 19_999)  # 20 000 cells, the most accepted
+    factors = limit // 20_000
+    check_window(window, factors)
+    with pytest.raises(cohomology.WindowTooLarge) as err:
+        check_window(window, factors + 1)
+    assert str(err.value) == (
+        f"{factors + 1} factors times the 20000 cells of window "
+        f"BidegreeWindow(max_s=0, max_t=19999) make {(factors + 1) * 20_000}; "
+        f"the limit is {limit}"
+    )
+    # w_1 over F_2 splits into the 15 digit factors of degree 2^i <= 19 999
+    three = CoalgebraPresentation(
+        Field(2), [Cogenerator(f"w{i}", POLYNOMIAL, 1) for i in range(3)]
+    )
+    assert len(kunneth_factors(three, window.max_t)) == 45
+    with pytest.raises(cohomology.WindowTooLarge, match="^45 factors times"):
+        kunneth_table(three, window)
+
+
 def test_window_refusals_keep_their_messages():
     with pytest.raises(WindowTooSmall) as err:
         check_window(BidegreeWindow(-1, 24))
