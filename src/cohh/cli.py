@@ -15,8 +15,10 @@ dual to the Hochschild complex of its one-generator dual algebra
 n >= p gets its cyclic cobar complex.  So the report's `d_squared=ok` is
 checked on each factor's small complex, or on its cobar complex for that
 kind.  The complex of the whole presentation is never built.  A window of
-more than `cohomology.MAX_WINDOW_CELLS` cells, or more than
-`cohomology.MAX_FACTOR_CELLS` factors times cells, is refused with exit 2.
+more than `cohomology.MAX_WINDOW_CELLS` cells, more than
+`cohomology.MAX_FACTOR_CELLS` factors times cells, or more than
+`cohomology.MAX_CONVOLUTION_PAIRS` cells times nonzero entries of the factor
+tables after the first, is refused with exit 2.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,

@@ -189,19 +189,17 @@ def _matrix_from_terms(C, source_basis, target_basis, expand) -> SparseMatrix:
 class CochainComplex:
     """Bigraded complex with one sparse differential matrix per (s, t) spot."""
 
-    __slots__ = ("presentation", "window", "normalized", "spots", "differentials")
+    __slots__ = ("presentation", "window", "spots", "differentials")
 
     def __init__(
         self,
         presentation: CoalgebraPresentation,
         window: BidegreeWindow,
-        normalized: bool,
         spots: dict,          # (s, t) -> basis tuples, for 0 <= s <= max_s + 1
         differentials: dict,  # (s, t) -> SparseMatrix spot(s,t) -> spot(s+1,t)
     ):
         self.presentation = presentation
         self.window = window
-        self.normalized = normalized
         self.spots = spots
         self.differentials = differentials
 
@@ -244,7 +242,7 @@ def build_complex(
         for s in range(window.max_s + 1)
         for t in range(window.max_t + 1)
     }
-    cx = CochainComplex(C, window, normalized, spots, diffs)
+    cx = CochainComplex(C, window, spots, diffs)
     if check:
         check_square_zero(cx)
     return cx

@@ -52,15 +52,18 @@ from .errors import InvalidInput
 from .exactfield import SparseMatrix, rank
 
 FORMAT_VERSION = 2
-# Most (max_s + 1) * (max_t + 1) cells, and most factors * cells, that
-# `kunneth_table` accepts; see its docstring for the timings behind them.
+# Most (max_s + 1) * (max_t + 1) cells, most factors * cells, and most cells
+# * nonzero entries of the factor tables after the first that `kunneth_table`
+# accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
 MAX_FACTOR_CELLS = 600_000
+MAX_CONVOLUTION_PAIRS = 20_000_000
 
 
 class WindowTooLarge(InvalidInput):
-    """Bidegree window has more cells than `MAX_WINDOW_CELLS`, or more
-    factors * cells than `MAX_FACTOR_CELLS`."""
+    """Bidegree window has more cells than `MAX_WINDOW_CELLS`, more factors *
+    cells than `MAX_FACTOR_CELLS`, or more cells * nonzero entries of the
+    factor tables after the first than `MAX_CONVOLUTION_PAIRS`."""
 
 
 class BigradedTable(NamedTuple):
@@ -205,7 +208,7 @@ def factor_complex(F: CoalgebraPresentation, window: BidegreeWindow) -> CochainC
                 fld, len(spots[(s + 1, t)]), len(spots[(s, t)]),
                 {(0, 0): mult} if hit else {},
             )
-    return CochainComplex(F, window, True, spots, diffs)
+    return CochainComplex(F, window, spots, diffs)
 
 
 def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedTable:
@@ -225,9 +228,20 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     distinct exterior degrees at (40, 400), ~17 us per factor cell, where
     each factor is built and ranked and the convolved table fills the window;
     the largest such input accepted, 36 factors, takes ~10 s (Python 3.11,
-    shared 2-vCPU host).  The bound does not see a factor grid that is dense
-    in t, such as Γ(x_1) over F_2, whose convolution costs up to cells times
-    max_t per factor.
+    shared 2-vCPU host).
+
+    That bound does not see a factor grid that is dense in t, such as Γ(x_1)
+    over F_2, whose convolution visits up to cells times max_t pairs.
+    `convolve` meets the first table once, and each later table once per
+    entry of a grid that has at most one entry per cell, so cells times the
+    nonzero entries of every table after the first bounds the pairs it
+    visits past the first table; more than `MAX_CONVOLUTION_PAIRS` are
+    refused once the factor tables are built.  A pair costs more as the
+    convolved dimensions grow to hundreds of bits, and the costliest
+    measured, Γ(x_1) factors over F_2 at s = 0, take 330-440 ns per pair at
+    the limit: 2 factors at (0, 4471) 6.6 s, 8 at (0, 1689) 8.3 s and 50 at
+    (0, 638) 8.9 s.  A sparse grid costs less: 20 k[w_2] over Q at
+    (1, 724), 2.0e7 pairs, take 2.2 s.
     """
     factors = kunneth_factors(C, window.max_t)
     check_window(window, len(factors))
@@ -241,6 +255,14 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
             check_square_zero(cx)
             tables[key] = cohh_table(cx).entries
         grids.append(tables[key])
+    cells = (window.max_s + 1) * (window.max_t + 1)
+    entries = sum(1 for grid in grids[1:] for v in grid.values() if v)
+    if cells * entries > MAX_CONVOLUTION_PAIRS:
+        raise WindowTooLarge(
+            f"the {cells} cells of window {window} times the {entries} nonzero "
+            f"entries of its factor tables after the first make "
+            f"{cells * entries}; the limit is {MAX_CONVOLUTION_PAIRS}"
+        )
     return BigradedTable(window, convolve(window, grids))
 
 

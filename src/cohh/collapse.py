@@ -1,4 +1,4 @@
-"""Exhaustive bidegree analysis of page-r differentials on a symbolic E2 page.
+"""Bidegree analysis of page-r differentials on a symbolic E2 page, in closed form.
 
 Differentials move (s, t) to (s + r, t + r - 1) for r >= 2.  Sources are
 restricted to algebra indecomposables (a square-free exterior monomial times a
@@ -8,13 +8,18 @@ characteristic).  A certificate of collapse records that no candidate survives
 the arithmetic inside the stated search bounds; surviving candidates are
 reported as obstructions, never as nonzero differentials.
 
-The search enumerates each object once.  A source (ss, st) can hit a target
-(ts, tt) only if st - ss = tt - ts + 1 (with r = ts - ss >= 2), so targets are
-looked up by that key.  Sources are streamed depth-first over the exterior
-generators in ascending degree, and a branch is pruned once its internal
-degree passes max_t minus the least polynomial degree.  Before streaming, the
-sources are counted by a subset sum over the exterior degrees, and a page with
-more than MAX_SOURCES of them is refused.
+The candidates follow from the page's shape.  `E2Presentation` puts every
+polynomial generator w_j in column 1, so a source, a set of column-0 exterior
+generators times one w_j, sits at (1, st).  A target is a column-0 y_i at
+(0, |y_i|) or a power w_i^e at (e, e |w_i|), e = p^m (e = 1 alone if p = 0).
+A source at (1, st) reaches a target at (ts, tt) iff r = ts - 1 >= 2 and
+tt = st + r - 1.  So y_i, w_i and w_i^2 (ts <= 2) are never hit, and the
+sources of w_i^e with e >= 3 are exactly those of internal degree
+st = tt - ts + 2 = e (|w_i| - 1) + 2 < tt: the exterior sets of degree
+st - |w_j|, each times w_j, over every j.  They share a bidegree, the target
+and the page e - 1, so they are the witnesses of one obstruction.  The sets
+are listed once, keyed by degree, after `source_count` has refused a page
+with more than MAX_SOURCES sources.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ LAMBDA_POLY = "lambda_poly"
 GAMMA_EXTERIOR = "gamma_exterior"
 TRIVIAL = "trivial"
 OTHER = "other"
-# Largest source stream a page may ask for.  Time, memory and report size grow
-# with it: y_d, w_d for odd d <= 41 at max_t = 160 over F_2 is 1.6M sources,
-# which took 4.6 s and 194 MB and printed 8.7 MB.
+# Most sources a page may have.  Time, memory and report size grow with them:
+# y_d, w_d for odd d <= 41 at max_t = 160 over F_2 is 1.6M sources, which
+# took 4.6 s and 194 MB and printed 8.7 MB.
 MAX_SOURCES = 500_000
 
 CERTIFICATE_CAVEATS = (
@@ -66,7 +71,7 @@ class E2Presentation:
     """Symbolic E2 page: generators with bidegrees over a fixed characteristic."""
 
     def __init__(self, characteristic: int, generators):
-        self.field = Field(characteristic)
+        Field(characteristic)  # refuses a characteristic that is not 0 or a prime
         self.characteristic = characteristic
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
@@ -147,14 +152,15 @@ def _refuse_sources(count: str):
 
 
 def source_count(e2: E2Presentation, max_t: int) -> int:
-    """How many sources `_sources` streams, counted without streaming them.
+    """How many indecomposable sources of internal degree <= max_t the page
+    has, counted without listing them; it bounds the exterior sets, each of
+    which pairs with the least w, and the witnesses, each of which is a source.
 
-    `_sources` visits exactly the exterior sets of internal degree t <= max_t
-    minus the least polynomial degree, and pairs each with every w that
-    fits.  ways[t] counts the sets of degree t (a 0/1 subset-sum count over
-    the exterior degrees), so the count is the sum over w of the ways[t] with
-    t + |w| <= max_t.  A page past MAX_SOURCES is refused with InvalidInput:
-    also as soon as the distinct set degrees alone exceed it."""
+    ways[t] counts the exterior sets of degree t <= max_t minus the least
+    polynomial degree (a 0/1 subset-sum count over the exterior degrees), so
+    the count is the sum over w of the ways[t] with t + |w| <= max_t.  A page
+    past MAX_SOURCES is refused with InvalidInput: also as soon as the
+    distinct set degrees alone exceed it."""
     poly_t = [g.t for g in e2.polynomial]
     if not poly_t:
         return 0
@@ -172,45 +178,40 @@ def source_count(e2: E2Presentation, max_t: int) -> int:
     return count
 
 
-def _sources(e2: E2Presentation, max_t: int):
-    """Stream (exponents, bidegree) of every indecomposable source with t <= max_t.
+def _with(exps: tuple, i: int) -> tuple:
+    """exps with exponent 1 at position i."""
+    return exps[:i] + (1,) + exps[i + 1:]
 
-    A source is a set of column-0 exterior generators times one polynomial
-    generator w.  The sets are grown depth-first over the exterior generators
-    in ascending degree with a running internal degree.  A generator is added
-    only if the degree stays within max_t minus the least polynomial degree;
-    the first one that does not fit ends the branch, as every later one has
-    no smaller degree.  So every visited set pairs with at least one w, and
-    a page whose generators lie above max_t costs nothing, not 2^(#exterior).
-    A page with more than MAX_SOURCES sources is refused before the first."""
-    source_count(e2, max_t)
-    gens = e2.generators
-    poly = [(i, g) for i, g in enumerate(gens) if g.kind == POLYNOMIAL]
-    if not poly:
-        return
-    ext = sorted((g.t, i) for i, g in enumerate(gens) if g.kind == EXTERIOR and g.s == 0)
-    bound = max_t - min(g.t for _, g in poly)
-    stack = [(0, 0, ())]  # next exterior position, internal degree, chosen indices
-    while stack:
-        start, t, chosen = stack.pop()
-        exps = [0] * len(gens)
-        for i in chosen:
-            exps[i] = 1
-        for w, g in poly:
-            if t + g.t <= max_t:
-                exps[w] = 1
-                yield tuple(exps), (g.s, t + g.t)
-                exps[w] = 0
-        for k in range(start, len(ext)):
-            d, i = ext[k]
-            if t + d > bound:
-                break
-            stack.append((k + 1, t + d, chosen + (i,)))
+
+def _exterior_sets(e2: E2Presentation, max_t: int) -> dict:
+    """Internal degree -> exponent vectors of the column-0 exterior sets of
+    that degree, up to max_t minus the least polynomial degree: the list form
+    of `source_count`'s subset sum, which runs first and refuses an
+    over-budget page.  A page without sources has no sets."""
+    if not source_count(e2, max_t):
+        return {}
+    bound = max_t - min(g.t for g in e2.polynomial)
+    sets = {0: [(0,) * len(e2.generators)]}
+    for i, g in enumerate(e2.generators):
+        if g.kind == EXTERIOR and g.s == 0:
+            for t in sorted(sets, reverse=True):  # descending: g joins a set once
+                if t + g.t <= bound:
+                    sets.setdefault(t + g.t, []).extend(_with(v, i) for v in sets[t])
+    return sets
 
 
 def candidate_sources(e2: E2Presentation, max_t: int) -> list:
-    """Indecomposable source monomials of internal degree <= max_t, with bidegrees."""
-    return sorted(_sources(e2, max_t), key=lambda item: (item[1][1], item[0]))
+    """Indecomposable source monomials of internal degree <= max_t, with
+    bidegrees: every exterior set times every w that fits."""
+    sets = _exterior_sets(e2, max_t)
+    out = [
+        (_with(v, j), (g.s, t + g.t))
+        for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL
+        for t, vs in sets.items() if t + g.t <= max_t
+        for v in vs
+    ]
+    out.sort(key=lambda item: (item[1][1], item[0]))
+    return out
 
 
 def candidate_targets(e2: E2Presentation, max_t: int) -> list:
@@ -245,21 +246,14 @@ class CandidateDifferential(NamedTuple):
 
 
 def feasible_differentials(e2: E2Presentation, max_t: int) -> list:
-    """Every (source, target, r >= 2) satisfying (s+r, t+r-1) = target bidegree.
-
-    Source (ss, st) reaches target (ts, tt) iff st - ss = tt - ts + 1 and
-    r = ts - ss >= 2, so targets are indexed by the key tt - ts + 1 and each
-    streamed source looks up its key st - ss instead of scanning every target.
-    Sources come from the pruned search of `_sources`."""
-    by_key: dict = {}
-    for tgt, (ts, tt) in candidate_targets(e2, max_t):
-        by_key.setdefault(tt - ts + 1, []).append((tgt, (ts, tt)))
-    out = []
-    for src, (ss, st) in _sources(e2, max_t):
-        for tgt, tbid in by_key.get(st - ss, ()):
-            r = tbid[0] - ss
-            if r >= 2:
-                out.append(CandidateDifferential(src, tgt, r, (ss, st), tbid))
+    """Every (source, target, r >= 2) satisfying (s+r, t+r-1) = target bidegree:
+    by the rule of the module docstring, each witness of each obstruction
+    (`_obstructions`), ordered by source internal degree, page, source, target."""
+    out = [
+        CandidateDifferential(w, o.target, o.page, o.source_bidegree, o.target_bidegree)
+        for o in _obstructions(e2, max_t)
+        for w in o.witnesses
+    ]
     out.sort(key=lambda c: (c.source_bidegree[1], c.page, c.source, c.target))
     return out
 
@@ -331,25 +325,24 @@ class Obstruction(NamedTuple):
         return head
 
 
-def group_obstructions(candidates: list) -> list:
-    """Merge candidates per (source bidegree, target, page): one map, many witnesses."""
-    grouped: dict = {}
-    for c in candidates:
-        key = (c.source_bidegree, c.target, c.page)
-        grouped.setdefault(key, []).append(c)
+def _obstructions(e2: E2Presentation, max_t: int) -> list:
+    """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
+    source of internal degree st = tt - ts + 2, on page ts - 1: each exterior
+    set of degree st - |w_j|, times w_j.  Ordered as the candidates."""
+    sets = _exterior_sets(e2, max_t)
+    poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
     out = []
-    for (sbid, target, page), cs in grouped.items():
-        witnesses = tuple(sorted(c.source for c in cs))
-        out.append(
-            Obstruction(
-                source=witnesses[0],
-                target=target,
-                page=page,
-                source_bidegree=sbid,
-                target_bidegree=cs[0].target_bidegree,
-                witnesses=witnesses,
+    for target, (ts, tt) in candidate_targets(e2, max_t):
+        if ts < 3:
+            continue
+        st = tt - ts + 2
+        witnesses = tuple(sorted(
+            _with(v, j) for j, wt in poly for v in sets.get(st - wt, ())
+        ))
+        if witnesses:
+            out.append(
+                Obstruction(witnesses[0], target, ts - 1, (1, st), (ts, tt), witnesses)
             )
-        )
     out.sort(key=lambda o: (o.source_bidegree[1], o.page, o.source, o.target))
     return out
 
@@ -424,7 +417,10 @@ def gamma_collapse(e2: E2Presentation, max_t: int = 0) -> CollapseCertificate:
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
     """Full certificate for a recognized E2 shape.
 
-    A negative max_t is refused: an empty search would certify collapse."""
+    A negative max_t is refused: an empty search would certify collapse.
+    max_page_searched is e - 1 for the largest e = p^m with e min|w| <= max_t
+    (at least 1; 0 over Q), so it bounds every candidate's page e - 1, which
+    has e |w_i| <= max_t."""
     if max_t < 0:
         raise InvalidInput(f"max_t={max_t} is negative")
     shape = e2.shape()
@@ -432,12 +428,10 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
         return gamma_collapse(e2, max_t)
     if shape not in (LAMBDA_POLY, TRIVIAL):
         raise WrongShape("E2 page mixes generator kinds beyond the recognized shapes")
-    candidates = feasible_differentials(e2, max_t)
-    obstructions = group_obstructions(candidates)
+    obstructions = _obstructions(e2, max_t)
     checks: dict = {}
     if len(e2.exterior) == 2:
         checks.update(exton2_hypotheses(e2))
-    pages = [c.page for c in candidates]
     max_page = None
     if e2.polynomial:
         p = e2.characteristic
@@ -449,8 +443,6 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
             max_page = max(q // p - 1, 1)
         else:
             max_page = 0
-    if pages:
-        max_page = max(max_page or 0, max(pages))
     return CollapseCertificate(
         verdict="collapses" if not obstructions else "obstructed",
         obstructions=obstructions,

@@ -301,6 +301,25 @@ def test_cohh_refuses_too_many_factors_up_front(tmp_path):
     assert run.stdout == ""
 
 
+def test_cohh_refuses_a_dense_convolution_up_front(tmp_path):
+    """Γ(x_1) over F_2 has a class in every degree, so two of them at
+    (0, 19999) pass both window bounds but would convolve 20 000 x 20 000
+    entries; unrefused, this ran past 25 s."""
+    src = tmp_path / "dense.coalg"
+    src.write_text("char 2\ndivided_power a 1\ndivided_power b 1\n")
+    start = time.perf_counter()
+    run = run_cli("cohh", str(src), "--max-s", "0", "--max-t", "19999")
+    assert time.perf_counter() - start < 1
+    assert run.returncode == 2
+    assert run.stderr == (
+        "input error: the 20000 cells of window "
+        "BidegreeWindow(max_s=0, max_t=19999) times the 20000 nonzero entries "
+        "of its factor tables after the first make 400000000; "
+        f"the limit is {cohomology.MAX_CONVOLUTION_PAIRS}\n"
+    )
+    assert run.stdout == ""
+
+
 def test_primitives_command_at_a_huge_max_t(tmp_path, capsys):
     src = tmp_path / "poly.coalg"
     src.write_text("char 5\npolynomial w 2\n")

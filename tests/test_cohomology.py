@@ -473,6 +473,30 @@ def test_factor_route_refuses_more_factor_cells_than_the_budget():
         kunneth_table(three, window)
 
 
+def test_convolution_budget_counts_cells_times_later_factor_entries(monkeypatch):
+    """Three Γ(x_1) over F_2 at (0, 99): 100 cells times the 2 * 100 nonzero
+    entries of the tables after the first.  The product is accepted at the
+    limit and refused past it, before the convolution.  One factor alone is
+    never refused: its table is the convolution."""
+    def dense(n):
+        return CoalgebraPresentation(
+            Field(2), [Cogenerator(f"x{i}", DIVIDED_POWER, 1) for i in range(n)]
+        )
+
+    window = BidegreeWindow(0, 99)
+    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 20_000)
+    table = kunneth_table(dense(3), window)
+    assert [table.dim(0, t) for t in range(100)] == [
+        (t + 1) * (t + 2) // 2 for t in range(100)
+    ]
+    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 0)
+    assert kunneth_table(dense(1), window).nonzero() == {(0, t): 1 for t in range(100)}
+    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 19_999)
+    monkeypatch.setattr(cohomology, "convolve", None)
+    with pytest.raises(cohomology.WindowTooLarge, match="make 20000; the limit is 19999$"):
+        kunneth_table(dense(3), window)
+
+
 def test_window_refusals_keep_their_messages():
     with pytest.raises(WindowTooSmall) as err:
         check_window(BidegreeWindow(-1, 24))

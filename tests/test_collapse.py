@@ -20,7 +20,6 @@ from cohh.collapse import (
     exton2_hypotheses,
     feasible_differentials,
     gamma_collapse,
-    group_obstructions,
     source_count,
 )
 from cohh.exactfield import InvalidInput
@@ -104,7 +103,7 @@ def test_known_obstruction_p3():
         "d_2: y2*w1 (1, 8) -> w1^3 (3, 9)",
         "d_2: y1*w2 (1, 8) -> w1^3 (3, 9)",
     }
-    obs = group_obstructions(cands)
+    obs = analyze(e2, 40).obstructions
     assert len(obs) == 1
     o = obs[0]
     assert e2.format_monomial(o.source) == "y2*w1"
@@ -280,9 +279,76 @@ def test_source_count_equals_the_stream():
         ]
         e2 = E2Presentation(3, gens)
         max_t = rng.randrange(0, 90)
-        assert source_count(e2, max_t) == len(list(collapse._sources(e2, max_t))), gens
+        assert source_count(e2, max_t) == len(candidate_sources(e2, max_t)), gens
     benchmark_page = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
     assert source_count(benchmark_page, 160) == 48623 <= MAX_SOURCES
+
+
+def random_pages(seed: int, count: int):
+    """Seeded Λ ⊗ k[w] pages: p in {0, 2, 3, 5, 7}, up to 8 exterior and 4
+    polynomial generators in shuffled order, and a max_t below 70."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([0, 2, 3, 5, 7])
+        gens = [
+            E2Generator(f"y{i}", EXTERIOR, 0, rng.randrange(1, 30, 1 if p == 2 else 2))
+            for i in range(rng.randrange(0, 9))
+        ]
+        gens += [
+            E2Generator(f"w{i}", POLYNOMIAL, 1, rng.randrange(2, 20))
+            for i in range(rng.randrange(0, 5))
+        ]
+        rng.shuffle(gens)
+        yield E2Presentation(p, gens), rng.randrange(0, 70)
+
+
+def test_closed_form_search_equals_the_all_pairs_oracle_on_random_pages():
+    hits = 0
+    for e2, max_t in random_pages(15, 120):
+        fast = [(c.source, c.target, c.page) for c in feasible_differentials(e2, max_t)]
+        assert len(fast) == len(set(fast))
+        assert set(fast) == brute_force_feasible(e2, max_t), (e2.generators, max_t)
+        hits += bool(fast)
+    assert hits >= 20
+
+
+def test_obstructions_are_the_oracle_candidates_grouped_by_map():
+    """One obstruction per (source bidegree, target, page) of the oracle's
+    candidates, its witnesses sorted and its source the least of them, and
+    no candidate's page past max_page_searched."""
+    for e2, max_t in random_pages(16, 120):
+        grouped: dict = {}
+        for source, target, page in brute_force_feasible(e2, max_t):
+            key = (e2.bidegree(source), target, page)
+            grouped.setdefault(key, []).append(source)
+        cert = analyze(e2, max_t)
+        got = {
+            (o.source_bidegree, o.target, o.page): list(o.witnesses)
+            for o in cert.obstructions
+        }
+        assert got == {k: sorted(v) for k, v in grouped.items()}
+        assert len(got) == len(cert.obstructions)
+        for o in cert.obstructions:
+            assert o.source == o.witnesses[0]
+            assert o.target_bidegree == e2.bidegree(o.target)
+        keys = [(o.source_bidegree[1], o.page, o.source, o.target) for o in cert.obstructions]
+        assert keys == sorted(keys)
+        pages = [page for _, _, page in grouped]
+        assert max([cert.max_page_searched or 0, *pages]) == (cert.max_page_searched or 0)
+
+
+def test_analyze_reads_no_source_list(monkeypatch):
+    """The obstructions come from the targets: with every way of listing the
+    sources broken, the benchmark's page is still certified."""
+    def broken(*args):
+        raise AssertionError("analyze listed the sources")
+
+    monkeypatch.setattr(collapse, "candidate_sources", broken)
+    monkeypatch.setattr(collapse, "_sources", broken, raising=False)
+    e2 = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
+    cert = analyze(e2, 160)
+    assert cert.verdict == "obstructed"
+    assert sum(len(o.witnesses) for o in cert.obstructions) == 8621
 
 
 def test_over_budget_page_is_refused_before_streaming():
