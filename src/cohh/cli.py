@@ -255,8 +255,9 @@ def render_collapse_report(e2, cert, fmt: str) -> str:
     lines.append(f"verdict: {cert.verdict}")
     if cert.obstructions:
         lines.append("obstructions:")
+        names = cert.witness_names(e2)
         for o in cert.obstructions:
-            lines.append(f"  {o.describe(e2)}")
+            lines.append(f"  {o.describe(e2, names[o.source_bidegree])}")
     if cert.argument:
         lines.append(f"# argument: {cert.argument}")
     if cert.verdict == "collapses":

@@ -13,6 +13,10 @@ monomials, for tensor powers) with plain int coefficients: canonical residues
 in [1, p) over F_p, nonzero ints over Q.  Code here multiplies and negates
 ints and accumulates every term through `exactfield.add_term`, the one place
 where coefficients are reduced and vanishing terms dropped.
+
+A presentation caches, per argument, its basis in each degree, the coproduct
+of each monomial and the degree of each monomial; the Koszul sign of every
+twisted cobar term reads the degree of each of its factors.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ class CoalgebraPresentation:
                 raise ValueError(f"truncation of {cog.name} must be >= 1")
         self._basis_cache: dict = {}
         self._coproduct_cache: dict = {}
+        self._degree_cache: dict = {}
 
     # -- monomials ---------------------------------------------------------
 
@@ -97,7 +102,12 @@ class CoalgebraPresentation:
                 raise ValueError(f"exponent on {cog.name} exceeds truncation")
 
     def degree(self, m: tuple) -> int:
-        return sum(e * c.degree for e, c in zip(m, self.cogenerators))
+        d = self._degree_cache.get(m)
+        if d is None:
+            d = self._degree_cache[m] = sum(
+                e * c.degree for e, c in zip(m, self.cogenerators)
+            )
+        return d
 
     def format_monomial(self, m: tuple) -> str:
         parts = []

@@ -315,30 +315,35 @@ class Obstruction(NamedTuple):
     target_bidegree: tuple
     witnesses: tuple         # all source monomials in this bidegree
 
-    def describe(self, e2: E2Presentation) -> str:
+    def describe(self, e2: E2Presentation, names: Optional[list] = None) -> str:
+        """One report line; `names` are the witnesses formatted, when the
+        caller has them (`CollapseCertificate.witness_names`)."""
         head = CandidateDifferential.describe(self, e2)
         if len(self.witnesses) > 1:
-            others = ", ".join(
-                e2.format_monomial(w) for w in self.witnesses if w != self.source
-            )
-            head += f" (same-bidegree sources: {others})"
+            if names is None:
+                names = [e2.format_monomial(w) for w in self.witnesses]
+            head += f" (same-bidegree sources: {', '.join(names[1:])})"
         return head
 
 
 def _obstructions(e2: E2Presentation, max_t: int) -> list:
     """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
     source of internal degree st = tt - ts + 2, on page ts - 1: each exterior
-    set of degree st - |w_j|, times w_j.  Ordered as the candidates."""
+    set of degree st - |w_j|, times w_j.  Targets of one st share one sorted
+    witness tuple.  Ordered as the candidates."""
     sets = _exterior_sets(e2, max_t)
     poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
+    by_degree: dict = {}  # st -> the sorted sources of internal degree st
     out = []
     for target, (ts, tt) in candidate_targets(e2, max_t):
         if ts < 3:
             continue
         st = tt - ts + 2
-        witnesses = tuple(sorted(
-            _with(v, j) for j, wt in poly for v in sets.get(st - wt, ())
-        ))
+        witnesses = by_degree.get(st)
+        if witnesses is None:
+            witnesses = by_degree[st] = tuple(sorted(
+                _with(v, j) for j, wt in poly for v in sets.get(st - wt, ())
+            ))
         if witnesses:
             out.append(
                 Obstruction(witnesses[0], target, ts - 1, (1, st), (ts, tt), witnesses)
@@ -357,7 +362,17 @@ class CollapseCertificate(NamedTuple):
     argument: Optional[str] = None
     caveats: tuple = CERTIFICATE_CAVEATS
 
+    def witness_names(self, e2: E2Presentation) -> dict:
+        """Source bidegree -> the formatted witnesses of its obstructions,
+        which share them: each list is formatted once."""
+        names: dict = {}
+        for o in self.obstructions:
+            if o.source_bidegree not in names:
+                names[o.source_bidegree] = [e2.format_monomial(w) for w in o.witnesses]
+        return names
+
     def to_json_dict(self, e2: E2Presentation) -> dict:
+        names = self.witness_names(e2)
         return {
             "format_version": 1,
             "verdict": self.verdict,
@@ -372,9 +387,7 @@ class CollapseCertificate(NamedTuple):
                     "target": e2.format_monomial(o.target),
                     "source_bidegree": list(o.source_bidegree),
                     "target_bidegree": list(o.target_bidegree),
-                    "same_bidegree_sources": [
-                        e2.format_monomial(w) for w in o.witnesses
-                    ],
+                    "same_bidegree_sources": names[o.source_bidegree],
                 }
                 for o in self.obstructions
             ],

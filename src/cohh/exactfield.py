@@ -143,10 +143,6 @@ class SparseMatrix:
             add_term(entries, (r, c), v, fld)
         return cls(fld, rows, cols, entries)
 
-    @classmethod
-    def identity(cls, fld: Field, n: int) -> "SparseMatrix":
-        return cls(fld, n, n, {(i, i): 1 for i in range(n)})
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -175,6 +176,33 @@ def test_collapse_command_collapses_json(tmp_path, capsys):
     assert data["verdict"] == "collapses"
     assert data["obstructions"] == []
     assert data["convergence_note"]
+
+
+# The 24-generator page (y_d at (0, d) and w_d at (1, d), odd d = 3..25) at
+# --max-t 160: the sha256 of each report.  Report bytes change only with a
+# format_version bump.
+COLLAPSE_PAGE_SHA256 = {
+    (2, "table"): "5566e88b7d7efede0d824f444a21f2a2cf3ad71a6b02d914ce3c3b09e0f8c14d",
+    (2, "json"): "220b45995727dd9bce69a0cc968686ed29b35ad8b801478b3c4eb40786faf65f",
+    (3, "table"): "505fc008fbfce0decce9c261dc8d306716ea40fa8d1ad3a971ee84e2d82d071a",
+    (3, "json"): "6ccd629eab2c0041ff4644c262abdcb2936c160e380613a6324d24c4ab982033",
+}
+
+
+@pytest.mark.parametrize("p, fmt", sorted(COLLAPSE_PAGE_SHA256))
+def test_collapse_reports_of_the_24_generator_page_are_pinned(tmp_path, p, fmt):
+    degrees = range(3, 26, 2)
+    src = tmp_path / "e2.txt"
+    src.write_text(
+        f"char {p}\n"
+        + "".join(f"exterior y{d} 0 {d}\n" for d in degrees)
+        + "".join(f"polynomial w{d} 1 {d}\n" for d in degrees)
+    )
+    out = tmp_path / "report"
+    assert main(["collapse", str(src), "--max-t", "160", "--format", fmt,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == COLLAPSE_PAGE_SHA256[(p, fmt)]
 
 
 def test_collapse_command_gamma(tmp_path, capsys):

@@ -361,6 +361,68 @@ def test_identity_scan_fails_on_a_coface_term_outside_the_target_basis(monkeypat
         verify_cosimplicial_identities(C, BidegreeWindow(2, 9))
 
 
+def _corrupted(kept, i0, s0, degrees, corrupt):
+    """kept(C, i, s, tup), with corrupt applied to the image of every tuple
+    whose internal degree is in `degrees` under map i0 at level s0."""
+    def terms(C, i, s, tup):
+        out = kept(C, i, s, tup)
+        if (i, s) == (i0, s0) and sum(map(C.degree, tup)) in degrees:
+            return corrupt(C, out)
+        return out
+    return terms
+
+
+def _failure(family, i, j, s, t):
+    return {"family": family, "i": i, "j": j, "s": s, "t": t}
+
+
+# Lambda(y1, y2), |y1| = 3, |y2| = 5, over F_3 in the window (2, 10).  A
+# report names the first failing spot in the per-spot order (family, s, i, j,
+# then t) and counts the identities up to it; corrupted at several degrees,
+# the failure names the least.
+@pytest.mark.parametrize("i, s, degrees, checked, failure", [
+    (0, 0, (8,), 20, _failure("coface-coface", 0, 2, 0, 8)),
+    (1, 0, (5,), 17, _failure("coface-coface", 0, 2, 0, 5)),
+    (1, 1, (8,), 9, _failure("coface-coface", 0, 1, 0, 8)),
+    (2, 1, (3,), 15, _failure("coface-coface", 0, 2, 0, 3)),
+    (0, 2, (10,), 44, _failure("coface-coface", 0, 1, 1, 10)),
+    (3, 2, (8,), 64, _failure("coface-coface", 0, 3, 1, 8)),
+    (2, 2, (6,), 51, _failure("coface-coface", 0, 2, 1, 6)),
+    (1, 0, (5, 8), 17, _failure("coface-coface", 0, 2, 0, 5)),
+    (2, 2, (6, 8, 10), 51, _failure("coface-coface", 0, 2, 1, 6)),
+    (0, 1, (3, 5, 6, 8, 10), 4, _failure("coface-coface", 0, 1, 0, 3)),
+])
+def test_identity_scan_reports_a_negated_coface_exactly(
+    monkeypatch, i, s, degrees, checked, failure
+):
+    negate = lambda C, out: {k: C.field.scalar(-c) for k, c in out.items()}
+    monkeypatch.setattr(
+        selftest, "coface_terms",
+        _corrupted(selftest.coface_terms, i, s, degrees, negate),
+    )
+    report = verify_cosimplicial_identities(exterior(3, 3, 5), BidegreeWindow(2, 10))
+    assert report == (False, checked, failure)
+
+
+@pytest.mark.parametrize("i, s, degrees, checked, failure", [
+    (0, 0, (3,), 147, _failure("mixed", 0, 0, 0, 3)),
+    (0, 0, (8,), 152, _failure("mixed", 0, 0, 0, 8)),
+    (1, 1, (8,), 108, _failure("codegeneracy-codegeneracy", 0, 0, 0, 8)),
+    (0, 1, (6,), 128, _failure("codegeneracy-codegeneracy", 0, 1, 1, 6)),
+    (2, 2, (9,), 329, _failure("mixed", 2, 2, 2, 9)),
+    (0, 2, (10,), 121, _failure("codegeneracy-codegeneracy", 0, 0, 1, 10)),
+])
+def test_identity_scan_reports_a_dropped_codegeneracy_exactly(
+    monkeypatch, i, s, degrees, checked, failure
+):
+    monkeypatch.setattr(
+        selftest, "codegeneracy_terms",
+        _corrupted(selftest.codegeneracy_terms, i, s, degrees, lambda C, out: {}),
+    )
+    report = verify_cosimplicial_identities(exterior(3, 3, 5), BidegreeWindow(2, 10))
+    assert report == (False, checked, failure)
+
+
 def test_coface_codegeneracy_matrix_shapes():
     C = poly(3, 2)
     for i in range(3):
