@@ -315,13 +315,12 @@ class Obstruction(NamedTuple):
     target_bidegree: tuple
     witnesses: tuple         # all source monomials in this bidegree
 
-    def describe(self, e2: E2Presentation, names: Optional[list] = None) -> str:
-        """One report line; `names` are the witnesses formatted, when the
-        caller has them (`CollapseCertificate.witness_names`)."""
+    def describe(self, e2: E2Presentation, names: list) -> str:
+        """One report line; `names` are the witnesses formatted, as
+        `CollapseCertificate.witness_names` gives them.  The first is the
+        source, which is the least witness, and is not repeated."""
         head = CandidateDifferential.describe(self, e2)
         if len(self.witnesses) > 1:
-            if names is None:
-                names = [e2.format_monomial(w) for w in self.witnesses]
             head += f" (same-bidegree sources: {', '.join(names[1:])})"
         return head
 

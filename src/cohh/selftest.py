@@ -14,8 +14,10 @@ The identity scan evaluates whole levels.  Every coface and codegeneracy
 preserves the internal degree, so each is built once per cosimplicial level,
 over every internal degree of the window, as a list of sparse columns, and
 each identity is one column-by-column composition per level rather than one
-matrix product per spot.  It still reports, and counts up to, the first
-failing spot in the per-spot order.
+matrix product per spot.  A mismatch is still reported, and counted up to,
+at the first failing spot in the per-spot order; but a map is built for its
+whole level, so an image term outside the target basis at any t raises
+before an identity that uses the map is compared at all.
 """
 
 from __future__ import annotations
@@ -286,9 +288,12 @@ def verify_cosimplicial_identities(
     Each image term is looked up in its own spot (s+1, t), not in one index
     of the whole level, so a term of another internal degree is not read as
     a row of the level: it raises KeyError, as any image term outside the
-    target basis does.  An identity whose source spot is empty compares two
-    maps out of a zero space, so it is counted in `checked` and has no
-    column to compare.
+    target basis does.  A map is built for its whole level the first time an
+    identity needs it, so such a term at any t raises then, before that
+    identity is compared: a mismatch of the identity at a lower t, which the
+    per-spot order would report, is not reported.  An identity whose source
+    spot is empty compares two maps out of a zero space, so it is counted in
+    `checked` and has no column to compare.
     """
     max_s, max_t = window.max_s, window.max_t
     bases = tensor_bases(C, max_s + 1, max_t, normalized=False)

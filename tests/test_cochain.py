@@ -404,6 +404,29 @@ def test_identity_scan_reports_a_negated_coface_exactly(
     assert report == (False, checked, failure)
 
 
+def test_a_stray_coface_term_raises_before_a_lower_mismatch_is_reported(monkeypatch):
+    """Coface 0 at level 1 is built for the whole level before the first
+    identity that uses it is compared: a term outside the target basis at
+    t = 8 raises, though the same identity already differs at t = 3."""
+    C = exterior(3, 3, 5)
+    window = BidegreeWindow(2, 10)
+    negate = lambda C, out: {k: C.field.scalar(-c) for k, c in out.items()}
+    negated = _corrupted(selftest.coface_terms, 0, 1, (3,), negate)
+    monkeypatch.setattr(selftest, "coface_terms", negated)
+    assert verify_cosimplicial_identities(C, window) == (
+        False, 4, _failure("coface-coface", 0, 1, 0, 3)
+    )
+
+    def stray(C, out):
+        return {**out, (C.unit(),) * 3: 1}  # degree 0, in a spot of degree 8
+
+    monkeypatch.setattr(
+        selftest, "coface_terms", _corrupted(negated, 0, 1, (8,), stray)
+    )
+    with pytest.raises(KeyError, match="missing from the target basis"):
+        verify_cosimplicial_identities(C, window)
+
+
 @pytest.mark.parametrize("i, s, degrees, checked, failure", [
     (0, 0, (3,), 147, _failure("mixed", 0, 0, 0, 3)),
     (0, 0, (8,), 152, _failure("mixed", 0, 0, 0, 8)),
