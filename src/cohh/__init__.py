@@ -1,7 +1,8 @@
 """Exact coHochschild homology of graded coalgebras over a field.
 
-Builds the cosimplicial coproduct complex of a presented coalgebra, computes
-its bigraded cohomology exactly, extracts primitives and indecomposables, and
+Computes the bigraded coHochschild table of a presented coalgebra exactly,
+from closed-form factor tables (d.d = 0 is checked on the one kind of factor
+that needs a complex), extracts primitives and indecomposables, and
 certifies spectral-sequence collapse by exhaustive bidegree analysis.
 
 The public names below load their module on first access (PEP 562), so

@@ -6,15 +6,13 @@ files use `<kind> <name> <s> <t>` lines instead.  Report bodies are
 deterministic (byte-identical for identical inputs); timing goes to stderr.
 
 `cohh cohh` computes its table by the factor route (`kunneth_table`): one
-complex per cogenerator, and over F_p one per base-p digit of a polynomial
-cogenerator (Lucas's theorem), each built and checked for d.d = 0 exactly.
-Their tables are convolved (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven,
-Shipley and Ziegenhagen, 2018).  Each factor's complex is the small one,
-dual to the Hochschild complex of its one-generator dual algebra
-(`factor_complex`); only a polynomial cogenerator over F_p truncated at
-n >= p gets its cyclic cobar complex.  So the report's `d_squared=ok` is
-checked on each factor's small complex, or on its cobar complex for that
-kind.  The complex of the whole presentation is never built.  A window of
+factor per cogenerator, and over F_p one per base-p digit of a polynomial
+cogenerator (Lucas's theorem), each with a closed-form table
+(`factor_entries`), convolved (Künneth for Cotor; Bohmann, Gerhardt,
+Høgenhaven, Shipley and Ziegenhagen, 2018).  The report's `d_squared=ok`
+means that d.d = 0 was checked exactly on every complex the table comes
+from; for every input the grammar accepts there is none, as no complex is
+built.  A window of
 more than `cohomology.MAX_WINDOW_CELLS` cells, more than
 `cohomology.MAX_FACTOR_CELLS` factors times cells, or more than
 `cohomology.MAX_CONVOLUTION_PAIRS` cells times nonzero entries of the factor
@@ -201,10 +199,10 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
     """The `cohh cohh` report in one format.
 
     `d_squared=ok` is printed unconditionally: the table is only computed
-    after d.d = 0 has been checked exactly on every factor complex it comes
-    from (`kunneth_table`), and a failure raises before anything renders.
-    That is each factor's small complex, or its cobar complex for a
-    polynomial cogenerator over F_p truncated at n >= p (`factor_complex`)."""
+    after d.d = 0 has been checked exactly on every complex it comes from
+    (`kunneth_table`), and a failure raises before anything renders.  For
+    every input the grammar accepts the table comes in closed form from no
+    complex, so the line holds vacuously."""
     presentation = format_presentation(C).splitlines()
     comments = [
         f"# window: max_s={window.max_s} max_t={window.max_t}",

@@ -7,8 +7,8 @@ Over a field each entry is fixed by ranks alone:
 where n_{s,t} is the spot dimension.  The differential preserves internal
 degree and the window starts at s = 0, so every incoming differential lies
 inside the window and every entry is exact.  The formula counts cohomology
-only when d.d = 0, which `check_square_zero` checks exactly before any table
-is computed from a complex.
+only when d.d = 0, which `build_complex` checks exactly
+(`cochain.check_square_zero`) before any table is computed from a complex.
 
 The table of a presentation is computed by the factor route, `kunneth_table`:
 the coalgebra is the tensor product of its one-cogenerator factors, and over
@@ -18,7 +18,7 @@ Ziegenhagen, "Computational tools for topological coHochschild homology",
 2018).  Over F_p a polynomial cogenerator splits further into truncated
 factors by Lucas's theorem (`kunneth_factors`).
 
-Each factor's table comes from a small complex (`factor_complex`).  For a
+Each factor's table comes in closed form (`factor_entries`).  For a
 finite-type connected coalgebra C, the cyclic cobar complex is the
 degreewise linear dual of the Hochschild complex of the dual algebra
 A = Hom(C, k), so both have the same table.  For one cogenerator of degree d, A is
@@ -29,11 +29,12 @@ Such an A has a small resolution over A (x) A, 2-periodic for k[x]/(x^N) and
 of length 1 for k[x], whose maps become 0 and multiplication by N x^(N-1)
 after tensoring with A (Buenos Aires Cyclic Homology Group, "Cyclic homology
 of algebras with one generator", K-Theory 5, 1991).  Its dual has at most one
-class per spot.  A polynomial cogenerator over F_p truncated at n >= p has a
-truncated divided-power dual with more than one generator; it alone keeps its
-cobar complex.  The cobar complexes of the factors and of the whole
-presentation are otherwise built only as oracles, by the tests and
-`selftest`.
+class per spot and at most one map that can be nonzero, so its table is read
+off without building it.  A polynomial cogenerator over F_p truncated at
+n >= p has a truncated divided-power dual with more than one generator; it
+alone keeps its cobar complex, the only complex a table comes from, and the
+grammar cannot express it.  The cobar complexes are otherwise built only
+as oracles, by the tests and `selftest`.
 """
 
 from __future__ import annotations
@@ -41,15 +42,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
-from .cochain import (
-    BidegreeWindow,
-    CochainComplex,
-    WindowTooSmall,
-    build_complex,
-    check_square_zero,
-)
+from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_complex
 from .errors import InvalidInput
-from .exactfield import SparseMatrix, rank
+from .exactfield import rank
 
 FORMAT_VERSION = 2
 # Most (max_s + 1) * (max_t + 1) cells, most factors * cells, and most cells
@@ -160,75 +155,61 @@ def convolve(window: BidegreeWindow, grids) -> dict:
     }
 
 
-def factor_complex(F: CoalgebraPresentation, window: BidegreeWindow) -> CochainComplex:
-    """The small complex of a one-cogenerator presentation F over the window.
+def factor_entries(cog: Cogenerator, p: int, window: BidegreeWindow) -> dict:
+    """The nonzero table entries, each 1, of a one-cogenerator factor over
+    characteristic p, read off its small complex (see the module docstring).
 
-    The dual of the small Hochschild complex of F's dual algebra k[x]/(x^N)
-    (see the module docstring).  Spot s = 2k + e, e in {0, 1}, holds the
-    classes x^j, labelled j, at t = (kN + e + j) d for j = 0..N-1; for k[x]
-    only k = 0 occurs, with every j >= 0.  The only map that may be nonzero
-    is multiplication by N (up to a sign no rank sees) from (2k+1, (k+1)Nd)
-    to (2k+2, (k+1)Nd).  An exterior factor has N = 2 and zero maps: for odd
-    |y| the Koszul sign cancels the two terms of the map, and for even |y|
-    the field is F_2.  A polynomial cogenerator over F_p, untruncated or
-    truncated at n >= p, gets its cobar complex.  Nothing is checked here;
-    `kunneth_table` checks d.d = 0 on what this returns.
+    Spot s = 2k + e, e in {0, 1}, holds one class at each t = (kN + e + j) d
+    for j = 0..N-1; for k[x] only k = 0 occurs, with every j >= 0.  The only
+    map that may be nonzero is multiplication by N, from (2k+1, (k+1)Nd) to
+    (2k+2, (k+1)Nd); when it is nonzero, its two classes leave the table.  An
+    exterior factor has N = 2 and zero maps: for odd |y| the Koszul sign
+    cancels the two terms of the map, and for even |y| the field is F_2.  A
+    polynomial cogenerator over F_p, untruncated or truncated at n >= p, has
+    no such complex; `kunneth_table` gives it its cobar complex.
     """
-    (cog,) = F.cogenerators
-    fld = F.field
-    p = fld.characteristic
-    if cog.kind == POLYNOMIAL and p and (cog.truncation is None or cog.truncation >= p):
-        return build_complex(F, window, check=False)
     d = cog.degree
     if cog.kind == EXTERIOR:
-        N, mult = 2, 0
+        N, live = 2, False
     elif cog.truncation is None:
-        N, mult = None, 0
+        N, live = None, False
     else:
         N = cog.truncation + 1
-        mult = fld.scalar(N)
-
-    def labels(s: int, t: int) -> list:
-        k, e = divmod(s, 2)
-        if t % d or (N is None and k):
-            return []
-        j = t // d - e - k * (N or 0)
-        return [j] if j >= 0 and (N is None or j < N) else []
-
-    spots = {
-        (s, t): labels(s, t)
-        for s in range(window.max_s + 2)
-        for t in range(window.max_t + 1)
-    }
-    diffs = {}
+        live = not p or N % p != 0
+    entries = {}
     for s in range(window.max_s + 1):
-        for t in range(window.max_t + 1):
-            hit = mult and s % 2 and t == (s // 2 + 1) * N * d
-            diffs[(s, t)] = SparseMatrix(
-                fld, len(spots[(s + 1, t)]), len(spots[(s, t)]),
-                {(0, 0): mult} if hit else {},
-            )
-    return CochainComplex(F, window, spots, diffs)
+        k, e = divmod(s, 2)
+        if N is None and k:
+            break
+        for j in range(N or window.max_t // d + 1):
+            t = (k * (N or 0) + e + j) * d
+            if t > window.max_t:
+                break
+            # s = 2k+1 and s = 2k+2 both have (s+1)//2 = k+1
+            if not (live and s and t == (s + 1) // 2 * N * d):
+                entries[(s, t)] = 1
+    return entries
 
 
 def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedTable:
     """Cohomology table of C: the convolution of its `kunneth_factors`' tables.
 
-    Each factor's table comes from its `factor_complex`, on which d.d = 0 is
-    checked exactly, so it is checked on every complex the table comes from.
+    Each factor's table is its closed form, `factor_entries`, except for a
+    polynomial cogenerator over F_p truncated at n >= p: its cobar complex is
+    built, checked for d.d = 0 exactly and ranked.  So d.d = 0 is checked on
+    every complex the table comes from, and a closed-form factor has none.
     A factor's table depends only on its cogenerator's kind, degree and
-    truncation, not on its name, so equal factors are built and ranked once
-    per call.
+    truncation, not on its name, so equal factors are computed once per call.
 
     A window of more than `MAX_WINDOW_CELLS` cells, or more than
     `MAX_FACTOR_CELLS` factors * cells, is refused before any work
     (`check_window`).  The cost is O(factors * cells) for the factor tables
-    plus the convolution.  At (40, 400), 16 441 cells, this takes about 1 s
+    plus the convolution.  At (40, 400), 16 441 cells, this takes about 0.1 s
     for k[w2] over F_3.  The most expensive kind per factor cell measured is
-    distinct exterior degrees at (40, 400), ~17 us per factor cell, where
-    each factor is built and ranked and the convolved table fills the window;
-    the largest such input accepted, 36 factors, takes ~10 s (Python 3.11,
-    shared 2-vCPU host).
+    distinct exterior degrees at (40, 400), ~8 us per factor cell, where the
+    convolved table fills the window; the largest such input accepted, 36
+    odd degrees over Q, takes 4.2-4.6 s, of which its factor tables take
+    ~2 ms and the convolution the rest (Python 3.11, shared 2-vCPU host).
 
     That bound does not see a factor grid that is dense in t, such as Γ(x_1)
     over F_2, whose convolution visits up to cells times max_t pairs.
@@ -243,6 +224,7 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     (0, 638) 8.9 s.  A sparse grid costs less: 20 k[w_2] over Q at
     (1, 724), 2.0e7 pairs, take 2.2 s.
     """
+    p = C.field.characteristic
     factors = kunneth_factors(C, window.max_t)
     check_window(window, len(factors))
     tables: dict = {}  # (kind, degree, truncation) -> entries
@@ -251,9 +233,10 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
         (cog,) = F.cogenerators
         key = (cog.kind, cog.degree, cog.truncation)
         if key not in tables:
-            cx = factor_complex(F, window)
-            check_square_zero(cx)
-            tables[key] = cohh_table(cx).entries
+            if cog.kind == POLYNOMIAL and p and cog.truncation >= p:
+                tables[key] = cohh_table(build_complex(F, window)).entries
+            else:
+                tables[key] = factor_entries(cog, p, window)
         grids.append(tables[key])
     cells = (window.max_s + 1) * (window.max_t + 1)
     entries = sum(1 for grid in grids[1:] for v in grid.values() if v)
@@ -320,11 +303,15 @@ def presentation_euler_check(
     delta_{t,0} for every connected C, as a(q) sum_s (1 - a(q))^s = 1.
 
     What it catches: a table entry that is off, as from an error in the
-    convolution.  What it cannot catch: a wrong rank inside one factor, which
-    moves two neighbouring entries oppositely and telescopes; nor a wrong
-    split into connected factors, whose convolved table has the same
-    alternating sums.  The factor-route oracle tests in
-    tests/test_cohomology.py guard both.
+    convolution, or a closed-form factor table that gains or loses one entry
+    (`factor_entries` has no ranks to telescope).  What it cannot catch: a
+    closed-form table that keeps or drops both classes of a map, at (s, t)
+    and (s+1, t); a wrong rank inside a factor whose cobar complex is
+    ranked, which moves two neighbouring entries oppositely and telescopes;
+    nor a wrong split into connected factors, whose convolved table has the
+    same alternating sums.  `selftest`'s cross-check against the cobar
+    complex and the factor-route oracle tests in tests/test_cohomology.py
+    guard these.
     """
     spots = spot_dimensions(C, window)
     least = min((c.degree for c in C.cogenerators), default=None)

@@ -424,8 +424,8 @@ def _structural_corpus(p: int):
     yield "Gamma(2)", _gamma_presentation(p, 2), BidegreeWindow(3, 12), BidegreeWindow(2, 8)
     yield "Gamma(4)", _gamma_presentation(p, 4), BidegreeWindow(3, 16), BidegreeWindow(2, 12)
     yield "Lambda(3,5)", _lambda_presentation(p, [3, 5]), BidegreeWindow(3, 16), BidegreeWindow(2, 10)
-    # H_*(CP^2): its small factor complex maps (1,6) -> (2,6) and (3,12) -> (4,12)
-    # by N = 3, which is nonzero unless p = 3
+    # H_*(CP^2): the one closed-form table that loses classes to the map by
+    # N = 3, at (1,6), (2,6), (3,12) and (4,12), unless p = 3
     yield "Gamma_2(2)", _gamma_presentation(p, 2, 2), BidegreeWindow(4, 12), BidegreeWindow(2, 8)
 
 

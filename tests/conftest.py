@@ -1,6 +1,6 @@
 import pytest
 
-from cohh import cochain, cohomology
+from cohh import cochain
 
 
 @pytest.fixture
@@ -16,14 +16,3 @@ def corrupted_twist(monkeypatch):
         return {key: C.field.scalar(-c) for key, c in twist(C, terms).items()}
 
     monkeypatch.setattr(cochain, "twist_first_to_last", flipped)
-
-
-@pytest.fixture
-def cobar_factors(monkeypatch):
-    """Give every Künneth factor its cobar complex, unchecked, as
-    `factor_complex` gives the non-monogenic kind, so that `kunneth_table`'s
-    own d.d = 0 check and a corrupted twist reach the factor route."""
-    monkeypatch.setattr(
-        cohomology, "factor_complex",
-        lambda F, window: cochain.build_complex(F, window, check=False),
-    )

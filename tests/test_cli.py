@@ -18,9 +18,11 @@ from cohh.cli import (
     parse_e2,
     parse_presentation,
 )
+from cohh.coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
 from cohh.cochain import BidegreeWindow, build_complex
 from cohh.cohomology import cohh_table, table_to_csv
-from cohh.exactfield import SparseMatrix
+from cohh.errors import InvariantFailure
+from cohh.exactfield import Field
 from cohh.selftest import TIME_BUDGETS_SECONDS
 
 LAMBDA3 = "# one odd exterior class\nchar 3\nexterior y 3\n"
@@ -203,6 +205,49 @@ def test_collapse_reports_of_the_24_generator_page_are_pinned(tmp_path, p, fmt):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == COLLAPSE_PAGE_SHA256[(p, fmt)]
+
+
+# `cohh cohh` reports at the default window unless given: the sha256 of each
+# format.  Report bytes change only with a format_version bump.
+COHH_INPUTS = {
+    "kw2-f3": ("char 3\npolynomial w 2\n", ["--max-s", "6", "--max-t", "24"]),
+    "lambda35-f3": ("char 3\nexterior y1 3\nexterior y2 5\n", ["--max-s", "6", "--max-t", "40"]),
+    "gamma2-q": ("char 0\ndivided_power x 2\n", []),
+    "lambda3-kw2-q": ("char 0\nexterior y 3\npolynomial w 2\n", []),
+    "kw1-f2": ("char 2\npolynomial w 1\n", []),
+    "empty": ("char 0\n", []),
+}
+COHH_REPORT_SHA256 = {
+    ("kw2-f3", "table"): "776a151c03878f6fa604925b8e9d3f4eafaf8dd5dba6adc3bd3abe0fe1331af5",
+    ("kw2-f3", "csv"): "278f9f1db80da45b2d7b41ecdce3c6ba45428b37adf76118f17b6b495fcb029e",
+    ("kw2-f3", "json"): "79e7fa8478e7ed64174e5e0f522e7dcc80adce81ec7e05e492ef90ab591f9c98",
+    ("lambda35-f3", "table"): "ef4cbb0f27ded49aeee28358f67f97c660e85026ede24bfb9394f2b58306c457",
+    ("lambda35-f3", "csv"): "22e1d57dc1fa8ff516baecfca0b3f3fb99d7ad53527fb49578a588d32a1e7e0a",
+    ("lambda35-f3", "json"): "f2bb5424b2cabf14d8c5b4d71d0ee3c833bc84b5da70c9df15430a75d58a3827",
+    ("gamma2-q", "table"): "24e99265f70123a24a9153f0f7a7a915a4cdb44a01fbac381b22291bce252e25",
+    ("gamma2-q", "csv"): "f906b54368ec3be9cb3899003a80baddf45d44fa6ad634733f87b5140b55816c",
+    ("gamma2-q", "json"): "1ef53886d828fdbba76d289a3076b2dca305e114d355bbe3ce3e1fd7bc56c425",
+    ("lambda3-kw2-q", "table"): "6fd76fcbcf7e386b2f18a8b7e206803da2dfb6ed6ddaffd0ac10404206375511",
+    ("lambda3-kw2-q", "csv"): "0f8310fd9ce14013ca37bf24a960f623d905dc223c58bce7da68f46ebacb6217",
+    ("lambda3-kw2-q", "json"): "3bb522f05214bf36a8850c7208b4584d87a903e6396464ccc9dbb74a8816c69b",
+    ("kw1-f2", "table"): "3c7d2b604154cb79259a83b61cddcf32bd74fe37253e128195235c122bf8b547",
+    ("kw1-f2", "csv"): "bb7cfa6298421e3704111545981536ecb3fcbcab6b8d16ea9deec88b3df0c517",
+    ("kw1-f2", "json"): "c63ffc297ff5365aa0f7ab0228ab30b9e445d4448e2f300f721f3bbce2d73f77",
+    ("empty", "table"): "0cca2f7685af623b2da35fc3abb25f7fa7baccb026e76eabbb4803d671a92688",
+    ("empty", "csv"): "189f8e0b895d3917e744eed24675288d6b13eda5de9af872de44d5b360a9ad2f",
+    ("empty", "json"): "e1ee58cb5c2e5f4a58ea995e8f9be1f0b2820af2fc58b608a42ddd8cc1ddfde6",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(COHH_REPORT_SHA256))
+def test_cohh_reports_are_pinned(tmp_path, name, fmt):
+    text, window = COHH_INPUTS[name]
+    src = tmp_path / "input.coalg"
+    src.write_text(text)
+    out = tmp_path / "report"
+    assert main(["cohh", str(src), *window, "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == COHH_REPORT_SHA256[(name, fmt)]
 
 
 def test_collapse_command_gamma(tmp_path, capsys):
@@ -388,15 +433,20 @@ def test_selftest_command(capsys):
         )
 
 
-def test_selftest_corrupt_twist(corrupted_twist, cobar_factors, capsys):
+def test_selftest_isolates_a_check_that_raises(capsys, monkeypatch):
+    def corrupted(cog, p, window):
+        raise InvariantFailure("corrupted factor table")
+
+    monkeypatch.setattr(cohomology, "factor_entries", corrupted)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     out = captured.out
     # a check that raises an invariant error fails alone; the run goes on
-    assert "FAIL divided-power-grid-reproduction (d.d != 0 first fails at" in out
-    assert "FAIL hz-pipeline (pipeline table did not identify as expected" in out
-    assert "FAIL lambda-grid-reproduction (table mismatch" in out
-    assert "FAIL structural-invariants (" in out
+    for name in (
+        "lambda-grid-reproduction", "divided-power-grid-reproduction",
+        "hz-pipeline", "structural-invariants",
+    ):
+        assert f"FAIL {name} (corrupted factor table)" in out
     assert out.count("PASS ") == 4
     assert "# total: 8 checks, 4 failed" in out
     for name in TIME_BUDGETS_SECONDS:
@@ -404,8 +454,8 @@ def test_selftest_corrupt_twist(corrupted_twist, cobar_factors, capsys):
 
 
 def test_a_corrupt_twist_reaches_only_the_cobar_oracle(corrupted_twist, capsys):
-    """The small factor complexes use no twist: the grid and pipeline checks
-    pass, and the selftest's cobar oracle tells the two routes apart."""
+    """The closed-form factor tables use no twist: the grid and pipeline
+    checks pass, and the selftest's cobar oracle tells the two routes apart."""
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert (
@@ -416,16 +466,14 @@ def test_a_corrupt_twist_reaches_only_the_cobar_oracle(corrupted_twist, capsys):
 
 
 def test_selftest_catches_a_small_complex_without_its_map(capsys, monkeypatch):
-    small = cohomology.factor_complex
+    """Asked for over a characteristic that divides N, the closed form keeps
+    the two classes that the small complex's map by N removes."""
+    closed = cohomology.factor_entries
 
-    def zero_maps(F, window):
-        cx = small(F, window)
-        cx.differentials = {
-            k: SparseMatrix(m.field, m.rows, m.cols) for k, m in cx.differentials.items()
-        }
-        return cx
+    def zero_map(cog, p, window):
+        return closed(cog, cog.truncation + 1 if cog.truncation else p, window)
 
-    monkeypatch.setattr(cohomology, "factor_complex", zero_maps)
+    monkeypatch.setattr(cohomology, "factor_entries", zero_map)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert (
@@ -558,12 +606,39 @@ def test_cohh_command_fails_the_euler_check_on_a_corrupted_convolution(
     assert checks["euler"] == "FAIL at internal degree t=6"
 
 
-def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(
-    tmp_path, capsys, corrupted_twist, cobar_factors
+def test_cohh_command_fails_the_euler_check_on_a_dropped_factor_entry(
+    tmp_path, capsys, monkeypatch
 ):
-    src = tmp_path / "gamma.coalg"
-    src.write_text("char 3\ndivided_power x 2\n")
-    assert main(["cohh", str(src), "--max-s", "2", "--max-t", "6"]) == 1
+    """A closed-form table has no ranks to telescope, so one missing entry
+    shows in the alternating sums."""
+    closed = cohomology.factor_entries
+
+    def dropped(cog, p, window):
+        entries = closed(cog, p, window)
+        if cog.kind == EXTERIOR and cog.degree == 3:
+            del entries[(1, 3)]
+        return entries
+
+    monkeypatch.setattr(cohomology, "factor_entries", dropped)
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    assert main(["cohh", str(src), "--max-s", "4", "--max-t", "12"]) == 1
+    assert "# checks: d_squared=ok euler=FAIL t=3" in capsys.readouterr().out
+
+
+def test_cohh_command_refuses_a_complex_with_nonzero_d_squared(
+    tmp_path, capsys, monkeypatch, corrupted_twist
+):
+    """The grammar cannot say k[w2]/(w^6) over F_3, the one kind whose
+    table comes from its cobar complex; as if it could, a corrupted twist
+    exits 1 with nothing on stdout."""
+    truncated = CoalgebraPresentation(
+        Field(3), [Cogenerator("w", POLYNOMIAL, 2, truncation=5)]
+    )
+    monkeypatch.setattr(cli, "parse_presentation", lambda text, char=None: truncated)
+    src = tmp_path / "truncated.coalg"
+    src.write_text("char 3\npolynomial w 2\n")
+    assert main(["cohh", str(src), "--max-s", "3", "--max-t", "18"]) == 1
     captured = capsys.readouterr()
-    assert "invariant failure" in captured.err
+    assert "invariant failure: d.d != 0 first fails at (s,t)=(0, 4)" in captured.err
     assert captured.out == ""

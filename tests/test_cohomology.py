@@ -12,16 +12,23 @@ from cohh.coalg import (
     CoalgebraPresentation,
     Cogenerator,
 )
-from cohh.cochain import BidegreeWindow, WindowTooSmall, build_complex, tensor_basis
+from cohh.cochain import (
+    BidegreeWindow,
+    DifferentialNotSquareZero,
+    WindowTooSmall,
+    build_complex,
+    tensor_basis,
+)
 from cohh.cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
     BigradedTable,
     check_window,
     cohh_table,
+    convolve,
     euler_check,
     expected_grid,
-    factor_complex,
+    factor_entries,
     identify_presentation,
     kunneth_factors,
     kunneth_table,
@@ -31,6 +38,7 @@ from cohh.cohomology import (
     table_to_json_dict,
 )
 from cohh.exactfield import Field
+from cohh.torpipe import hz_e2_pipeline
 
 CHARS = (0, 2, 3, 5)
 
@@ -353,8 +361,9 @@ def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, 
 def test_kunneth_table_builds_each_distinct_factor_once(
     p, kind, degree, distinct, monkeypatch
 ):
-    """Two cogenerators of one kind and degree: one checked build per distinct
-    factor (over F_3, k[w2] splits into two Lucas digits up to t = 14)."""
+    """Two cogenerators of one kind and degree: one closed-form table per
+    distinct factor (over F_3, k[w2] splits into two Lucas digits up to
+    t = 14), and no complex."""
     window = BidegreeWindow(4, 14)
     one = cohh_table(
         build_complex(CoalgebraPresentation(Field(p), [Cogenerator("a", kind, degree)]), window)
@@ -362,22 +371,17 @@ def test_kunneth_table_builds_each_distinct_factor_once(
     C = CoalgebraPresentation(
         Field(p), [Cogenerator("a", kind, degree), Cogenerator("b", kind, degree)]
     )
-    built, checked = [], []
-    build, check = cohomology.factor_complex, cohomology.check_square_zero
+    computed = []
+    closed = cohomology.factor_entries
 
-    def counting_build(F, win):
-        built.append(build(F, win))
-        return built[-1]
+    def counting(cog, p, win):
+        computed.append(cog)
+        return closed(cog, p, win)
 
-    def counting_check(cx):
-        checked.append(cx)
-        return check(cx)
-
-    monkeypatch.setattr(cohomology, "factor_complex", counting_build)
-    monkeypatch.setattr(cohomology, "check_square_zero", counting_check)
+    monkeypatch.setattr(cohomology, "factor_entries", counting)
+    monkeypatch.setattr(cohomology, "build_complex", refuse)
     table = kunneth_table(C, window)
-    assert len(built) == distinct
-    assert [id(cx) for cx in checked] == [id(cx) for cx in built]
+    assert len(computed) == distinct
     assert table.entries == {
         (s, t): sum(
             one.dim(s1, t1) * one.dim(s - s1, t - t1)
@@ -402,44 +406,106 @@ def small_complex_factors(degrees, primes=(0, 2, 3, 5, 7)):
         yield CoalgebraPresentation(Field(p), [Cogenerator("x", kind, d, n)])
 
 
+def closed_form_equals_cobar(F, window) -> bool:
+    (cog,) = F.cogenerators
+    cobar = cohh_table(build_complex(F, window)).entries
+    return factor_entries(cog, F.field.characteristic, window) == (
+        {k: v for k, v in cobar.items() if v}
+    )
+
+
 def test_small_factor_complexes_equal_cobar_factor_tables():
-    window = BidegreeWindow(3, 12)
+    """The closed-form table of each small factor complex against the
+    factor's cobar complex: the 276-factor grid at (3, 12) and at (4, 16)."""
     factors = list(small_complex_factors(range(1, 9)))
     assert len(factors) == 276
-    for F in factors:
-        small = factor_complex(F, window)
-        assert all(len(labels) <= 1 for labels in small.spots.values())
-        assert (
-            cohh_table(small).entries == cohh_table(build_complex(F, window)).entries
-        ), (F.cogenerators, F.field)
+    for window in (BidegreeWindow(3, 12), BidegreeWindow(4, 16)):
+        for F in factors:
+            assert closed_form_equals_cobar(F, window), (F.cogenerators, F.field, window)
 
 
 def test_small_factor_complexes_equal_cobar_in_degree_two_at_a_deeper_window():
-    """(5, 20) reaches the maps at t = N d and t = 2 N d for small N."""
+    """(5, 20) reaches the maps at t = N d and t = 2 N d for small N; with the
+    grid above, 608 cases."""
     window = BidegreeWindow(5, 20)
-    for F in small_complex_factors([2]):
-        assert (
-            cohh_table(factor_complex(F, window)).entries
-            == cohh_table(build_complex(F, window)).entries
-        ), (F.cogenerators, F.field)
+    factors = list(small_complex_factors([2]))
+    assert len(factors) == 56
+    for F in factors:
+        assert closed_form_equals_cobar(F, window), (F.cogenerators, F.field)
 
 
-def test_only_a_non_monogenic_factor_gets_its_cobar_complex(monkeypatch):
+def refuse(*args, **kwargs):
+    raise AssertionError("a complex was built or ranked")
+
+
+def grammar_presentations():
+    """Presentations the file grammar can express: every untruncated kind
+    over several fields, the inputs of the pinned reports, and none."""
+    kinds = (EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
+    for kind, d, p in product(kinds, range(1, 5), (0, 2, 3, 5)):
+        if p == 2 or (d % 2 == 1) == (kind == EXTERIOR):
+            yield CoalgebraPresentation(Field(p), [Cogenerator("x", kind, d)])
+    yield exterior(3, 3, 5)
+    yield exterior_times_poly(0)
+    yield exterior_times_poly(3)
+    yield CoalgebraPresentation(Field(0), [])
+
+
+def test_no_grammar_input_builds_a_complex(monkeypatch):
+    """The benchmark's `cohh` inputs, `hz` and every kind the grammar accepts
+    get their tables with `build_complex` and `cohh_table` raising."""
+    monkeypatch.setattr(cohomology, "build_complex", refuse)
+    monkeypatch.setattr(cohomology, "cohh_table", refuse)
+    kunneth_table(poly(3, 2), BidegreeWindow(6, 24))
+    kunneth_table(exterior(3, 3, 5), BidegreeWindow(6, 40))
+    assert hz_e2_pipeline(3, BidegreeWindow(3, 6)).table.dim(1, 1) == 1
+    for C in grammar_presentations():
+        kunneth_table(C, BidegreeWindow(4, 16))
+
+
+def truncated_poly(p, degree, truncation, names=("w",)):
+    return CoalgebraPresentation(
+        Field(p), [Cogenerator(n, POLYNOMIAL, degree, truncation) for n in names]
+    )
+
+
+def test_a_polynomial_cogenerator_truncated_past_p_gets_one_checked_cobar_complex(
+    monkeypatch,
+):
+    """k[w2]/(w^6) over F_3 has no closed form: its cobar complex is built
+    once for two equal factors, with d.d = 0 checked."""
+    window = BidegreeWindow(3, 12)
+    F = truncated_poly(3, 2, 5, names=("a",))
     built = []
 
-    def counting(F, win, *args, **kwargs):
-        built.append(F.cogenerators)
-        return build_complex(F, win, *args, **kwargs)
+    def counting(G, win, *args, **kwargs):
+        built.append((G.cogenerators, args, kwargs))
+        return build_complex(G, win, *args, **kwargs)
 
     monkeypatch.setattr(cohomology, "build_complex", counting)
-    window = BidegreeWindow(3, 12)
-    F = CoalgebraPresentation(Field(3), [Cogenerator("w", POLYNOMIAL, 2, truncation=5)])
-    cx = factor_complex(F, window)
-    assert built == [F.cogenerators]
-    assert cx.spot_dim(1, 4) > 1  # the cobar complex, not a small one
-    for G in small_complex_factors([2], primes=(0, 3)):
-        factor_complex(G, window)
-    assert built == [F.cogenerators]
+    table = kunneth_table(truncated_poly(3, 2, 5, names=("a", "b")), window)
+    assert built == [(F.cogenerators, (), {})]
+    one = cohh_table(build_complex(F, window))
+    assert table.entries == convolve(window, [one.entries, one.entries])
+
+
+def test_a_corrupt_twist_fails_d_squared_on_the_cobar_factor(corrupted_twist):
+    with pytest.raises(DifferentialNotSquareZero) as err:
+        kunneth_table(truncated_poly(3, 2, 5), BidegreeWindow(3, 18))
+    assert str(err.value) == "d.d != 0 first fails at (s,t)=(0, 4)"
+
+
+@pytest.mark.parametrize("p, removed", [(0, {(1, 6), (2, 6), (3, 12), (4, 12)}), (3, set())])
+def test_gamma_2_table_is_pinned(p, removed):
+    """Γ_2(x_2), the homology of CP^2, has N = 3: over Q the map by 3 removes
+    the classes at (1, 6), (2, 6), (3, 12) and (4, 12); over F_3 it is zero."""
+    C = CoalgebraPresentation(Field(p), [Cogenerator("x", DIVIDED_POWER, 2, truncation=2)])
+    over_f3 = {
+        (0, 0), (0, 2), (0, 4), (1, 2), (1, 4), (1, 6), (2, 6), (2, 8), (2, 10),
+        (3, 8), (3, 10), (3, 12), (4, 12),
+    }
+    table = kunneth_table(C, BidegreeWindow(4, 12))
+    assert table.nonzero() == {k: 1 for k in over_f3 - removed}
 
 
 def test_factor_route_refuses_a_window_over_the_cell_limit():
