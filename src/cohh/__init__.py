@@ -1,9 +1,10 @@
 """Exact coHochschild homology of graded coalgebras over a field.
 
 Computes the bigraded coHochschild table of a presented coalgebra exactly,
-from closed-form factor tables (d.d = 0 is checked on the one kind of factor
-that needs a complex), extracts primitives and indecomposables, and
-certifies spectral-sequence collapse by exhaustive bidegree analysis.
+as a product of closed-form factor series (d.d = 0 is checked on the one
+kind of factor that needs a complex), extracts primitives and
+indecomposables, and certifies spectral-sequence collapse by exhaustive
+bidegree analysis.
 
 The public names below load their module on first access (PEP 562), so
 importing the package, as every CLI process does, loads no engine module.

@@ -7,16 +7,14 @@ deterministic (byte-identical for identical inputs); timing goes to stderr.
 
 `cohh cohh` computes its table by the factor route (`kunneth_table`): one
 factor per cogenerator, and over F_p one per base-p digit of a polynomial
-cogenerator (Lucas's theorem), each with a closed-form table
-(`factor_entries`), convolved (Künneth for Cotor; Bohmann, Gerhardt,
-Høgenhaven, Shipley and Ziegenhagen, 2018).  The report's `d_squared=ok`
-means that d.d = 0 was checked exactly on every complex the table comes
-from; for every input the grammar accepts there is none, as no complex is
-built.  A window of
-more than `cohomology.MAX_WINDOW_CELLS` cells, more than
-`cohomology.MAX_FACTOR_CELLS` factors times cells, or more than
-`cohomology.MAX_CONVOLUTION_PAIRS` cells times nonzero entries of the factor
-tables after the first, is refused with exit 2.
+cogenerator (Lucas's theorem), each with a closed-form series
+(`factor_series`), multiplied together (Künneth for Cotor; Bohmann,
+Gerhardt, Høgenhaven, Shipley and Ziegenhagen, 2018).  The report's
+`d_squared=ok` means that d.d = 0 was checked exactly on every complex the
+table comes from; for every input the grammar accepts there is none, as no
+complex is built.  A window of more than `cohomology.MAX_WINDOW_CELLS`
+cells, or more than `cohomology.MAX_FACTOR_CELLS` factors times cells, is
+refused with exit 2.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,

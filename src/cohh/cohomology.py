@@ -16,9 +16,13 @@ a field the coHH table of C (x) D is the (s, t)-convolution of the tables of C
 and D (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven, Shipley and
 Ziegenhagen, "Computational tools for topological coHochschild homology",
 2018).  Over F_p a polynomial cogenerator splits further into truncated
-factors by Lucas's theorem (`kunneth_factors`).
+factors by Lucas's theorem (`kunneth_factors`).  A table is thus a product
+of power series in x (marking s) and q (marking t), and every series here,
+tables, spot sizes and grid shapes, is multiplied out by one kernel,
+`_times`: a numerator times 1/(1 - x^a q^b) per denominator, cut to the
+window.
 
-Each factor's table comes in closed form (`factor_entries`).  For a
+Each factor's series comes in closed form (`factor_series`).  For a
 finite-type connected coalgebra C, the cyclic cobar complex is the
 degreewise linear dual of the Hochschild complex of the dual algebra
 A = Hom(C, k), so both have the same table.  For one cogenerator of degree d, A is
@@ -29,7 +33,7 @@ Such an A has a small resolution over A (x) A, 2-periodic for k[x]/(x^N) and
 of length 1 for k[x], whose maps become 0 and multiplication by N x^(N-1)
 after tensoring with A (Buenos Aires Cyclic Homology Group, "Cyclic homology
 of algebras with one generator", K-Theory 5, 1991).  Its dual has at most one
-class per spot and at most one map that can be nonzero, so its table is read
+class per spot and at most one map that can be nonzero, so its series is read
 off without building it.  A polynomial cogenerator over F_p truncated at
 n >= p has a truncated divided-power dual with more than one generator; it
 alone keeps its cobar complex, the only complex a table comes from, and the
@@ -39,6 +43,8 @@ as oracles, by the tests and `selftest`.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple, Optional
 
 from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
@@ -47,18 +53,15 @@ from .errors import InvalidInput
 from .exactfield import rank
 
 FORMAT_VERSION = 2
-# Most (max_s + 1) * (max_t + 1) cells, most factors * cells, and most cells
-# * nonzero entries of the factor tables after the first that `kunneth_table`
-# accepts; see its docstring for the timings behind them.
+# Most (max_s + 1) * (max_t + 1) cells and most factors * cells that
+# `kunneth_table` accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
 MAX_FACTOR_CELLS = 600_000
-MAX_CONVOLUTION_PAIRS = 20_000_000
 
 
 class WindowTooLarge(InvalidInput):
-    """Bidegree window has more cells than `MAX_WINDOW_CELLS`, more factors *
-    cells than `MAX_FACTOR_CELLS`, or more cells * nonzero entries of the
-    factor tables after the first than `MAX_CONVOLUTION_PAIRS`."""
+    """Bidegree window has more cells than `MAX_WINDOW_CELLS`, or more
+    factors * cells than `MAX_FACTOR_CELLS`."""
 
 
 class BigradedTable(NamedTuple):
@@ -133,120 +136,129 @@ def kunneth_factors(C: CoalgebraPresentation, max_t: int) -> list:
     return [CoalgebraPresentation(C.field, [cog]) for cog in cogs]
 
 
-def convolve(window: BidegreeWindow, grids) -> dict:
-    """(s, t)-convolution of dimension grids, over every spot of the window.
-
-    No grids give the unit grid.  Grids are indexed from s, t >= 0, so every
-    term of an entry inside the window comes from entries inside it."""
-    out = {(0, 0): 1}
-    for grid in grids:
-        terms = [(k, v) for k, v in grid.items() if v]
-        acc: dict = {}
-        for (s1, t1), a in out.items():
-            for (s2, t2), b in terms:
-                s, t = s1 + s2, t1 + t2
-                if s <= window.max_s and t <= window.max_t:
-                    acc[(s, t)] = acc.get((s, t), 0) + a * b
-        out = acc
-    return {
-        (s, t): out.get((s, t), 0)
-        for t in range(window.max_t + 1)
-        for s in range(window.max_s + 1)
-    }
+def _unit(window: BidegreeWindow) -> list:
+    """The series 1 as rows over the window: rows[s][t] is the coefficient
+    of x^s q^t."""
+    rows = [[0] * (window.max_t + 1) for _ in range(window.max_s + 1)]
+    rows[0][0] = 1
+    return rows
 
 
-def factor_entries(cog: Cogenerator, p: int, window: BidegreeWindow) -> dict:
-    """The nonzero table entries, each 1, of a one-cogenerator factor over
-    characteristic p, read off its small complex (see the module docstring).
+def _times(rows: list, num: dict, dens=()) -> list:
+    """rows times num, divided by 1 - x^a q^b for each (a, b) in dens.
+
+    num maps (a, b) to c, the term c x^a q^b.  Each division is a running
+    sum, so no (a, b) in dens is (0, 0).  Every exponent is >= 0, so a
+    coefficient inside the window comes only from coefficients inside it, and
+    cutting to the window of rows keeps every coefficient exact.  Each term
+    and each denominator costs one pass over the cells."""
+    width = len(rows[0])
+    out = [[0] * width for _ in rows]
+    for (a, b), c in num.items():
+        for s in range(a, len(rows)):
+            row, src = out[s], rows[s - a]
+            if c in (1, -1):
+                row[b:] = map(add if c == 1 else sub, row[b:], src)
+            else:
+                row[b:] = [u + c * v for u, v in zip(row[b:], src)]
+    for a, b in dens:
+        for s in range(a, len(out)):
+            row = out[s]
+            if a:
+                row[b:] = map(add, row[b:], out[s - a])
+            else:  # residues r >= width - b have one element in range
+                for r in range(min(b, width - b)):
+                    row[r::b] = accumulate(row[r::b])
+    return out
+
+
+def _entries(rows: list) -> dict:
+    """Rows as table entries, every (s, t) of their window."""
+    return {(s, t): row[t] for t in range(len(rows[0])) for s, row in enumerate(rows)}
+
+
+def _geometric(d: int, n) -> tuple:
+    """1 + q^d + ... + q^(n d) as (num, dens); n None: all powers."""
+    return ({(0, 0): 1} if n is None else {(0, 0): 1, (0, (n + 1) * d): -1}), [(0, d)]
+
+
+def factor_series(cog: Cogenerator, p: int) -> tuple:
+    """The table of a one-cogenerator factor over characteristic p as a
+    series in x (for s) and q (for t), read off its small complex (see the
+    module docstring): (num, dens) for `_times`.
 
     Spot s = 2k + e, e in {0, 1}, holds one class at each t = (kN + e + j) d
-    for j = 0..N-1; for k[x] only k = 0 occurs, with every j >= 0.  The only
-    map that may be nonzero is multiplication by N, from (2k+1, (k+1)Nd) to
-    (2k+2, (k+1)Nd); when it is nonzero, its two classes leave the table.  An
+    for j = 0..N-1; for k[x] only k = 0 occurs, with every j >= 0.  So k[x]
+    gives (1 + x q^d) / (1 - q^d), and k[x]/(x^N) gives
+
+        (1 + x q^d)(1 - q^(Nd)) / ((1 - q^d)(1 - x^2 q^(Nd))).
+
+    The only map that may be nonzero is multiplication by N, from
+    (2k+1, (k+1)Nd) to (2k+2, (k+1)Nd); when it is nonzero, its two classes
+    leave the table, which subtracts (x + x^2) q^(Nd) / (1 - x^2 q^(Nd)).  An
     exterior factor has N = 2 and zero maps: for odd |y| the Koszul sign
     cancels the two terms of the map, and for even |y| the field is F_2.  A
     polynomial cogenerator over F_p, untruncated or truncated at n >= p, has
     no such complex; `kunneth_table` gives it its cobar complex.
     """
     d = cog.degree
-    if cog.kind == EXTERIOR:
-        N, live = 2, False
-    elif cog.truncation is None:
-        N, live = None, False
+    if cog.kind != EXTERIOR and cog.truncation is None:
+        return {(0, 0): 1, (1, d): 1}, [(0, d)]
+    N = 2 if cog.kind == EXTERIOR else cog.truncation + 1
+    top = N * d
+    if cog.kind != EXTERIOR and (not p or N % p):
+        # less the map's classes, (x + x^2) q^(Nd) (1 - q^d) over the same
+        # denominators; N >= 2, so no two terms share a bidegree
+        num = {(0, 0): 1, (1, d): 1, (0, top): -1, (1, top): -1,
+               (2, top): -1, (2, top + d): 1}
     else:
-        N = cog.truncation + 1
-        live = not p or N % p != 0
-    entries = {}
-    for s in range(window.max_s + 1):
-        k, e = divmod(s, 2)
-        if N is None and k:
-            break
-        for j in range(N or window.max_t // d + 1):
-            t = (k * (N or 0) + e + j) * d
-            if t > window.max_t:
-                break
-            # s = 2k+1 and s = 2k+2 both have (s+1)//2 = k+1
-            if not (live and s and t == (s + 1) // 2 * N * d):
-                entries[(s, t)] = 1
-    return entries
+        num = {(0, 0): 1, (1, d): 1, (0, top): -1, (1, top + d): -1}
+    return num, [(0, d), (2, top)]
 
 
 def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedTable:
-    """Cohomology table of C: the convolution of its `kunneth_factors`' tables.
+    """Cohomology table of C: the product of its `kunneth_factors`' series.
 
-    Each factor's table is its closed form, `factor_entries`, except for a
+    Each factor's series is its closed form, `factor_series`, except for a
     polynomial cogenerator over F_p truncated at n >= p: its cobar complex is
-    built, checked for d.d = 0 exactly and ranked.  So d.d = 0 is checked on
-    every complex the table comes from, and a closed-form factor has none.
-    A factor's table depends only on its cogenerator's kind, degree and
-    truncation, not on its name, so equal factors are computed once per call.
+    built, checked for d.d = 0 exactly and ranked, once per distinct (degree,
+    truncation), and its table enters `_times` as a numerator with no
+    denominator, one pass per nonzero entry.  So d.d = 0 is checked on every
+    complex the table comes from, and a closed-form factor has none.
 
     A window of more than `MAX_WINDOW_CELLS` cells, or more than
     `MAX_FACTOR_CELLS` factors * cells, is refused before any work
-    (`check_window`).  The cost is O(factors * cells) for the factor tables
-    plus the convolution.  At (40, 400), 16 441 cells, this takes about 0.1 s
-    for k[w2] over F_3.  The most expensive kind per factor cell measured is
-    distinct exterior degrees at (40, 400), ~8 us per factor cell, where the
-    convolved table fills the window; the largest such input accepted, 36
-    odd degrees over Q, takes 4.2-4.6 s, of which its factor tables take
-    ~2 ms and the convolution the rest (Python 3.11, shared 2-vCPU host).
-
-    That bound does not see a factor grid that is dense in t, such as Γ(x_1)
-    over F_2, whose convolution visits up to cells times max_t pairs.
-    `convolve` meets the first table once, and each later table once per
-    entry of a grid that has at most one entry per cell, so cells times the
-    nonzero entries of every table after the first bounds the pairs it
-    visits past the first table; more than `MAX_CONVOLUTION_PAIRS` are
-    refused once the factor tables are built.  A pair costs more as the
-    convolved dimensions grow to hundreds of bits, and the costliest
-    measured, Γ(x_1) factors over F_2 at s = 0, take 330-440 ns per pair at
-    the limit: 2 factors at (0, 4471) 6.6 s, 8 at (0, 1689) 8.3 s and 50 at
-    (0, 638) 8.9 s.  A sparse grid costs less: 20 k[w_2] over Q at
-    (1, 724), 2.0e7 pairs, take 2.2 s.
+    (`check_window`).  A closed-form factor costs at most six numerator terms
+    and two denominators, each one pass over the cells, so the work is
+    O(factors * cells), which `MAX_FACTOR_CELLS` bounds.  It bounds
+    `spot_dimensions` too, one pass per cogenerator, and up to a factor of
+    about log2(max_t) `expected_grid`, two passes per recovered degree (30
+    Γ(x_1) give 450 exterior degrees, one per factor and power of 2).  A
+    pass costs more as the dimensions grow to hundreds of bits.  Measured
+    at the limits (Python 3.11, shared 2-vCPU host): the table of 36 odd
+    exterior degrees over Q at (40, 400), which fills the window, takes
+    0.22-0.28 s of CPU, and the whole `cohh cohh` run 0.6-0.9 s.  The worst
+    accepted input found is 30 Γ(x_1) over F_2 at (0, 19999), with
+    dimensions of ~300 bits: its table takes ~0.08 s, but the whole run
+    3.8-4.8 s, most of it `identify_presentation` recovering 450 exterior
+    degrees.
     """
     p = C.field.characteristic
     factors = kunneth_factors(C, window.max_t)
     check_window(window, len(factors))
-    tables: dict = {}  # (kind, degree, truncation) -> entries
-    grids = []
+    cobar: dict = {}  # (degree, truncation) -> nonzero cobar table entries
+    rows = _unit(window)
     for F in factors:
         (cog,) = F.cogenerators
-        key = (cog.kind, cog.degree, cog.truncation)
-        if key not in tables:
-            if cog.kind == POLYNOMIAL and p and cog.truncation >= p:
-                tables[key] = cohh_table(build_complex(F, window)).entries
-            else:
-                tables[key] = factor_entries(cog, p, window)
-        grids.append(tables[key])
-    cells = (window.max_s + 1) * (window.max_t + 1)
-    entries = sum(1 for grid in grids[1:] for v in grid.values() if v)
-    if cells * entries > MAX_CONVOLUTION_PAIRS:
-        raise WindowTooLarge(
-            f"the {cells} cells of window {window} times the {entries} nonzero "
-            f"entries of its factor tables after the first make "
-            f"{cells * entries}; the limit is {MAX_CONVOLUTION_PAIRS}"
-        )
-    return BigradedTable(window, convolve(window, grids))
+        if cog.kind == POLYNOMIAL and p and cog.truncation >= p:
+            key = (cog.degree, cog.truncation)
+            if key not in cobar:
+                table = cohh_table(build_complex(F, window))
+                cobar[key] = {k: v for k, v in table.entries.items() if v}
+            rows = _times(rows, cobar[key])
+        else:
+            rows = _times(rows, *factor_series(cog, p))
+    return BigradedTable(window, _entries(rows))
 
 
 class EulerReport(NamedTuple):
@@ -273,16 +285,16 @@ def spot_dimensions(C: CoalgebraPresentation, window: BidegreeWindow) -> dict:
     1 + q^d + ... + q^(n d), with n = 1 for an exterior cogenerator and n its
     truncation otherwise (all powers if untruncated).  Nothing is enumerated,
     neither the basis of C nor a tensor basis.  Each next row is
-    row * a - row, and row * a pushes the row through one factor per
-    cogenerator, so the cost is O(max_s * cogenerators * max_t)."""
+    row * a - row, and row * a is one `_times` per cogenerator on that row,
+    so the cost is O(max_s * cogenerators * max_t)."""
     factors = [
-        (cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
+        _geometric(cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
         for cog in C.cogenerators
     ]
 
     def times_a(row: list) -> list:
-        for degree, cap in factors:
-            row = _push_factor(row, degree, cap)
+        for num, dens in factors:
+            (row,) = _times([row], num, dens)
         return row
 
     out: dict = {}
@@ -303,12 +315,12 @@ def presentation_euler_check(
     delta_{t,0} for every connected C, as a(q) sum_s (1 - a(q))^s = 1.
 
     What it catches: a table entry that is off, as from an error in the
-    convolution, or a closed-form factor table that gains or loses one entry
-    (`factor_entries` has no ranks to telescope).  What it cannot catch: a
-    closed-form table that keeps or drops both classes of a map, at (s, t)
-    and (s+1, t); a wrong rank inside a factor whose cobar complex is
+    series product, or a closed-form factor series that gains or loses a
+    term (`factor_series` has no ranks to telescope).  What it cannot catch:
+    a closed-form series that keeps or drops both classes of a map, at
+    (s, t) and (s+1, t); a wrong rank inside a factor whose cobar complex is
     ranked, which moves two neighbouring entries oppositely and telescopes;
-    nor a wrong split into connected factors, whose convolved table has the
+    nor a wrong split into connected factors, whose product table has the
     same alternating sums.  `selftest`'s cross-check against the cobar
     complex and the factor-route oracle tests in tests/test_cohomology.py
     guard these.
@@ -369,19 +381,6 @@ class Identification(NamedTuple):
         return f"{head}, {degs}"
 
 
-def _push_factor(coeffs: list, degree: int, cap) -> list:
-    """Multiply a coefficient series by 1 + q^d + ... + q^(cap d), or by
-    1/(1 - q^d) if cap is None."""
-    out = list(coeffs)
-    if cap is not None:
-        step = (cap + 1) * degree
-        for t in range(len(out) - 1, step - 1, -1):
-            out[t] -= out[t - step]
-    for t in range(degree, len(out)):
-        out[t] += out[t - degree]
-    return out
-
-
 def _recover_degrees(row0, max_t: int, cap) -> Optional[list]:
     """Greedy generator-degree recovery from the s=0 row of a table, each
     generator contributing 1 + q^d + ... + q^(cap d) (cap None: all powers)."""
@@ -394,28 +393,22 @@ def _recover_degrees(row0, max_t: int, cap) -> Optional[list]:
             return None
         for _ in range(have - coeffs[t]):
             degrees.append(t)
-            coeffs = _push_factor(coeffs, t, cap)
+            (coeffs,) = _times([coeffs], *_geometric(t, cap))
     return degrees
-
-
-def _power_grid(s_step: int, degree: int, cap, window: BidegreeWindow) -> dict:
-    """Grid of one free generator at (s_step, degree): its powers 0..cap (None: all)."""
-    top = window.max_t // degree if cap is None else cap
-    return {(k * s_step, k * degree): 1 for k in range(top + 1)}
 
 
 def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
     """Dimension grid of the closed-form answer over the window.
 
-    The convolution of one grid per degree d: exterior_polynomial, Λ(y_d) at
-    (0, d) times k[w_d] at (1, d); divided_exterior, Γ(x_d) at (0, d) times
-    Λ(z_d) at (1, d)."""
-    exterior_base = shape == EXTERIOR_POLYNOMIAL
-    grids = []
+    The product of one series per degree d, written here apart from
+    `factor_series`: exterior_polynomial, Λ(y_d) at (0, d) times k[w_d] at
+    (1, d), is (1 + q^d) / (1 - x q^d); divided_exterior, Γ(x_d) at (0, d)
+    times Λ(z_d) at (1, d), is (1 + x q^d) / (1 - q^d)."""
+    a, b = (1, 0) if shape == EXTERIOR_POLYNOMIAL else (0, 1)
+    rows = _unit(window)
     for d in degrees:
-        grids.append(_power_grid(0, d, 1 if exterior_base else None, window))
-        grids.append(_power_grid(1, d, None if exterior_base else 1, window))
-    return convolve(window, grids)
+        rows = _times(rows, {(0, 0): 1, (b, d): 1}, [(a, d)])
+    return _entries(rows)
 
 
 def identify_presentation(table: BigradedTable) -> Optional[Identification]:

@@ -374,23 +374,20 @@ def test_cohh_refuses_too_many_factors_up_front(tmp_path):
     assert run.stdout == ""
 
 
-def test_cohh_refuses_a_dense_convolution_up_front(tmp_path):
-    """Γ(x_1) over F_2 has a class in every degree, so two of them at
-    (0, 19999) pass both window bounds but would convolve 20 000 x 20 000
-    entries; unrefused, this ran past 25 s."""
+def test_cohh_takes_two_dense_factors_at_the_widest_window(tmp_path):
+    """Γ(x_1) over F_2 has a class in every degree; two of them at
+    (0, 19999), the most cells a window may have, cost one pass over the
+    cells per series term.  A pairwise convolution visited 20 000 x 20 000
+    pairs here and ran past 25 s."""
     src = tmp_path / "dense.coalg"
     src.write_text("char 2\ndivided_power a 1\ndivided_power b 1\n")
     start = time.perf_counter()
-    run = run_cli("cohh", str(src), "--max-s", "0", "--max-t", "19999")
+    run = run_cli("cohh", str(src), "--max-s", "0", "--max-t", "19999", "--format", "json")
     assert time.perf_counter() - start < 1
-    assert run.returncode == 2
-    assert run.stderr == (
-        "input error: the 20000 cells of window "
-        "BidegreeWindow(max_s=0, max_t=19999) times the 20000 nonzero entries "
-        "of its factor tables after the first make 400000000; "
-        f"the limit is {cohomology.MAX_CONVOLUTION_PAIRS}\n"
-    )
-    assert run.stdout == ""
+    assert run.returncode == 0
+    report = json.loads(run.stdout)
+    assert [e["dim"] for e in report["entries"]] == [t + 1 for t in range(20_000)]
+    assert report["checks"]["euler"].startswith("pass")
 
 
 def test_primitives_command_at_a_huge_max_t(tmp_path, capsys):
@@ -434,10 +431,10 @@ def test_selftest_command(capsys):
 
 
 def test_selftest_isolates_a_check_that_raises(capsys, monkeypatch):
-    def corrupted(cog, p, window):
+    def corrupted(cog, p):
         raise InvariantFailure("corrupted factor table")
 
-    monkeypatch.setattr(cohomology, "factor_entries", corrupted)
+    monkeypatch.setattr(cohomology, "factor_series", corrupted)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     out = captured.out
@@ -468,12 +465,12 @@ def test_a_corrupt_twist_reaches_only_the_cobar_oracle(corrupted_twist, capsys):
 def test_selftest_catches_a_small_complex_without_its_map(capsys, monkeypatch):
     """Asked for over a characteristic that divides N, the closed form keeps
     the two classes that the small complex's map by N removes."""
-    closed = cohomology.factor_entries
+    closed = cohomology.factor_series
 
-    def zero_map(cog, p, window):
-        return closed(cog, cog.truncation + 1 if cog.truncation else p, window)
+    def zero_map(cog, p):
+        return closed(cog, cog.truncation + 1 if cog.truncation else p)
 
-    monkeypatch.setattr(cohomology, "factor_entries", zero_map)
+    monkeypatch.setattr(cohomology, "factor_series", zero_map)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert (
@@ -609,17 +606,17 @@ def test_cohh_command_fails_the_euler_check_on_a_corrupted_convolution(
 def test_cohh_command_fails_the_euler_check_on_a_dropped_factor_entry(
     tmp_path, capsys, monkeypatch
 ):
-    """A closed-form table has no ranks to telescope, so one missing entry
-    shows in the alternating sums."""
-    closed = cohomology.factor_entries
+    """A closed-form series has no ranks to telescope, so one missing
+    numerator term, x q^3 of Λ(y_3), shows in the alternating sums."""
+    closed = cohomology.factor_series
 
-    def dropped(cog, p, window):
-        entries = closed(cog, p, window)
+    def dropped(cog, p):
+        num, dens = closed(cog, p)
         if cog.kind == EXTERIOR and cog.degree == 3:
-            del entries[(1, 3)]
-        return entries
+            del num[(1, 3)]
+        return num, dens
 
-    monkeypatch.setattr(cohomology, "factor_entries", dropped)
+    monkeypatch.setattr(cohomology, "factor_series", dropped)
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
     assert main(["cohh", str(src), "--max-s", "4", "--max-t", "12"]) == 1

@@ -25,10 +25,8 @@ from cohh.cohomology import (
     BigradedTable,
     check_window,
     cohh_table,
-    convolve,
     euler_check,
     expected_grid,
-    factor_entries,
     identify_presentation,
     kunneth_factors,
     kunneth_table,
@@ -253,21 +251,32 @@ def test_normalized_and_full_cohomology_agree():
         assert normalized.entries == full.entries
 
 
+def pairwise_product(tables) -> dict:
+    """The tests' own Künneth product of tables over one window: each entry
+    sums every pair of entries whose bidegrees add up to it."""
+    out = tables[0].entries
+    for table in tables[1:]:
+        out = {
+            (s, t): sum(
+                out[(s1, t1)] * table.dim(s - s1, t - t1)
+                for s1 in range(s + 1)
+                for t1 in range(t + 1)
+            )
+            for (s, t) in out
+        }
+    return out
+
+
+def cobar_tables(factors, window) -> list:
+    return [cohh_table(build_complex(F, window)) for F in factors]
+
+
 @pytest.mark.parametrize("p", (0, 2, 3))
 def test_kunneth_table_of_product_is_convolution_of_factors(p):
     window = BidegreeWindow(3, 12)
-    lam = cohh_table(build_complex(exterior(p, 3), window))
-    pol = cohh_table(build_complex(poly(p, 2), window))
     product_table = cohh_table(build_complex(exterior_times_poly(p), window))
-    convolution = {
-        (s, t): sum(
-            lam.dim(s1, t1) * pol.dim(s - s1, t - t1)
-            for s1 in range(s + 1)
-            for t1 in range(t + 1)
-        )
-        for (s, t) in product_table.entries
-    }
-    assert product_table.entries == convolution
+    factors = cobar_tables([exterior(p, 3), poly(p, 2)], window)
+    assert product_table.entries == pairwise_product(factors)
 
 
 def test_universal_coefficients_dim_mod_p_at_least_rational_dim():
@@ -325,8 +334,10 @@ def test_factor_route_equals_full_complex_on_random_presentations():
         cogs = random_cogenerators(rng, most=3)
         p = rng.choice(CHARS)
         C = CoalgebraPresentation(Field(p), cogs)
-        full = cohh_table(build_complex(C, window))
-        assert kunneth_table(C, window).entries == full.entries, (cogs, p)
+        table = kunneth_table(C, window).entries
+        assert table == cohh_table(build_complex(C, window)).entries, (cogs, p)
+        factors = cobar_tables(kunneth_factors(C, window.max_t), window)
+        assert table == pairwise_product(factors), (cogs, p)
         kinds.update((c.kind, c.truncation is not None, p) for c in cogs)
     # the sample reaches a Lucas split, a truncated divided power and Q
     assert (POLYNOMIAL, False, 2) in kinds or (POLYNOMIAL, False, 3) in kinds
@@ -351,7 +362,9 @@ def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, 
         (degree * p ** i, p - 1) for i in range(len(digits))
     ]
     assert len(digits) >= 3 and degree * p ** len(digits) > window.max_t
-    assert kunneth_table(C, window).entries == cohh_table(build_complex(C, window)).entries
+    table = kunneth_table(C, window).entries
+    assert table == cohh_table(build_complex(C, window)).entries
+    assert table == pairwise_product(cobar_tables(factors, window))
 
 
 @pytest.mark.parametrize(
@@ -361,35 +374,20 @@ def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, 
 def test_kunneth_table_builds_each_distinct_factor_once(
     p, kind, degree, distinct, monkeypatch
 ):
-    """Two cogenerators of one kind and degree: one closed-form table per
-    distinct factor (over F_3, k[w2] splits into two Lucas digits up to
-    t = 14), and no complex."""
+    """Two cogenerators of one kind and degree, `distinct` distinct factors
+    between them (over F_3, k[w2] splits into two Lucas digits up to
+    t = 14): no complex is built, and the table is the product of the two
+    one-cogenerator cobar tables."""
     window = BidegreeWindow(4, 14)
-    one = cohh_table(
-        build_complex(CoalgebraPresentation(Field(p), [Cogenerator("a", kind, degree)]), window)
-    )
+    one = CoalgebraPresentation(Field(p), [Cogenerator("a", kind, degree)])
     C = CoalgebraPresentation(
         Field(p), [Cogenerator("a", kind, degree), Cogenerator("b", kind, degree)]
     )
-    computed = []
-    closed = cohomology.factor_entries
-
-    def counting(cog, p, win):
-        computed.append(cog)
-        return closed(cog, p, win)
-
-    monkeypatch.setattr(cohomology, "factor_entries", counting)
+    degrees = {F.cogenerators[0].degree for F in kunneth_factors(C, window.max_t)}
+    assert len(degrees) == distinct
+    expected = pairwise_product(cobar_tables([one, one], window))
     monkeypatch.setattr(cohomology, "build_complex", refuse)
-    table = kunneth_table(C, window)
-    assert len(computed) == distinct
-    assert table.entries == {
-        (s, t): sum(
-            one.dim(s1, t1) * one.dim(s - s1, t - t1)
-            for s1 in range(s + 1)
-            for t1 in range(t + 1)
-        )
-        for (s, t) in table.entries
-    }
+    assert kunneth_table(C, window).entries == expected
 
 
 def small_complex_factors(degrees, primes=(0, 2, 3, 5, 7)):
@@ -407,11 +405,9 @@ def small_complex_factors(degrees, primes=(0, 2, 3, 5, 7)):
 
 
 def closed_form_equals_cobar(F, window) -> bool:
-    (cog,) = F.cogenerators
-    cobar = cohh_table(build_complex(F, window)).entries
-    return factor_entries(cog, F.field.characteristic, window) == (
-        {k: v for k, v in cobar.items() if v}
-    )
+    """The factor's `factor_series` table, as `kunneth_table` multiplies it
+    out, against its cobar complex."""
+    return kunneth_table(F, window).entries == cohh_table(build_complex(F, window)).entries
 
 
 def test_small_factor_complexes_equal_cobar_factor_tables():
@@ -486,7 +482,7 @@ def test_a_polynomial_cogenerator_truncated_past_p_gets_one_checked_cobar_comple
     table = kunneth_table(truncated_poly(3, 2, 5, names=("a", "b")), window)
     assert built == [(F.cogenerators, (), {})]
     one = cohh_table(build_complex(F, window))
-    assert table.entries == convolve(window, [one.entries, one.entries])
+    assert table.entries == pairwise_product([one, one])
 
 
 def test_a_corrupt_twist_fails_d_squared_on_the_cobar_factor(corrupted_twist):
@@ -539,28 +535,16 @@ def test_factor_route_refuses_more_factor_cells_than_the_budget():
         kunneth_table(three, window)
 
 
-def test_convolution_budget_counts_cells_times_later_factor_entries(monkeypatch):
-    """Three Γ(x_1) over F_2 at (0, 99): 100 cells times the 2 * 100 nonzero
-    entries of the tables after the first.  The product is accepted at the
-    limit and refused past it, before the convolution.  One factor alone is
-    never refused: its table is the convolution."""
-    def dense(n):
-        return CoalgebraPresentation(
-            Field(2), [Cogenerator(f"x{i}", DIVIDED_POWER, 1) for i in range(n)]
-        )
-
-    window = BidegreeWindow(0, 99)
-    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 20_000)
-    table = kunneth_table(dense(3), window)
+def test_three_dense_factors_give_the_triangular_numbers():
+    """Three Γ(x_1) over F_2, a class in every degree each: row s = 0 of
+    their product is the Poincaré series 1/(1 - q)^3."""
+    C = CoalgebraPresentation(
+        Field(2), [Cogenerator(f"x{i}", DIVIDED_POWER, 1) for i in range(3)]
+    )
+    table = kunneth_table(C, BidegreeWindow(0, 99))
     assert [table.dim(0, t) for t in range(100)] == [
         (t + 1) * (t + 2) // 2 for t in range(100)
     ]
-    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 0)
-    assert kunneth_table(dense(1), window).nonzero() == {(0, t): 1 for t in range(100)}
-    monkeypatch.setattr(cohomology, "MAX_CONVOLUTION_PAIRS", 19_999)
-    monkeypatch.setattr(cohomology, "convolve", None)
-    with pytest.raises(cohomology.WindowTooLarge, match="make 20000; the limit is 19999$"):
-        kunneth_table(dense(3), window)
 
 
 def test_window_refusals_keep_their_messages():
