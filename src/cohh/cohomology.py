@@ -17,10 +17,12 @@ and D (Künneth for Cotor; Bohmann, Gerhardt, Høgenhaven, Shipley and
 Ziegenhagen, "Computational tools for topological coHochschild homology",
 2018).  Over F_p a polynomial cogenerator splits further into truncated
 factors by Lucas's theorem (`kunneth_factors`).  A table is thus a product
-of power series in x (marking s) and q (marking t), and every series here,
-tables, spot sizes and grid shapes, is multiplied out by one kernel,
-`_times`: a numerator times 1/(1 - x^a q^b) per denominator, cut to the
-window.
+of power series in x (marking s) and q (marking t), and both series
+multiplied out here, the tables and the two grid shapes of
+`expected_grid`, go through one kernel, `_times`: a numerator times
+1/(1 - x^a q^b) per denominator, cut to the window.  The checks on a table
+compare it with closed forms instead: the Euler check with delta_{t,0},
+and identification with the degrees it reads off rows 0 and 1.
 
 Each factor's series comes in closed form (`factor_series`).  For a
 finite-type connected coalgebra C, the cyclic cobar complex is the
@@ -52,7 +54,7 @@ from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_compl
 from .errors import InvalidInput
 from .exactfield import rank
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Most (max_s + 1) * (max_t + 1) cells and most factors * cells that
 # `kunneth_table` accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
@@ -177,11 +179,6 @@ def _entries(rows: list) -> dict:
     return {(s, t): row[t] for t in range(len(rows[0])) for s, row in enumerate(rows)}
 
 
-def _geometric(d: int, n) -> tuple:
-    """1 + q^d + ... + q^(n d) as (num, dens); n None: all powers."""
-    return ({(0, 0): 1} if n is None else {(0, 0): 1, (0, (n + 1) * d): -1}), [(0, d)]
-
-
 def factor_series(cog: Cogenerator, p: int) -> tuple:
     """The table of a one-cogenerator factor over characteristic p as a
     series in x (for s) and q (for t), read off its small complex (see the
@@ -230,18 +227,15 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     `MAX_FACTOR_CELLS` factors * cells, is refused before any work
     (`check_window`).  A closed-form factor costs at most six numerator terms
     and two denominators, each one pass over the cells, so the work is
-    O(factors * cells), which `MAX_FACTOR_CELLS` bounds.  It bounds
-    `spot_dimensions` too, one pass per cogenerator, and up to a factor of
-    about log2(max_t) `expected_grid`, two passes per recovered degree (30
-    Γ(x_1) give 450 exterior degrees, one per factor and power of 2).  A
-    pass costs more as the dimensions grow to hundreds of bits.  Measured
-    at the limits (Python 3.11, shared 2-vCPU host): the table of 36 odd
-    exterior degrees over Q at (40, 400), which fills the window, takes
-    0.22-0.28 s of CPU, and the whole `cohh cohh` run 0.6-0.9 s.  The worst
-    accepted input found is 30 Γ(x_1) over F_2 at (0, 19999), with
-    dimensions of ~300 bits: its table takes ~0.08 s, but the whole run
-    3.8-4.8 s, most of it `identify_presentation` recovering 450 exterior
-    degrees.
+    O(factors * cells), which `MAX_FACTOR_CELLS` bounds.  A pass costs more
+    as the dimensions grow to hundreds of bits.  Measured at the limits
+    (Python 3.11, shared 2-vCPU host, wall time of single runs): the table
+    of 36 odd exterior degrees over Q at (40, 400), which fills the window,
+    takes 0.22-0.28 s of CPU, and the whole `cohh cohh` run 0.4-0.6 s.  The
+    worst accepted input found is 30 Γ(x_1) over F_2, with dimensions of
+    ~300 bits: its table takes ~0.08 s, and the whole run 0.20-0.35 s at
+    (0, 19999) and 0.32-0.55 s at (1, 9999), of which
+    `identify_presentation` takes ~0.15 s to confirm the shape.
     """
     p = C.field.characteristic
     factors = kunneth_factors(C, window.max_t)
@@ -278,41 +272,19 @@ class EulerReport(NamedTuple):
         return f"FAIL at internal degree t={self.first_violation}"
 
 
-def spot_dimensions(C: CoalgebraPresentation, window: BidegreeWindow) -> dict:
-    """Normalized spot sizes n_{s,t} = [q^t] a(q)(a(q) - 1)^s over the window.
-
-    a(q) is the Poincaré series of C: the product over its cogenerators of
-    1 + q^d + ... + q^(n d), with n = 1 for an exterior cogenerator and n its
-    truncation otherwise (all powers if untruncated).  Nothing is enumerated,
-    neither the basis of C nor a tensor basis.  Each next row is
-    row * a - row, and row * a is one `_times` per cogenerator on that row,
-    so the cost is O(max_s * cogenerators * max_t)."""
-    factors = [
-        _geometric(cog.degree, 1 if cog.kind == EXTERIOR else cog.truncation)
-        for cog in C.cogenerators
-    ]
-
-    def times_a(row: list) -> list:
-        for num, dens in factors:
-            (row,) = _times([row], num, dens)
-        return row
-
-    out: dict = {}
-    row = times_a([1] + [0] * window.max_t)
-    for s in range(window.max_s + 1):
-        out.update({(s, t): n for t, n in enumerate(row)})
-        row = [x - y for x, y in zip(times_a(row), row)]
-    return out
-
-
 def presentation_euler_check(
     C: CoalgebraPresentation, window: BidegreeWindow, table: BigradedTable
 ) -> EulerReport:
-    """Alternating sums of the table against those of `spot_dimensions`.
+    """Alternating sums of the table against delta_{t,0}, their value on the spots.
 
-    A degree t is checked when every s <= t / (least cogenerator degree) lies
-    in the window, and skipped otherwise.  In a checked degree the spot sum is
-    delta_{t,0} for every connected C, as a(q) sum_s (1 - a(q))^s = 1.
+    The normalized spot (s, t) has n_{s,t} = [q^t] a(q)(a(q) - 1)^s classes,
+    where a(q) is the Poincaré series of C, so the spot sum up to s = S is
+    [q^t] of a sum_{s<=S} (1 - a)^s = 1 - (1 - a)^(S+1).  The lowest term of
+    (1 - a)^(S+1) has degree (S+1) * least, least the least cogenerator
+    degree, and spots with s > t / least are empty.  So a degree t is
+    checked when every s <= t / least lies in the window, where the sum is
+    delta_{t,0} for every connected C, and skipped otherwise.  The reference
+    is this closed form: nothing is enumerated or multiplied out.
 
     What it catches: a table entry that is off, as from an error in the
     series product, or a closed-form factor series that gains or loses a
@@ -325,7 +297,6 @@ def presentation_euler_check(
     complex and the factor-route oracle tests in tests/test_cohomology.py
     guard these.
     """
-    spots = spot_dimensions(C, window)
     least = min((c.degree for c in C.cogenerators), default=None)
     checked, skipped = [], []
     for t in range(window.max_t + 1):
@@ -333,9 +304,7 @@ def presentation_euler_check(
         if bound > window.max_s:
             skipped.append(t)
             continue
-        spot_sum = sum((-1) ** s * spots[(s, t)] for s in range(bound + 1))
-        table_sum = sum((-1) ** s * table.dim(s, t) for s in range(bound + 1))
-        if spot_sum != table_sum:
+        if sum((-1) ** s * table.dim(s, t) for s in range(bound + 1)) != int(t == 0):
             return EulerReport(False, checked, skipped, first_violation=t)
         checked.append(t)
     return EulerReport(True, checked, skipped)
@@ -381,22 +350,6 @@ class Identification(NamedTuple):
         return f"{head}, {degs}"
 
 
-def _recover_degrees(row0, max_t: int, cap) -> Optional[list]:
-    """Greedy generator-degree recovery from the s=0 row of a table, each
-    generator contributing 1 + q^d + ... + q^(cap d) (cap None: all powers)."""
-    degrees: list = []
-    coeffs = [0] * (max_t + 1)
-    coeffs[0] = 1
-    for t in range(1, max_t + 1):
-        have = row0.get(t, 0)
-        if have < coeffs[t]:
-            return None
-        for _ in range(have - coeffs[t]):
-            degrees.append(t)
-            (coeffs,) = _times([coeffs], *_geometric(t, cap))
-    return degrees
-
-
 def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
     """Dimension grid of the closed-form answer over the window.
 
@@ -414,20 +367,33 @@ def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
 def identify_presentation(table: BigradedTable) -> Optional[Identification]:
     """Match the table against the two closed-form grid shapes, or return None.
 
-    Only entries inside the window are compared; no claim is made beyond it."""
-    window = table.window
+    In both shapes row 1 is row 0 times sum_d q^d over the degrees: it is
+    the x^1 coefficient of prod (1 + q^d) / (1 - x q^d) and of
+    prod (1 + x q^d) / (1 - q^d).  So the degrees are read off the quotient
+    row 1 / row 0, exact over the integers as row 0 starts with 1, one
+    subtraction pass per distinct degree; a negative coefficient fits
+    neither shape.  `expected_grid` then decides the shape.  This needs
+    max_s >= 1: the column-1 generators the answer names sit in row 1, and
+    without it nothing in the window shows them, so a window of row 0 alone
+    identifies only the trivial table.  Only entries inside the window are
+    compared; no claim is made beyond it."""
+    width = table.window.max_t + 1
     if table.dim(0, 0) != 1:
         return None
     if all(v == 0 for k, v in table.entries.items() if k != (0, 0)):
         return Identification(TRIVIAL, [])
-    row0 = {t: table.dim(0, t) for t in range(window.max_t + 1)}
+    row0 = [table.dim(0, t) for t in range(width)]
+    rest = [table.dim(1, t) for t in range(width)]
+    degrees: list = []
+    for t in range(1, width):  # an entry at (1, 0) fits neither grid
+        c = rest[t]
+        if c < 0:
+            return None
+        if c:
+            degrees += [t] * c
+            rest[t:] = [u - c * v for u, v in zip(rest[t:], row0)]
     for shape in (EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR):
-        degrees = _recover_degrees(
-            row0, window.max_t, None if shape == DIVIDED_EXTERIOR else 1
-        )
-        if not degrees:
-            continue
-        if expected_grid(shape, degrees, window) == table.entries:
+        if expected_grid(shape, degrees, table.window) == table.entries:
             return Identification(shape, degrees)
     return None
 

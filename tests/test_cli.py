@@ -102,7 +102,7 @@ def test_cohh_command_json(tmp_path, capsys):
     assert main(["cohh", str(src), "--format", "json",
                  "--max-s", "3", "--max-t", "9"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["format_version"] == 2
+    assert data["format_version"] == 3
     assert data["checks"]["d_squared"] == "ok"
     dims = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
     assert dims[(0, 3)] == 1
@@ -115,6 +115,16 @@ def test_cohh_command_deterministic(tmp_path):
     main(["cohh", str(src), "--max-t", "12", "--out", str(out1)])
     main(["cohh", str(src), "--max-t", "12", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cohh_names_no_generators_in_a_window_of_row_0_alone(tmp_path, capsys):
+    """Γ(x2) over Q at --max-s 0: the window shows no column-1 class, so no
+    shape is named.  A greedy row-0 match named an exterior generator of
+    even degree over Q, which no presentation can have."""
+    src = tmp_path / "gamma.coalg"
+    src.write_text("char 0\ndivided_power x 2\n")
+    assert main(["cohh", str(src), "--max-s", "0"]) == 0
+    assert "# identification: unrecognized\n" in capsys.readouterr().out
 
 
 def test_cohh_command_rejects_bad_parity(tmp_path, capsys):
@@ -220,22 +230,22 @@ COHH_INPUTS = {
 COHH_REPORT_SHA256 = {
     ("kw2-f3", "table"): "776a151c03878f6fa604925b8e9d3f4eafaf8dd5dba6adc3bd3abe0fe1331af5",
     ("kw2-f3", "csv"): "278f9f1db80da45b2d7b41ecdce3c6ba45428b37adf76118f17b6b495fcb029e",
-    ("kw2-f3", "json"): "79e7fa8478e7ed64174e5e0f522e7dcc80adce81ec7e05e492ef90ab591f9c98",
+    ("kw2-f3", "json"): "55fb34ae303078ff51cd1ae6fcf8f81b4b0b7fda32977442ba27dc59dc30ac40",
     ("lambda35-f3", "table"): "ef4cbb0f27ded49aeee28358f67f97c660e85026ede24bfb9394f2b58306c457",
     ("lambda35-f3", "csv"): "22e1d57dc1fa8ff516baecfca0b3f3fb99d7ad53527fb49578a588d32a1e7e0a",
-    ("lambda35-f3", "json"): "f2bb5424b2cabf14d8c5b4d71d0ee3c833bc84b5da70c9df15430a75d58a3827",
+    ("lambda35-f3", "json"): "69299d78df65eb4345b47e1303876f37ff88c0b20a30086822829766e257149a",
     ("gamma2-q", "table"): "24e99265f70123a24a9153f0f7a7a915a4cdb44a01fbac381b22291bce252e25",
     ("gamma2-q", "csv"): "f906b54368ec3be9cb3899003a80baddf45d44fa6ad634733f87b5140b55816c",
-    ("gamma2-q", "json"): "1ef53886d828fdbba76d289a3076b2dca305e114d355bbe3ce3e1fd7bc56c425",
+    ("gamma2-q", "json"): "86397a8934dcae8d5dd0a0d7fb0f08208a3f37a00a133dd6462a4de5aa09bfb9",
     ("lambda3-kw2-q", "table"): "6fd76fcbcf7e386b2f18a8b7e206803da2dfb6ed6ddaffd0ac10404206375511",
     ("lambda3-kw2-q", "csv"): "0f8310fd9ce14013ca37bf24a960f623d905dc223c58bce7da68f46ebacb6217",
-    ("lambda3-kw2-q", "json"): "3bb522f05214bf36a8850c7208b4584d87a903e6396464ccc9dbb74a8816c69b",
+    ("lambda3-kw2-q", "json"): "ff933a2b4986b0594ffdd2d7efe8c0e419ee22ffa1fe7b644586341ee81b7315",
     ("kw1-f2", "table"): "3c7d2b604154cb79259a83b61cddcf32bd74fe37253e128195235c122bf8b547",
     ("kw1-f2", "csv"): "bb7cfa6298421e3704111545981536ecb3fcbcab6b8d16ea9deec88b3df0c517",
-    ("kw1-f2", "json"): "c63ffc297ff5365aa0f7ab0228ab30b9e445d4448e2f300f721f3bbce2d73f77",
+    ("kw1-f2", "json"): "5fdac47f6afe539b6b0ea396038cd4d58ee544ebc3900f4d1f408c0049b970b5",
     ("empty", "table"): "0cca2f7685af623b2da35fc3abb25f7fa7baccb026e76eabbb4803d671a92688",
     ("empty", "csv"): "189f8e0b895d3917e744eed24675288d6b13eda5de9af872de44d5b360a9ad2f",
-    ("empty", "json"): "e1ee58cb5c2e5f4a58ea995e8f9be1f0b2820af2fc58b608a42ddd8cc1ddfde6",
+    ("empty", "json"): "27b7691bf3e25d69f4daad40c3a86e1368be8bebcdf22a9fa86f0dc96ca6106a",
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -31,7 +32,6 @@ from cohh.cohomology import (
     kunneth_factors,
     kunneth_table,
     presentation_euler_check,
-    spot_dimensions,
     table_to_csv,
     table_to_json_dict,
 )
@@ -211,6 +211,41 @@ def test_identify_presentation_shapes():
     assert "Γ[x1]⊗Λ(z1)" in ident2.describe()
     assert "||z1||=(1,2)" in ident2.describe()
 
+    rng = random.Random(2020)
+    for shape, _ in product((EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR), range(60)):
+        window = BidegreeWindow(rng.randint(1, 5), rng.randint(1, 30))
+        degrees = [rng.randint(1, window.max_t) for _ in range(rng.randint(1, 5))]
+        grid = expected_grid(shape, degrees, window)
+        ident = identify_presentation(BigradedTable(window, grid))
+        assert ident.degrees == sorted(degrees), (shape, degrees, window)
+        # a window too small to tell the shapes apart names the first
+        assert ident.shape == shape or grid == expected_grid(
+            EXTERIOR_POLYNOMIAL, degrees, window
+        )
+
+
+def test_identify_presentation_needs_row_1():
+    """A window of row 0 alone shows no column-1 class: only the trivial
+    table is named."""
+    for C in (exterior(0, 3, 5), gamma(0, 2), poly(3, 2)):
+        assert identify_presentation(kunneth_table(C, BidegreeWindow(0, 24))) is None
+    empty = CoalgebraPresentation(Field(0), [])
+    assert identify_presentation(kunneth_table(empty, BidegreeWindow(0, 24))).shape == "trivial"
+
+
+def test_identify_presentation_of_30_dense_factors_reads_row_1_once():
+    """30 Γ(x_1) over F_2: row 0 is 1/(1 - q)^30, with entries of ~300 bits
+    at (1, 9999).  A greedy row-0 match recovered 450 exterior degrees here,
+    one series product each, and took ~1.7 s."""
+    C = CoalgebraPresentation(
+        Field(2), [Cogenerator(f"x{i}", DIVIDED_POWER, 1) for i in range(30)]
+    )
+    table = kunneth_table(C, BidegreeWindow(1, 9999))
+    start = time.perf_counter()
+    ident = identify_presentation(table)
+    assert time.perf_counter() - start < 1
+    assert ident.shape == DIVIDED_EXTERIOR and ident.degrees == [1] * 30
+
 
 def test_identify_presentation_unrecognized():
     window = BidegreeWindow(2, 5)
@@ -221,6 +256,17 @@ def test_identify_presentation_unrecognized():
     entries2 = {(s, t): 0 for s in range(3) for t in range(6)}
     entries2[(0, 0)] = 2
     assert identify_presentation(BigradedTable(window, entries2)) is None
+
+
+def test_identify_presentation_refuses_a_negative_quotient_before_any_grid(monkeypatch):
+    """Γ_2(x_2) over Q: row 1 / row 0 = q^2 - q^6 + ..., which no degree
+    list gives, so no grid is built."""
+    table = kunneth_table(
+        CoalgebraPresentation(Field(0), [Cogenerator("x", DIVIDED_POWER, 2, truncation=2)]),
+        BidegreeWindow(4, 12),
+    )
+    monkeypatch.setattr(cohomology, "expected_grid", refuse)
+    assert identify_presentation(table) is None
 
 
 def test_csv_and_json_exports_agree_with_table():
@@ -236,7 +282,7 @@ def test_csv_and_json_exports_agree_with_table():
     assert parsed == table.entries
 
     data = table_to_json_dict(table)
-    assert data["format_version"] == 2
+    assert data["format_version"] == 3
     from_json = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
     assert from_json == table.entries
     json.dumps(data)  # serializable
@@ -577,7 +623,7 @@ def test_factor_route_of_the_empty_presentation_is_the_unit():
     assert table.entries == {(s, t): int((s, t) == (0, 0)) for s in range(3) for t in range(5)}
 
 
-def test_presentation_euler_check_matches_spot_dimensions_and_catches_one_entry():
+def test_presentation_euler_check_matches_the_cobar_euler_check_and_catches_one_entry():
     for C, window in [
         (exterior(3, 3, 5), BidegreeWindow(4, 16)),
         (poly(0, 2), BidegreeWindow(3, 10)),
@@ -595,24 +641,37 @@ def test_presentation_euler_check_matches_spot_dimensions_and_catches_one_entry(
     assert not report.passed and report.first_violation == 6
 
 
+def spots_satisfy_the_euler_reference(C, window, spots):
+    """In every degree the Euler check covers, the alternating sum of the
+    spot sizes is delta_{t,0}, the check's closed-form reference, and the
+    check passes on the spot sizes taken as a table."""
+    report = presentation_euler_check(C, window, BigradedTable(window, spots))
+    # with no cogenerator every spot of positive degree is empty
+    least = min((c.degree for c in C.cogenerators), default=window.max_t + 1)
+    covered = [t for t in range(window.max_t + 1) if t // least <= window.max_s]
+    assert report.passed and report.checked_degrees == covered, (C.cogenerators, window)
+    for t in covered:
+        euler = sum((-1) ** s * spots[(s, t)] for s in range(window.max_s + 1))
+        assert euler == int(t == 0), (C.cogenerators, window, t)
+
+
 @pytest.mark.parametrize("p", (0, 2, 3))
-def test_spot_dimensions_from_the_poincare_series_equal_the_enumerated_spots(p):
+def test_enumerated_spots_sum_to_delta_t0_in_every_checked_degree(p):
     truncated = CoalgebraPresentation(
         Field(p), [Cogenerator("w", POLYNOMIAL, 2, truncation=3), Cogenerator("y", EXTERIOR, 3)]
     )
     window = BidegreeWindow(3, 12)
-    for C in (exterior(p, 3, 5), poly(p, 2), gamma(p, 4), truncated, exterior_times_poly(p)):
-        cx = build_complex(C, window, check=False)
-        assert spot_dimensions(C, window) == {
-            (s, t): cx.spot_dim(s, t) for s in range(4) for t in range(13)
-        }
     rng = random.Random(417 + p)
-    for _ in range(20):
-        C = CoalgebraPresentation(Field(p), random_cogenerators(rng, most=3))
-        assert spot_dimensions(C, window) == {
+    presentations = [exterior(p, 3, 5), poly(p, 2), gamma(p, 4), truncated, exterior_times_poly(p)]
+    presentations += [
+        CoalgebraPresentation(Field(p), random_cogenerators(rng, most=3)) for _ in range(20)
+    ]
+    for C in presentations:
+        spots = {
             (s, t): len(tensor_basis(C, s, t, normalized=True))
             for s in range(4) for t in range(13)
-        }, C.cogenerators
+        }
+        spots_satisfy_the_euler_reference(C, window, spots)
 
 
 def series_product_spots(C, window):
@@ -636,7 +695,7 @@ def series_product_spots(C, window):
     return out
 
 
-def test_spot_dimensions_equal_the_series_product_on_tall_and_wide_windows():
+def test_series_product_spots_sum_to_delta_t0_on_tall_and_wide_windows():
     rng = random.Random(1313)
     windows = (BidegreeWindow(0, 0), BidegreeWindow(12, 30), BidegreeWindow(3, 90))
     presentations = [
@@ -652,6 +711,4 @@ def test_spot_dimensions_equal_the_series_product_on_tall_and_wide_windows():
     ]
     for C in presentations:
         for window in windows:
-            assert spot_dimensions(C, window) == series_product_spots(C, window), (
-                C.cogenerators, window
-            )
+            spots_satisfy_the_euler_reference(C, window, series_product_spots(C, window))

@@ -2,8 +2,10 @@ import time
 
 import pytest
 
+from cohh import torpipe
 from cohh.cochain import BidegreeWindow, WindowTooSmall
-from cohh.cohomology import EXTERIOR_POLYNOMIAL, WindowTooLarge
+from cohh.cohomology import EXTERIOR_POLYNOMIAL, WindowTooLarge, kunneth_table
+from cohh.errors import InvariantFailure
 from cohh.exactfield import CompositeCharacteristic, InvalidInput
 from cohh.torpipe import hz_e2_pipeline, tor_fp
 
@@ -60,3 +62,17 @@ def test_pipeline_reports_tor_in_degrees_0_to_4():
 def test_pipeline_rejects_composite():
     with pytest.raises(CompositeCharacteristic):
         hz_e2_pipeline(4, BidegreeWindow(3, 6))
+
+
+@pytest.mark.parametrize("spot", [(0, 1), (1, 2), (3, 6), (2, 5)])
+def test_pipeline_refuses_a_table_one_entry_off_the_closed_form(monkeypatch, spot):
+    """Identification compares the whole table with the closed-form grid, so
+    one entry off, in row 0 or 1 or above them, fails the pipeline."""
+    def off_by_one(C, window):
+        table = kunneth_table(C, window)
+        table.entries[spot] += 1
+        return table
+
+    monkeypatch.setattr(torpipe, "kunneth_table", off_by_one)
+    with pytest.raises(InvariantFailure, match="did not identify as expected: None"):
+        hz_e2_pipeline(3, BidegreeWindow(3, 6))
