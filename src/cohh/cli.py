@@ -30,9 +30,23 @@ compiles the modules it loads and pays for their imports, and `dataclasses`
 pulls in `inspect`, `ast`, `dis` and `tokenize`, which cost more than the
 table of a small presentation.  Records are `typing.NamedTuple`s, or plain
 classes with `__slots__` where they validate, mutate or define equality.
+
+Exit rule: a process enters through `run()` (`python -m cohh.cli` and the
+`cohh` console script), which calls `main()`, flushes stdout and stderr, and
+ends with `os._exit`, as mypy's CLI does (`mypy.util.hard_exit`).  That skips
+interpreter finalization (module teardown, a last collection, freeing every
+object), 7-9 ms per process on a 2-vCPU host under CPython 3.11, which no
+command needs: every report is written and flushed, and every `--out` file
+closed, before `main` returns, and no cohh module registers an atexit
+callback, a finalizer or a `__del__`.  Atexit callbacks that other code
+registers (a site `.pth` hook, say) are skipped too.  `main()` is the
+in-process API: it returns the exit code and never calls `os._exit`.  A
+stdout that is closed or cannot take the report (ENOSPC, EPIPE) is an input
+error, exit 2 with one line, like an unwritable `--out`.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -267,10 +281,16 @@ def render_collapse_report(e2, cert, fmt: str) -> str:
 
 
 def _emit(text: str, out_path):
-    """Write a report to --out, or to stdout; a file that cannot be written is
-    an input error."""
+    """Write a report to --out, or to stdout and flush it; a file or a stdout
+    that cannot be written, or a closed stdout, is an input error."""
     if not out_path:
-        sys.stdout.write(text)
+        if sys.stdout is None:
+            raise InvalidInput("standard output is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise InvalidInput(f"standard output: {exc}") from exc
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -466,5 +486,35 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: `main()`, then flush and `os._exit` (the exit rule).
+
+    argparse ends `--help` and usage errors with `SystemExit`, whose code
+    maps as `sys.exit` maps it: None is 0, an int itself, anything else is
+    printed to stderr and exits 1."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            code = 0
+        elif not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+    if sys.stdout is not None:  # nothing was written to a closed stdout
+        try:
+            _emit("", None)  # flushes what argparse left in the buffer
+        except InvalidInput as exc:
+            if code == 0:  # else main has reported why it failed
+                print(f"input error: {exc}", file=sys.stderr)
+                code = 2
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:  # nowhere left to report it
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

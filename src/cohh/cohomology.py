@@ -357,11 +357,34 @@ def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
     `factor_series`: exterior_polynomial, Λ(y_d) at (0, d) times k[w_d] at
     (1, d), is (1 + q^d) / (1 - x q^d); divided_exterior, Γ(x_d) at (0, d)
     times Λ(z_d) at (1, d), is (1 + x q^d) / (1 - q^d)."""
-    a, b = (1, 0) if shape == EXTERIOR_POLYNOMIAL else (0, 1)
-    rows = _unit(window)
+    row0 = _expected_row0(shape, degrees, window.max_t + 1)
+    return _entries(_expected_rows(shape, degrees, window, row0))
+
+
+def _expected_row0(shape: str, degrees, width: int) -> list:
+    """Row 0 of `expected_grid`, its factors in q alone: prod (1 + q^d) for
+    exterior_polynomial, prod 1 / (1 - q^d) for divided_exterior."""
+    rows = [[1] + [0] * (width - 1)]
     for d in degrees:
-        rows = _times(rows, {(0, 0): 1, (b, d): 1}, [(a, d)])
-    return _entries(rows)
+        if shape == EXTERIOR_POLYNOMIAL:
+            rows = _times(rows, {(0, 0): 1, (0, d): 1})
+        else:
+            rows = _times(rows, {(0, 0): 1}, [(0, d)])
+    return rows[0]
+
+
+def _expected_rows(shape: str, degrees, window: BidegreeWindow, row0: list) -> list:
+    """The rows of `expected_grid` from its row 0, times its factors in x:
+    prod 1 / (1 - x q^d) for exterior_polynomial, prod (1 + x q^d) for
+    divided_exterior."""
+    rows = _unit(window)
+    rows[0] = row0
+    for d in degrees:
+        if shape == EXTERIOR_POLYNOMIAL:
+            rows = _times(rows, {(0, 0): 1}, [(1, d)])
+        else:
+            rows = _times(rows, {(0, 0): 1, (1, d): 1})
+    return rows
 
 
 def identify_presentation(table: BigradedTable) -> Optional[Identification]:
@@ -372,11 +395,13 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
     prod (1 + x q^d) / (1 - q^d).  So the degrees are read off the quotient
     row 1 / row 0, exact over the integers as row 0 starts with 1, one
     subtraction pass per distinct degree; a negative coefficient fits
-    neither shape.  `expected_grid` then decides the shape.  This needs
-    max_s >= 1: the column-1 generators the answer names sit in row 1, and
-    without it nothing in the window shows them, so a window of row 0 alone
-    identifies only the trivial table.  Only entries inside the window are
-    compared; no claim is made beyond it."""
+    neither shape.  `expected_grid`'s closed form then decides the shape,
+    row 0 first: the rows above are multiplied out, from that row, only for
+    a shape whose row 0 matches.  This needs max_s >= 1: the column-1
+    generators the answer names sit in row 1, and without it nothing in the
+    window shows them, so a window of row 0 alone identifies only the
+    trivial table.  Only entries inside the window are compared; no claim
+    is made beyond it."""
     width = table.window.max_t + 1
     if table.dim(0, 0) != 1:
         return None
@@ -393,7 +418,10 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
             degrees += [t] * c
             rest[t:] = [u - c * v for u, v in zip(rest[t:], row0)]
     for shape in (EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR):
-        if expected_grid(shape, degrees, table.window) == table.entries:
+        first = _expected_row0(shape, degrees, width)
+        if first == row0 and table.entries == _entries(
+            _expected_rows(shape, degrees, table.window, first)
+        ):
             return Identification(shape, degrees)
     return None
 

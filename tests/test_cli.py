@@ -304,13 +304,133 @@ def test_indecomposables_command(tmp_path, capsys):
     assert "t=8" not in out
 
 
-def run_cli(*argv):
-    """One `python -m cohh.cli` process on the source tree under test."""
-    return subprocess.run(
-        [sys.executable, "-m", "cohh.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+SRC = str(Path(cli.__file__).parents[1])
+
+
+def run_cli(*argv, **options):
+    """One `python -m cohh.cli` process on the source tree under test;
+    `options` go to `subprocess.run`."""
+    options = {"capture_output": True, "text": True, "timeout": 30, **options}
+    env = dict(os.environ, PYTHONPATH=SRC, **options.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "cohh.cli", *argv], env=env, **options)
+
+
+# -- process exits: `run()` ends every process through `os._exit` --------------
+
+
+def test_process_report_is_the_bytes_main_writes(tmp_path, capsys):
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    for argv in (["cohh", str(src)], ["selftest"], ["hz", "--char", "3"]):
+        run = run_cli(*argv, text=False)
+        assert run.returncode == 0, run.stderr
+        assert main(argv) == 0
+        assert run.stdout == capsys.readouterr().out.encode("utf-8")
+        assert b"Traceback" not in run.stderr
+
+
+def test_process_help_exits_0():
+    run = run_cli("--help")
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: cohh") and run.stderr == ""
+
+
+def test_process_usage_error_exits_2_with_argparse_message():
+    run = run_cli("cohh")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("usage: cohh cohh")
+    assert run.stderr.endswith("cohh cohh: error: the following arguments are required: file\n")
+
+
+def test_process_missing_file_exits_2_with_one_line(tmp_path):
+    run = run_cli("cohh", str(tmp_path / "absent.coalg"))
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (
+        f"input error: [Errno 2] No such file or directory: '{tmp_path / 'absent.coalg'}'\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "command, unbuffered",
+    [("cohh", "1"), ("cohh", ""), ("selftest", ""), ("--help", "")],
+    ids=["report-unbuffered", "report-buffered", "selftest", "help"],
+)
+def test_process_stdout_without_space_exits_2_with_one_line(tmp_path, command, unbuffered):
+    """ENOSPC on stdout is the environment's failure, not a bug.  A report
+    is flushed by `_emit`, in or out of PYTHONUNBUFFERED; `--help` text
+    that argparse leaves in the buffer is flushed by `run()`."""
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    argv = {"cohh": ["cohh", str(src)], "selftest": ["selftest"], "--help": ["--help"]}[command]
+    with open("/dev/full", "w") as full:
+        run = run_cli(*argv, capture_output=False, stdout=full, stderr=subprocess.PIPE,
+                      env={"PYTHONUNBUFFERED": unbuffered})
+    lines = [ln for ln in run.stderr.splitlines() if not ln.startswith("# ")]
+    assert run.returncode == 2
+    assert lines == ["input error: standard output: [Errno 28] No space left on device"]
+
+
+def test_process_closed_stdout_exits_2_with_one_line(tmp_path):
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    run = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cohh.cli", "cohh", str(src)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "input error: standard output is closed\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, stderr",
+    [
+        ("return 1", 1, r"# elapsed_seconds: [0-9.]+\n"),
+        ("raise cli.InvariantFailure('planted')", 1, r"invariant failure: planted\n"),
+        ("raise RuntimeError('planted')", 3, r"internal error:\nTraceback .*\nRuntimeError: planted\n"),
+        ("raise SystemExit('planted')", 1, r"planted\n"),
+        ("raise SystemExit(None)", 0, r""),
+        ("raise SystemExit(5)", 5, r""),
+    ],
+    ids=["returns-1", "invariant-failure", "internal-error", "exit-message",
+         "exit-none", "exit-int"],
+)
+def test_process_exit_code_through_run(body, code, stderr):
+    """A `python -c` process that plants a command and enters by `cli.run()`:
+    main's code, or SystemExit's mapped as `sys.exit` maps it."""
+    probe = (
+        "import sys\n"
+        "from cohh import cli\n"
+        f"def planted(args):\n    {body}\n"
+        "cli.cmd_hz = planted\n"
+        "sys.argv = ['cohh', 'hz', '--char', '3']\n"
+        "cli.run()\n"
+        "print('run returned')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=30,
     )
+    assert (run.returncode, run.stdout) == (code, "")
+    assert re.fullmatch(stderr, run.stderr, re.DOTALL), run.stderr
+
+
+def test_main_in_process_never_exits_the_process(tmp_path, monkeypatch):
+    """`main()` is the in-process API: every path returns or raises
+    SystemExit (argparse), and none reaches `os._exit`."""
+    def refuse_exit(code):
+        raise AssertionError(f"os._exit({code}) from main")
+
+    monkeypatch.setattr(os, "_exit", refuse_exit)
+    src = tmp_path / "lambda.coalg"
+    src.write_text(LAMBDA3)
+    assert main(["cohh", str(src)]) == 0
+    assert main(["cohh", str(tmp_path / "absent.coalg")]) == 2
+    for argv in (["--help"], ["cohh"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    monkeypatch.setattr(cli, "cmd_hz", lambda args: 1 / 0)
+    assert main(["hz", "--char", "3"]) == 3
 
 
 @pytest.mark.parametrize("command", ["primitives", "indecomposables"])

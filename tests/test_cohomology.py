@@ -55,6 +55,13 @@ def gamma(p, degree):
     )
 
 
+def divided(p, *degrees):
+    """Untruncated Γ(x_d) for each degree d."""
+    return CoalgebraPresentation(
+        Field(p), [Cogenerator(f"x{i + 1}", DIVIDED_POWER, d) for i, d in enumerate(degrees)]
+    )
+
+
 def poly(p, degree):
     return CoalgebraPresentation(Field(p), [Cogenerator("w", POLYNOMIAL, degree)])
 
@@ -260,13 +267,42 @@ def test_identify_presentation_unrecognized():
 
 def test_identify_presentation_refuses_a_negative_quotient_before_any_grid(monkeypatch):
     """Γ_2(x_2) over Q: row 1 / row 0 = q^2 - q^6 + ..., which no degree
-    list gives, so no grid is built."""
+    list gives, so no series is multiplied out."""
     table = kunneth_table(
         CoalgebraPresentation(Field(0), [Cogenerator("x", DIVIDED_POWER, 2, truncation=2)]),
         BidegreeWindow(4, 12),
     )
-    monkeypatch.setattr(cohomology, "expected_grid", refuse)
+    monkeypatch.setattr(cohomology, "_times", refuse)
     assert identify_presentation(table) is None
+
+
+@pytest.mark.parametrize(
+    "C, shape",
+    [
+        (divided(0, 2, 4), DIVIDED_EXTERIOR),
+        (exterior(3, 3, 5), EXTERIOR_POLYNOMIAL),
+        (divided(2, 1, 1, 1), DIVIDED_EXTERIOR),
+    ],
+)
+def test_identify_presentation_builds_the_rows_above_row_0_of_one_shape(
+    monkeypatch, C, shape
+):
+    """Row 0 rules the other shape out, prod (1 + q^d) against
+    prod 1 / (1 - q^d), so only the named shape's rows above it are
+    multiplied out, and the answer is the one the whole grids give."""
+    window = BidegreeWindow(5, 30)
+    table = kunneth_table(C, window)
+    built = []
+    rows = cohomology._expected_rows
+
+    def recording(shape, degrees, window, row0):
+        built.append(shape)
+        return rows(shape, degrees, window, row0)
+
+    monkeypatch.setattr(cohomology, "_expected_rows", recording)
+    ident = identify_presentation(table)
+    assert ident.shape == shape and built == [shape]
+    assert expected_grid(shape, ident.degrees, window) == table.entries
 
 
 def test_csv_and_json_exports_agree_with_table():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cohh
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +105,19 @@ def test_startup_loads_only_the_engine_of_the_command(tmp_path):
         loaded = _modules_after(f"from cohh.cli import main\nmain({argv!r})")
         assert engine in loaded, argv
         assert not loaded & slow_imports, argv
+
+
+def test_every_process_enters_by_cli_run():
+    """The console script and `python -m cohh.cli` both end in `cli.run()`,
+    the one entry that skips interpreter teardown."""
+    tomllib = pytest.importorskip("tomllib")
+    from cohh import cli
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, attr = project["project"]["scripts"]["cohh"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in guard.body] == ["run()"]
