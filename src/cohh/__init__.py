@@ -14,11 +14,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "AlgebraPresentation": "hopfstruct",
-    "BidegreeWindow": "cochain",
+    "BidegreeWindow": "coalg",
     "CoalgebraPresentation": "coalg",
     "Cogenerator": "coalg",
     "E2Presentation": "collapse",
-    "Field": "exactfield",
+    "Field": "coalg",
     "SparseMatrix": "exactfield",
     "analyze": "collapse",
     "build_complex": "cochain",

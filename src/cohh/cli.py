@@ -31,6 +31,20 @@ pulls in `inspect`, `ast`, `dis` and `tokenize`, which cost more than the
 table of a small presentation.  Records are `typing.NamedTuple`s, or plain
 classes with `__slots__` where they validate, mutate or define equality.
 
+Beyond `cohh`, `cli` and `errors`, which every process loads, the commands
+load:
+
+    cohh             coalg, cohomology
+    collapse         coalg, hopfstruct, collapse
+    primitives       coalg, hopfstruct
+    indecomposables  coalg, hopfstruct
+    hz               coalg, cohomology, exactfield, torpipe
+    selftest         every module
+
+`coalg` is the presentation module, holding `Field` and `BidegreeWindow`
+too; the cobar machinery (`cochain`, and `exactfield` but for `hz`'s one
+rank) is the oracle, which only `selftest` loads.
+
 Exit rule: a process enters through `run()` (`python -m cohh.cli` and the
 `cohh` console script), which calls `main()`, flushes stdout and stderr, and
 ends with `os._exit`, as mypy's CLI does (`mypy.util.hard_exit`).  That skips
@@ -43,6 +57,12 @@ registers (a site `.pth` hook, say) are skipped too.  `main()` is the
 in-process API: it returns the exit code and never calls `os._exit`.  A
 stdout that is closed or cannot take the report (ENOSPC, EPIPE) is an input
 error, exit 2 with one line, like an unwritable `--out`.
+
+Stderr rule: everything written to stderr (timings, the `input error:`,
+`invariant failure:` and `internal error:` lines and the traceback) goes
+through `_note`, which is best effort.  A stderr that is closed or cannot take
+a line (ENOSPC) drops it, and the run keeps the exit code it has: the report
+on stdout, or the refusal, is the result, and stderr only describes it.
 """
 
 import argparse
@@ -119,8 +139,7 @@ def _parse_records(text: str, override_char, usage: str, int_fields: tuple):
 
 def parse_presentation(text: str, override_char=None):
     """A `CoalgebraPresentation` from the presentation file grammar."""
-    from .coalg import CoalgebraPresentation, Cogenerator
-    from .exactfield import Field
+    from .coalg import CoalgebraPresentation, Cogenerator, Field
 
     characteristic, records = _parse_records(
         text, override_char, "<kind> <name> <degree>", ("degree",)
@@ -314,7 +333,7 @@ def _read(args, parse):
 
 
 def cmd_cohh(args) -> int:
-    from .cochain import BidegreeWindow
+    from .coalg import BidegreeWindow
     from .cohomology import identify_presentation, kunneth_table, presentation_euler_check
 
     C = _read(args, parse_presentation)
@@ -336,7 +355,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_hz(args) -> int:
-    from .cochain import BidegreeWindow
+    from .coalg import BidegreeWindow
     from .torpipe import hz_e2_pipeline
 
     result = hz_e2_pipeline(args.char, BidegreeWindow(args.max_s, args.max_t))
@@ -389,7 +408,7 @@ def cmd_selftest(args) -> int:
         detail = f" ({res.detail})" if res.detail else ""
         lines.append(f"{status} {res.name}{detail}")
         budget = TIME_BUDGETS_SECONDS[res.name]
-        print(f"# {res.name}: {res.elapsed:.3f} s (budget {budget} s)", file=sys.stderr)
+        _note(f"# {res.name}: {res.elapsed:.3f} s (budget {budget} s)\n")
     lines.append(f"# total: {len(results)} checks, {failures} failed")
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
@@ -459,16 +478,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(text: str):
+    """Write text to stderr, best effort (the stderr rule)."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.func(args)
     except InvariantFailure as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
+        _note(f"invariant failure: {exc}\n")
         return 1
     except InvalidInput as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _note(f"input error: {exc}\n")
         return 2
     except MemoryError:
         # Reported after the handler, which frees the frames the traceback holds.
@@ -476,13 +505,12 @@ def main(argv=None) -> int:
     except Exception:
         import traceback  # here, not at the top: start-up never pays for it
 
-        print("internal error:", file=sys.stderr)
-        traceback.print_exc()
+        _note("internal error:\n" + traceback.format_exc())
         return 3
     if code is None:
-        print("input error: ran out of memory; lower the window", file=sys.stderr)
+        _note("input error: ran out of memory; lower the window\n")
         return 2
-    print(f"# elapsed_seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
+    _note(f"# elapsed_seconds: {time.perf_counter() - start:.3f}\n")
     return code
 
 
@@ -499,14 +527,14 @@ def run() -> None:
         if code is None:
             code = 0
         elif not isinstance(code, int):
-            print(code, file=sys.stderr)
+            _note(f"{code}\n")
             code = 1
     if sys.stdout is not None:  # nothing was written to a closed stdout
         try:
             _emit("", None)  # flushes what argparse left in the buffer
         except InvalidInput as exc:
             if code == 0:  # else main has reported why it failed
-                print(f"input error: {exc}", file=sys.stderr)
+                _note(f"input error: {exc}\n")
                 code = 2
     if sys.stderr is not None:
         try:

@@ -11,12 +11,24 @@ order: 0 or 1 for an exterior cogenerator, j for w^j or gamma_j(x).  The unit
 is the all-zero tuple.  Elements are dicts keyed by monomials (or by tuples of
 monomials, for tensor powers) with plain int coefficients: canonical residues
 in [1, p) over F_p, nonzero ints over Q.  Code here multiplies and negates
-ints and accumulates every term through `exactfield.add_term`, the one place
-where coefficients are reduced and vanishing terms dropped.
+ints and accumulates every term through `add_term`, the one place where
+coefficients are reduced and vanishing terms dropped.
 
 A presentation caches, per argument, its basis in each degree, the coproduct
 of each monomial and the degree of each monomial; the Koszul sign of every
 twisted cobar term reads the degree of each of its factors.
+
+This is the presentation module: the one module every production command
+loads beyond the CLI.  Besides the presentation it holds the names those
+commands share: `Field` with its primality test, `add_term`, and the
+`BidegreeWindow` with its default bounds.  It imports only `errors`, `math`
+and `typing`.  `exactfield` re-exports `Field`, `add_term` and
+`CompositeCharacteristic`, and `cochain` re-exports `BidegreeWindow` and
+`WindowTooSmall`; each name is defined here alone.  The cobar machinery
+(`cochain`, and `exactfield`'s `SparseMatrix` and `rank`) is the oracle:
+`selftest`, the tests and the benchmark replay load it, `hz` loads
+`exactfield` for its one rank, and `cohh cohh` loads it only for the one
+factor kind without a closed form, which the grammar cannot express.
 """
 
 from __future__ import annotations
@@ -25,7 +37,97 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInput
-from .exactfield import Field, add_term
+
+DEFAULT_MAX_S = 6
+DEFAULT_MAX_T = 24
+
+
+class CompositeCharacteristic(InvalidInput):
+    """Requested characteristic is neither 0 nor a prime."""
+
+
+class WindowTooSmall(InvalidInput):
+    """Bidegree window has a negative bound."""
+
+
+# Miller-Rabin with the first twelve prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BASES_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _PRIME_BASES_EXACT_BELOW:
+        raise InvalidInput(
+            f"characteristic {n} is too large: primality is decided exactly "
+            f"only below {_PRIME_BASES_EXACT_BELOW}"
+        )
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class Field:
+    """F_p for a prime p, or Q when characteristic == 0."""
+
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int):
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise CompositeCharacteristic(
+                f"characteristic must be 0 or a prime, got {characteristic}"
+            )
+        self.characteristic = characteristic
+
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
+
+    def __repr__(self):
+        return f"Field(characteristic={self.characteristic!r})"
+
+    def scalar(self, x: int) -> int:
+        """Canonicalize an integer into the field: its residue mod p, or itself."""
+        p = self.characteristic
+        return x % p if p else x
+
+
+def add_term(acc: dict, key, coeff: int, fld: Field):
+    """acc[key] += coeff in the field, dropping the key when the sum vanishes."""
+    s = fld.scalar(acc.get(key, 0) + coeff)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+class BidegreeWindow(NamedTuple):
+    """Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."""
+
+    max_s: int = DEFAULT_MAX_S
+    max_t: int = DEFAULT_MAX_T
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"

@@ -20,33 +20,34 @@ normalized terms of the full sum.  The full complex keeps `differential_terms`,
 so the two stay independent.  The codegeneracies, which apply the counit in an
 interior slot, serve only the cosimplicial identity scan, so they live with it
 in `selftest`.
+
+This module is the cobar oracle.  `selftest`, the tests and the benchmark
+replay build complexes with it; `cohh cohh` loads it only for the one factor
+kind without a closed form, a polynomial cogenerator over F_p truncated at
+n >= p, which the grammar cannot express.  `BidegreeWindow`, its defaults
+and `WindowTooSmall` live in `coalg`, the presentation module, and are
+re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .coalg import CoalgebraPresentation, apply_coproduct_to_slot
-from .errors import InvalidInput, InvariantFailure
-from .exactfield import SparseMatrix, add_term
-
-DEFAULT_MAX_S = 6
-DEFAULT_MAX_T = 24
-
-
-class WindowTooSmall(InvalidInput):
-    """Bidegree window has a negative bound."""
+from .coalg import (  # BidegreeWindow, WindowTooSmall and the defaults re-exported
+    DEFAULT_MAX_S,
+    DEFAULT_MAX_T,
+    BidegreeWindow,
+    CoalgebraPresentation,
+    NotConnected,
+    WindowTooSmall,
+    add_term,
+)
+from .errors import InvariantFailure
+from .exactfield import SparseMatrix
 
 
 class DifferentialNotSquareZero(InvariantFailure):
     """d composed with d is nonzero at some bigraded spot."""
-
-
-class BidegreeWindow(NamedTuple):
-    """Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."""
-
-    max_s: int = DEFAULT_MAX_S
-    max_t: int = DEFAULT_MAX_T
 
 
 def tensor_bases(
@@ -104,16 +105,22 @@ def twist_first_to_last(C: CoalgebraPresentation, terms: dict) -> dict:
 
 
 def coface_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
-    """Image of one basis tuple (s+1 factors) under the i-th coface, 0 <= i <= s+1."""
+    """Image of one basis tuple (s+1 factors) under the i-th coface, 0 <= i <= s+1.
+
+    The coproduct terms of the split slot are stored as they are: each is
+    canonical, and no two collide, since a term (a, b) of m has a + b = m.
+    """
     if not 0 <= i <= s + 1:
         raise IndexError(f"coface index {i} outside [0, {s + 1}]")
-    start = {tup: 1}
+    # i = 0 is the right coaction on the coefficient slot, which for C as its
+    # own coefficients is again the coproduct; coface s+1 starts with the
+    # left coaction, the same split of slot 0.
+    slot = i if i <= s else 0
+    head, tail = tup[:slot], tup[slot + 1:]
+    split = {head + ab + tail: c for ab, c in C.coproduct_monomial(tup[slot]).items()}
     if i <= s:
-        # i = 0 is the right coaction on the coefficient slot, which for C
-        # as its own coefficients is again the coproduct.
-        return apply_coproduct_to_slot(C, start, i)
-    expanded = apply_coproduct_to_slot(C, start, 0)  # left coaction
-    return twist_first_to_last(C, expanded)
+        return split
+    return twist_first_to_last(C, split)
 
 
 def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
@@ -224,8 +231,6 @@ def build_complex(
     """
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
-    from .coalg import NotConnected
-
     if any(c.degree < 1 for c in C.cogenerators):
         raise NotConnected("presentation has a cogenerator below degree 1")
 

@@ -41,18 +41,32 @@ n >= p has a truncated divided-power dual with more than one generator; it
 alone keeps its cobar complex, the only complex a table comes from, and the
 grammar cannot express it.  The cobar complexes are otherwise built only
 as oracles, by the tests and `selftest`.
+
+So this module imports only `coalg`, which holds `BidegreeWindow` and
+`WindowTooSmall`, and `errors` at module level: `cohh cohh` loads no cobar
+machinery.  The oracle is imported where it is called: `cohh_table` takes
+`exactfield.rank`, and `kunneth_table`'s cobar branch
+`cochain.build_complex`.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, sub
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
-from .cochain import BidegreeWindow, CochainComplex, WindowTooSmall, build_complex
+from .coalg import (
+    EXTERIOR,
+    POLYNOMIAL,
+    BidegreeWindow,
+    CoalgebraPresentation,
+    Cogenerator,
+    WindowTooSmall,
+)
 from .errors import InvalidInput
-from .exactfield import rank
+
+if TYPE_CHECKING:
+    from .cochain import CochainComplex
 
 FORMAT_VERSION = 3
 # Most (max_s + 1) * (max_t + 1) cells and most factors * cells that
@@ -87,6 +101,8 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
     established by build_complex(..., check=True) or first_square_failure;
     on a complex that fails it the numbers are not cohomology.
     """
+    from .exactfield import rank
+
     entries = {}
     for t in range(cx.window.max_t + 1):
         incoming = 0  # rank d_{s-1,t}; nothing comes in below s = 0
@@ -247,6 +263,8 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
         if cog.kind == POLYNOMIAL and p and cog.truncation >= p:
             key = (cog.degree, cog.truncation)
             if key not in cobar:
+                from .cochain import build_complex
+
                 table = cohh_table(build_complex(F, window))
                 cobar[key] = {k: v for k, v in table.entries.items() if v}
             rows = _times(rows, cobar[key])

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
+from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Field
 from .errors import InvalidInput
-from .exactfield import Field
 from .hopfstruct import primitive_exponents
 
 LAMBDA_POLY = "lambda_poly"

@@ -1,21 +1,25 @@
-"""Exact scalars over F_p or Q, and sparse exact linear algebra.
+"""Sparse exact linear algebra over F_p or Q: the oracle's matrices and ranks.
 
-Scalars are plain Python ints.  `Field` is a checked characteristic (0 or a
-prime) with one method, `scalar`, which reduces an int into the field.  Every
+Scalars are plain Python ints.  `Field` (a checked characteristic, 0 or a
+prime, with one method, `scalar`, which reduces an int into the field) and
+`add_term`, the one accumulator, live in `coalg`, the presentation module
+that every production command loads; they are re-exported here.  Every
 stored value (a coproduct coefficient, a term of a linear combination, a
 matrix entry) is a canonical residue in [1, p) over F_p, or a nonzero int over
-Q.  `add_term` is the one accumulator: callers multiply and negate plain ints
-and leave the rest to it.  `SparseMatrix.compose`, the hot loop of the d.d = 0
-check, sums its products as ints and reduces each sum once.  So equality
-of stored values is structural equality, which the d.d = 0 check, the identity
-scan and the axiom checks rely on.  Every coefficient the program produces is
-an integer combination of binomials and signs, so over Q the scalars never
-leave Z: a complex over Q is the integral complex, and an identity checked on
-it holds over Z.
+Q.  Callers multiply and negate plain ints and leave the rest to `add_term`.
+`SparseMatrix.compose`, the hot loop of the d.d = 0 check, sums its products
+as ints and reduces each sum once.  So equality of stored values is
+structural equality, which the d.d = 0 check, the identity scan and the axiom
+checks rely on.  Every coefficient the program produces is an integer
+combination of binomials and signs, so over Q the scalars never leave Z: a
+complex over Q is the integral complex, and an identity checked on it holds
+over Z.
 
 `rank` is the only elimination: sparse rows reduced in place, mod p inline
 over F_p and fraction-free over Q.  No dense matrix, echelon form or kernel is
-ever built.
+ever built.  This module belongs to the cobar oracle (`cochain`, `selftest`,
+the tests): `cohh cohh` loads it only to rank the one factor kind that has no
+closed form, and `hz` for the one rank of its Tor.
 """
 
 from __future__ import annotations
@@ -23,84 +27,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Optional
 
+from .coalg import CompositeCharacteristic, Field, _is_prime, add_term  # re-exported
 from .errors import InvalidInput  # re-exported
-
-
-class CompositeCharacteristic(InvalidInput):
-    """Requested characteristic is neither 0 nor a prime."""
-
-
-# Miller-Rabin with the first twelve prime bases decides primality exactly for
-# every n below this bound (Sorenson and Webster, 2015).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_BASES_EXACT_BELOW = 318_665_857_834_031_151_167_461
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
-    if n >= _PRIME_BASES_EXACT_BELOW:
-        raise InvalidInput(
-            f"characteristic {n} is too large: primality is decided exactly "
-            f"only below {_PRIME_BASES_EXACT_BELOW}"
-        )
-    if n < 2:
-        return False
-    for p in _PRIME_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class Field:
-    """F_p for a prime p, or Q when characteristic == 0."""
-
-    __slots__ = ("characteristic",)
-
-    def __init__(self, characteristic: int):
-        if characteristic != 0 and not _is_prime(characteristic):
-            raise CompositeCharacteristic(
-                f"characteristic must be 0 or a prime, got {characteristic}"
-            )
-        self.characteristic = characteristic
-
-    def __eq__(self, other):
-        if other.__class__ is not Field:
-            return NotImplemented
-        return self.characteristic == other.characteristic
-
-    def __hash__(self):
-        return hash(self.characteristic)
-
-    def __repr__(self):
-        return f"Field(characteristic={self.characteristic!r})"
-
-    def scalar(self, x: int) -> int:
-        """Canonicalize an integer into the field: its residue mod p, or itself."""
-        p = self.characteristic
-        return x % p if p else x
-
-
-def add_term(acc: dict, key, coeff: int, fld: Field):
-    """acc[key] += coeff in the field, dropping the key when the sum vanishes."""
-    s = fld.scalar(acc.get(key, 0) + coeff)
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 class SparseMatrix:

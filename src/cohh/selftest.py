@@ -31,16 +31,14 @@ from .coalg import (
     DIVIDED_POWER,
     EXTERIOR,
     POLYNOMIAL,
+    BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    Field,
+    add_term,
     apply_coproduct_to_slot,
 )
-from .cochain import (
-    BidegreeWindow,
-    build_complex,
-    coface_terms,
-    tensor_bases,
-)
+from .cochain import build_complex, coface_terms, tensor_bases
 from .cohomology import (
     DIVIDED_EXTERIOR,
     EXTERIOR_POLYNOMIAL,
@@ -58,7 +56,6 @@ from .collapse import (
     feasible_differentials,
 )
 from .errors import InvariantFailure
-from .exactfield import Field, add_term
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
 

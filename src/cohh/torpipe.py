@@ -12,8 +12,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coalg import EXTERIOR, CoalgebraPresentation, Cogenerator
-from .cochain import BidegreeWindow, WindowTooSmall
+from .coalg import (
+    EXTERIOR,
+    BidegreeWindow,
+    CoalgebraPresentation,
+    Cogenerator,
+    Field,
+    WindowTooSmall,
+)
 from .cohomology import (
     EXTERIOR_POLYNOMIAL,
     BigradedTable,
@@ -23,7 +29,7 @@ from .cohomology import (
     kunneth_table,
 )
 from .errors import InvalidInput, InvariantFailure
-from .exactfield import Field, SparseMatrix, rank
+from .exactfield import SparseMatrix, rank
 
 # Tor is computed, checked and reported in degrees 0..TOR_MAX_DEGREE only.
 TOR_MAX_DEGREE = 4

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from cohh import cohomology
+from cohh import cochain, cohomology
 from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
@@ -468,7 +468,7 @@ def test_kunneth_table_builds_each_distinct_factor_once(
     degrees = {F.cogenerators[0].degree for F in kunneth_factors(C, window.max_t)}
     assert len(degrees) == distinct
     expected = pairwise_product(cobar_tables([one, one], window))
-    monkeypatch.setattr(cohomology, "build_complex", refuse)
+    monkeypatch.setattr(cochain, "build_complex", refuse)
     assert kunneth_table(C, window).entries == expected
 
 
@@ -532,7 +532,7 @@ def grammar_presentations():
 def test_no_grammar_input_builds_a_complex(monkeypatch):
     """The benchmark's `cohh` inputs, `hz` and every kind the grammar accepts
     get their tables with `build_complex` and `cohh_table` raising."""
-    monkeypatch.setattr(cohomology, "build_complex", refuse)
+    monkeypatch.setattr(cochain, "build_complex", refuse)
     monkeypatch.setattr(cohomology, "cohh_table", refuse)
     kunneth_table(poly(3, 2), BidegreeWindow(6, 24))
     kunneth_table(exterior(3, 3, 5), BidegreeWindow(6, 40))
@@ -560,7 +560,7 @@ def test_a_polynomial_cogenerator_truncated_past_p_gets_one_checked_cobar_comple
         built.append((G.cogenerators, args, kwargs))
         return build_complex(G, win, *args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "build_complex", counting)
+    monkeypatch.setattr(cochain, "build_complex", counting)
     table = kunneth_table(truncated_poly(3, 2, 5, names=("a", "b")), window)
     assert built == [(F.cogenerators, (), {})]
     one = cohh_table(build_complex(F, window))

@@ -66,45 +66,47 @@ def _modules_after(code: str) -> set:
     return set(run.stdout.rsplit("MODULES ", 1)[1].split())
 
 
+def _cohh_modules(loaded: set) -> set:
+    return {m for m in loaded if m.split(".")[0] == "cohh"}
+
+
+CLI = {"cohh", "cohh.cli", "cohh.errors"}
+
+
 def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     """A command imports only the engine it runs, and `--help` none of it:
-    every CLI call is a fresh process and pays for each module it loads.  No
-    command loads `dataclasses`, which pulls in `inspect`, `ast`, `dis` and
-    `tokenize`, nor `inspect` by another route."""
+    every CLI call is a fresh process and pays for each module it loads.
+    Only `selftest` loads the cobar oracle (`cochain`); `hz` loads
+    `exactfield` for its one rank.  No command loads `dataclasses`, which
+    pulls in `inspect`, `ast`, `dis` and `tokenize`, nor `inspect` by
+    another route."""
     loaded = _modules_after(
         "from cohh.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass"
     )
-    assert {m for m in loaded if m.split(".")[0] == "cohh"} == {
-        "cohh", "cohh.cli", "cohh.errors"
-    }
+    assert _cohh_modules(loaded) == CLI
     assert not loaded & {"dataclasses", "json"}
 
     slow_imports = {"dataclasses", "inspect"}
     coalg = tmp_path / "lambda.coalg"
     coalg.write_text("char 3\nexterior y 3\n")
-    loaded = _modules_after(
-        f"from cohh.cli import main\nmain(['cohh', {str(coalg)!r}, '--max-t', '6'])"
-    )
-    assert "cohh.cohomology" in loaded
-    assert not loaded & {
-        "cohh.collapse", "cohh.hopfstruct", "cohh.torpipe", "cohh.selftest", *slow_imports
-    }
-
     e2 = tmp_path / "page.e2"
     e2.write_text("char 3\nexterior y 0 3\npolynomial w 1 2\n")
-    loaded = _modules_after(f"from cohh.cli import main\nmain(['collapse', {str(e2)!r}])")
-    assert "cohh.collapse" in loaded
-    assert not loaded & {"cohh.cochain", "cohh.cohomology", "cohh.selftest", *slow_imports}
-
-    for argv, engine in [
-        (["hz", "--char", "3"], "cohh.torpipe"),
-        (["primitives", str(coalg)], "cohh.hopfstruct"),
-        (["indecomposables", str(coalg)], "cohh.hopfstruct"),
-        (["selftest"], "cohh.selftest"),
+    structure = {*CLI, "cohh.coalg", "cohh.hopfstruct"}
+    for argv, expected in [
+        (["cohh", str(coalg), "--max-t", "6"], {*CLI, "cohh.coalg", "cohh.cohomology"}),
+        (["collapse", str(e2)], {*structure, "cohh.collapse"}),
+        (["primitives", str(coalg)], structure),
+        (["indecomposables", str(coalg)], structure),
+        (["hz", "--char", "3"], {*CLI, "cohh.coalg", "cohh.cohomology", "cohh.exactfield",
+                                 "cohh.torpipe"}),
     ]:
         loaded = _modules_after(f"from cohh.cli import main\nmain({argv!r})")
-        assert engine in loaded, argv
+        assert _cohh_modules(loaded) == expected, argv
         assert not loaded & slow_imports, argv
+
+    loaded = _modules_after("from cohh.cli import main\nmain(['selftest'])")
+    assert {"cohh.selftest", "cohh.cochain"} <= loaded
+    assert not loaded & slow_imports
 
 
 def test_every_process_enters_by_cli_run():
