@@ -23,13 +23,22 @@ Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,
 has, which is not a bug.
 
 Start-up rule: a command imports only the engine modules it runs, inside its
-own function, and `--help` imports none of them (nor `json`).  Every process
-is a fresh interpreter, so a module-level import here is paid by every call.
-For the same reason no engine module imports `dataclasses`: each process
-compiles the modules it loads and pays for their imports, and `dataclasses`
-pulls in `inspect`, `ast`, `dis` and `tokenize`, which cost more than the
-table of a small presentation.  Records are `typing.NamedTuple`s, or plain
-classes with `__slots__` where they validate, mutate or define equality.
+own function, and `--help` imports none of them (nor `json`).  No process
+imports argparse.  Every process is a fresh interpreter, so a module-level
+import here is paid by every call.  For the same reason no engine module
+imports `dataclasses`: each process compiles the modules it loads and pays
+for their imports, and `dataclasses` pulls in `inspect`, `ast`, `dis` and
+`tokenize`, which cost more than the table of a small presentation.  Records
+are `typing.NamedTuple`s, or plain classes with `__slots__` where they
+validate, mutate or define equality.
+
+The command line is read from `COMMANDS`, one static table near the end of
+this module, by `parse_args`.  It follows argparse's rules for the options
+the table declares and prints argparse's messages, without argparse's cost
+in every process: the import, with `gettext` and `locale`, seven parsers to
+build, and `textwrap` to format help.  Each help text is argparse's output
+at 80 columns, kept literal, so help formats nothing; a wider terminal gets
+the same 80-column text.
 
 Beyond `cohh`, `cli` and `errors`, which every process loads, the commands
 load:
@@ -65,7 +74,6 @@ a line (ENOSPC) drops it, and the run keeps the exit code it has: the report
 on stdout, or the refusal, is the result, and stderr only describes it.
 """
 
-import argparse
 import os
 import sys
 import time
@@ -414,82 +422,296 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cohh",
-        description=(
-            "Exact coHochschild homology tables and spectral-sequence collapse "
-            "certificates for graded coalgebras over a field."
-        ),
-        epilog=(
-            "exit codes: 0 success; 1 invariant failure (d.d != 0, a failed "
-            "check); 2 input error (the input is refused, with the reason); "
-            "3 internal error (a bug; the traceback goes to stderr)"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command line -----------------------------------------------------------
+#
+# Per command: the name of its `cmd_*` function, whether it takes a positional
+# `file`, its options as `{option: (kind, default)}`, where a kind is int, str
+# or a tuple of choices and a default of REQUIRED makes the option required,
+# and its help text.  A help text's usage line runs to its first blank line.
 
-    p = sub.add_parser("cohh", help="bigraded coHH table of a coalgebra presentation")
-    p.add_argument("file", help="input presentation file")
-    p.add_argument("--max-s", type=int, default=6)
-    p.add_argument("--max-t", type=int, default=24)
-    p.add_argument("--char", type=int, default=None,
-                   help="override the characteristic header")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.set_defaults(func=cmd_cohh)
+REQUIRED = object()
+FORMATS = ("table", "csv", "json")
 
-    p = sub.add_parser("collapse", help="collapse certificate for an E2 presentation")
-    p.add_argument("file")
-    p.add_argument("--max-t", type=int, default=40)
-    p.add_argument("--char", type=int, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_collapse)
+HELP = """\
+usage: cohh [-h] {cohh,collapse,hz,primitives,indecomposables,selftest} ...
 
-    p = sub.add_parser("hz", help="Tor pipeline table at a prime")
-    p.add_argument("--char", type=int, required=True)
-    p.add_argument("--max-s", type=int, default=3)
-    p.add_argument("--max-t", type=int, default=6)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_hz)
+Exact coHochschild homology tables and spectral-sequence collapse certificates
+for graded coalgebras over a field.
 
-    p = sub.add_parser("primitives", help="primitive elements per internal degree")
-    p.add_argument("file")
-    p.add_argument("--max-t", type=int, default=24)
-    p.add_argument("--char", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_primitives)
+positional arguments:
+  {cohh,collapse,hz,primitives,indecomposables,selftest}
+    cohh                bigraded coHH table of a coalgebra presentation
+    collapse            collapse certificate for an E2 presentation
+    hz                  Tor pipeline table at a prime
+    primitives          primitive elements per internal degree
+    indecomposables     indecomposable elements per internal degree
+    selftest            run the full acceptance suite
 
-    p = sub.add_parser(
-        "indecomposables", help="indecomposable elements per internal degree"
-    )
-    p.add_argument("file")
-    p.add_argument("--max-t", type=int, default=24)
-    p.add_argument("--char", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_indecomposables)
+options:
+  -h, --help            show this help message and exit
 
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_selftest)
+exit codes: 0 success; 1 invariant failure (d.d != 0, a failed check); 2 input
+error (the input is refused, with the reason); 3 internal error (a bug; the
+traceback goes to stderr)
+"""
 
-    return parser
+COMMANDS = {
+    "cohh": (
+        "cmd_cohh", True,
+        {"--max-s": (int, 6), "--max-t": (int, 24), "--char": (int, None),
+         "--format": (FORMATS, "table"), "--out": (str, None)},
+        """\
+usage: cohh cohh [-h] [--max-s MAX_S] [--max-t MAX_T] [--char CHAR]
+                 [--format {table,csv,json}] [--out OUT]
+                 file
+
+positional arguments:
+  file                  input presentation file
+
+options:
+  -h, --help            show this help message and exit
+  --max-s MAX_S
+  --max-t MAX_T
+  --char CHAR           override the characteristic header
+  --format {table,csv,json}
+  --out OUT             write the report to this path
+""",
+    ),
+    "collapse": (
+        "cmd_collapse", True,
+        {"--max-t": (int, 40), "--char": (int, None),
+         "--format": (("table", "json"), "table"), "--out": (str, None)},
+        """\
+usage: cohh collapse [-h] [--max-t MAX_T] [--char CHAR]
+                     [--format {table,json}] [--out OUT]
+                     file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --max-t MAX_T
+  --char CHAR
+  --format {table,json}
+  --out OUT
+""",
+    ),
+    "hz": (
+        "cmd_hz", False,
+        {"--char": (int, REQUIRED), "--max-s": (int, 3), "--max-t": (int, 6),
+         "--format": (FORMATS, "table"), "--out": (str, None)},
+        """\
+usage: cohh hz [-h] --char CHAR [--max-s MAX_S] [--max-t MAX_T]
+               [--format {table,csv,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --char CHAR
+  --max-s MAX_S
+  --max-t MAX_T
+  --format {table,csv,json}
+  --out OUT
+""",
+    ),
+    "primitives": (
+        "cmd_primitives", True,
+        {"--max-t": (int, 24), "--char": (int, None), "--out": (str, None)},
+        """\
+usage: cohh primitives [-h] [--max-t MAX_T] [--char CHAR] [--out OUT] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help     show this help message and exit
+  --max-t MAX_T
+  --char CHAR
+  --out OUT
+""",
+    ),
+    "indecomposables": (
+        "cmd_indecomposables", True,
+        {"--max-t": (int, 24), "--char": (int, None), "--out": (str, None)},
+        """\
+usage: cohh indecomposables [-h] [--max-t MAX_T] [--char CHAR] [--out OUT]
+                            file
+
+positional arguments:
+  file
+
+options:
+  -h, --help     show this help message and exit
+  --max-t MAX_T
+  --char CHAR
+  --out OUT
+""",
+    ),
+    "selftest": (
+        "cmd_selftest", False,
+        {"--out": (str, None)},
+        """\
+usage: cohh selftest [-h] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""",
+    ),
+}
 
 
-def _note(text: str):
-    """Write text to stderr, best effort (the stderr rule)."""
-    if sys.stderr is None:
+def _note(text: str, stream=None):
+    """Write text to stderr, or to `stream` if it is open, best effort (the
+    stderr rule)."""
+    stream = stream or sys.stderr
+    if stream is None:
         return
     try:
-        sys.stderr.write(text)
+        stream.write(text)
     except OSError:
         pass
 
 
+class _UsageError(Exception):
+    """A command line `parse_args` refuses, with argparse's message."""
+
+
+class Namespace:
+    """A parsed command line: `command`, `func`, `file` if the command takes
+    one, and one attribute per option (`--max-s` is `max_s`)."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
+def _option(arg: str, names):
+    """Which of `names` the argument `arg` gives, as (name, `=` value or None);
+    (None, None) for an unknown option, None for a positional.  argparse's
+    rules: `--opt=value`, a unique prefix of a long option, `-hX` as `-h`
+    with the value X, and `-1` or a string with a space is positional."""
+    if arg in names:
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if eq and name in names:
+        return name, value
+    if arg[1] == "-":
+        matches = [n for n in names if n.startswith(name)]
+    else:
+        matches, value = [n for n in names if n == arg[:2]], arg[2:]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    number = arg[1:]
+    if number.replace(".", "", 1).isdecimal() and not number.endswith(".") or " " in arg:
+        return None
+    return None, None
+
+
+def _choice(what: str, value: str, choices):
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {what}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _help(text: str, name: str, value):
+    """Print a help text and exit 0.  Help takes no value, but `-h` chains as
+    argparse's short flags do: `-hh` is `-h`, `-hx` a value."""
+    if name == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+    _note(text, sys.stdout)  # to stderr if stdout is closed, as argparse did
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, argv: list):
+    """One command's arguments by attribute name, and those it leaves over.  Every argument is classified before any is used, so an ambiguous
+    prefix is refused even after `-h`; after `--` all are positional."""
+    _, takes_file, options, text = COMMANDS[command]
+    names = ("-h", "--help", *options)
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg, names) for arg in argv[:end]]
+    values = {name: default for name, (_, default) in options.items()}
+    left = []  # indices, in order, of what no option takes
+    i = 0
+    while i < len(argv):
+        found = kinds[i] if i < end else None
+        i += 1
+        if found is None or found[0] is None:  # a positional, or an unknown option
+            left.append(i - 1)
+            continue
+        name, value = found
+        if name in ("-h", "--help"):
+            _help(text, name, value)
+        if value is None:
+            if i >= end or kinds[i] is not None:
+                raise _UsageError(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        kind = options[name][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+        elif kind is not str:
+            _choice(name, value, kind)
+        values[name] = value
+    args = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    positional = [j for j in left if j > end or j < end and kinds[j] is None]
+    if takes_file and positional:
+        j = positional[0]
+        args["file"] = argv[j]
+        # argparse drops a `--` next to the file: `cohh -- -f`, `cohh f --`.
+        left = [k for k in left if k != j and not (k == end and abs(j - end) == 1)]
+    elif takes_file:
+        missing.insert(0, "file")
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return args, [argv[k] for k in left]
+
+
+def parse_args(argv) -> Namespace:
+    """The command line, read against `COMMANDS` as argparse read it: help
+    prints and exits 0; a usage error prints the usage line of the parser
+    that refused it and `<prog>: error: <message>` to stderr, and exits 2.
+    Unrecognized arguments are refused by the top level, after the command's
+    own errors.  `func` is looked up on the module here, at each call."""
+    prog, text = "cohh", HELP
+    try:
+        extras = []
+        for i, arg in enumerate(argv):
+            found = None if arg == "--" else _option(arg, ("-h", "--help"))
+            if found is None and (arg != "--" or i + 1 < len(argv)):
+                break
+            if found is None or found[0] is None:  # a last `--`, or an unknown option
+                extras.append(arg)
+            else:
+                _help(text, *found)
+        else:
+            raise _UsageError("the following arguments are required: command")
+        command = _choice("command", arg, COMMANDS)
+        prog, text = f"cohh {command}", COMMANDS[command][3]
+        args, left = _parse_command(command, argv[i + 1:])
+        if extras + left:
+            prog, text = "cohh", HELP
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras + left)}")
+    except _UsageError as exc:
+        usage = text.split("\n\n", 1)[0]
+        _note(f"{usage}\n{prog}: error: {exc}\n")
+        raise SystemExit(2) from None
+    func = globals()[COMMANDS[command][0]]
+    return Namespace(command=command, func=func, **args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     start = time.perf_counter()
     try:
         code = args.func(args)
@@ -517,7 +739,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry: `main()`, then flush and `os._exit` (the exit rule).
 
-    argparse ends `--help` and usage errors with `SystemExit`, whose code
+    `parse_args` ends help and usage errors with `SystemExit`, whose code
     maps as `sys.exit` maps it: None is 0, an int itself, anything else is
     printed to stderr and exits 1."""
     try:
@@ -531,7 +753,7 @@ def run() -> None:
             code = 1
     if sys.stdout is not None:  # nothing was written to a closed stdout
         try:
-            _emit("", None)  # flushes what argparse left in the buffer
+            _emit("", None)  # flushes help, and anything else left in the buffer
         except InvalidInput as exc:
             if code == 0:  # else main has reported why it failed
                 _note(f"input error: {exc}\n")

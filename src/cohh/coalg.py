@@ -293,20 +293,3 @@ class CoalgebraPresentation:
         self._coproduct_cache[m] = result
         return result
 
-
-# -- linear-combination helpers ---------------------------------------------
-
-
-def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) -> dict:
-    """Apply the coproduct to one slot of tensor-monomial terms.
-
-    Keys are tuples of monomials; the slot splits into two adjacent slots.
-    The coproduct has degree 0, so no Koszul sign appears.
-    """
-    fld = C.field
-    out: dict = {}
-    for tup, coeff in terms.items():
-        for (a, b), c in C.coproduct_monomial(tup[slot]).items():
-            key = tup[:slot] + (a, b) + tup[slot + 1:]
-            add_term(out, key, coeff * c, fld)
-    return out

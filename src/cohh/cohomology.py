@@ -169,12 +169,28 @@ def _times(rows: list, num: dict, dens=()) -> list:
     sum, so no (a, b) in dens is (0, 0).  Every exponent is >= 0, so a
     coefficient inside the window comes only from coefficients inside it, and
     cutting to the window of rows keeps every coefficient exact.  Each term
-    and each denominator costs one pass over the cells."""
+    and each denominator costs one pass over the cells.
+
+    When num's constant term is 1, as in every factor's series, rows is
+    updated in place and returned, and the term 1 costs nothing: the other
+    terms are added from the top row down, so a term x^a q^b with a >= 1
+    reads row s - a before it changes, and a term q^b reads a copy of its
+    own row taken before the row changes."""
     width = len(rows[0])
-    out = [[0] * width for _ in rows]
-    for (a, b), c in num.items():
-        for s in range(a, len(rows)):
-            row, src = out[s], rows[s - a]
+    terms = dict(num)
+    if terms.get((0, 0)) == 1:
+        del terms[(0, 0)]
+        out = rows
+    else:
+        out = [[0] * width for _ in rows]
+    own_row = any(a == 0 for a, _ in terms)
+    for s in reversed(range(len(rows))):
+        row = out[s]
+        own = row[:] if own_row and out is rows else rows[s]
+        for (a, b), c in terms.items():
+            if a > s:
+                continue
+            src = rows[s - a] if a else own
             if c in (1, -1):
                 row[b:] = map(add if c == 1 else sub, row[b:], src)
             else:

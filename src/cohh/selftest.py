@@ -6,9 +6,10 @@ independently enumerated answer) and deterministic; timing lives on the
 result object, never inside the printable detail.
 
 The oracles that only these checks and the tests use live here, not in the
-modules production commands load: the coalgebra axiom checks, the
-codegeneracies and the cosimplicial identity scan, the basis filters for the
-primitive and indecomposable closed forms, and the all-pairs collapse scan.
+modules production commands load: the coalgebra axiom checks (with the
+slotwise coproduct that coassociativity applies), the codegeneracies and
+the cosimplicial identity scan, the basis filters for the primitive and
+indecomposable closed forms, and the all-pairs collapse scan.
 
 The identity scan evaluates whole levels.  Every coface and codegeneracy
 preserves the internal degree, so each is built once per cosimplicial level,
@@ -36,7 +37,6 @@ from .coalg import (
     Cogenerator,
     Field,
     add_term,
-    apply_coproduct_to_slot,
 )
 from .cochain import build_complex, coface_terms, tensor_bases
 from .cohomology import (
@@ -193,6 +193,21 @@ def check_hypothesis_sweep():
 
 
 # -- oracles: coalgebra axioms and cosimplicial identities --------------------
+
+
+def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) -> dict:
+    """Apply the coproduct to one slot of tensor-monomial terms.
+
+    Keys are tuples of monomials; the slot splits into two adjacent slots.
+    The coproduct has degree 0, so no Koszul sign appears.
+    """
+    fld = C.field
+    out: dict = {}
+    for tup, coeff in terms.items():
+        for (a, b), c in C.coproduct_monomial(tup[slot]).items():
+            key = tup[:slot] + (a, b) + tup[slot + 1:]
+            add_term(out, key, coeff * c, fld)
+    return out
 
 
 def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:

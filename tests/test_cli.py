@@ -343,6 +343,168 @@ def test_process_usage_error_exits_2_with_argparse_message():
     assert run.stderr.endswith("cohh cohh: error: the following arguments are required: file\n")
 
 
+# -- the command line: help bytes and usage errors ------------------------------
+
+# The sha256 of each help text, as a process prints it to a pipe (80 columns).
+HELP_SHA256 = {
+    "--help": "7b26b102ad17c9b53577fd04c5bba8dbf1e2314d3768410e8342fc7cc6456494",
+    "cohh": "589ba0b35f90f1e491b1f5c732cdc8e1aead63a935d72ac76d8b15836f92f6db",
+    "collapse": "63c3793ab528bf7f02907d95887fe50236f57e3411328e4d6af26ce4c7eb9042",
+    "hz": "c4a10e9d881df02091e43800a50d8012594378949a30976686bdc995fd8071f4",
+    "primitives": "b489e19226b9a4714f92fa8a30d94f864184a179ff05964fcff474e487d3a979",
+    "indecomposables": "6e4a2bf228702af58a28e1ce3cb4809acd15f1e45fa2eb6bfe9970fa5317f5e1",
+    "selftest": "993b2f73f7ac336781e4d170000f43a90ffc8f3c60ccfdfd25a3b35753284d09",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_SHA256))
+def test_process_help_bytes_are_pinned(name):
+    argv = ["--help"] if name == "--help" else [name, "-h"]
+    run = run_cli(*argv, text=False, env={"COLUMNS": "80"})
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == HELP_SHA256[name]
+
+
+TOP_USAGE = "usage: cohh [-h] {cohh,collapse,hz,primitives,indecomposables,selftest} ...\n"
+COHH_USAGE = (
+    "usage: cohh cohh [-h] [--max-s MAX_S] [--max-t MAX_T] [--char CHAR]\n"
+    "                 [--format {table,csv,json}] [--out OUT]\n"
+    "                 file\n"
+)
+COLLAPSE_USAGE = (
+    "usage: cohh collapse [-h] [--max-t MAX_T] [--char CHAR]\n"
+    "                     [--format {table,json}] [--out OUT]\n"
+    "                     file\n"
+)
+HZ_USAGE = (
+    "usage: cohh hz [-h] --char CHAR [--max-s MAX_S] [--max-t MAX_T]\n"
+    "               [--format {table,csv,json}] [--out OUT]\n"
+)
+COMMAND_CHOICES = "'cohh', 'collapse', 'hz', 'primitives', 'indecomposables', 'selftest'"
+
+
+# argv ("F" is a Λ(3) presentation file) -> exit code and the exact stderr, or
+# for help the key of the help text on stdout.
+COMMAND_LINES = [
+    ([], 2, TOP_USAGE + "cohh: error: the following arguments are required: command\n"),
+    (["--bogus"], 2, TOP_USAGE + "cohh: error: the following arguments are required: command\n"),
+    (["nope"], 2, TOP_USAGE + f"cohh: error: argument command: invalid choice: 'nope' "
+                              f"(choose from {COMMAND_CHOICES})\n"),
+    (["--", "cohh", "F"], 2, TOP_USAGE + "cohh: error: argument command: invalid choice: '--' "
+                                         f"(choose from {COMMAND_CHOICES})\n"),
+    (["cohh"], 2, COHH_USAGE + "cohh cohh: error: the following arguments are required: file\n"),
+    (["hz"], 2, HZ_USAGE + "cohh hz: error: the following arguments are required: --char\n"),
+    (["cohh", "F", "--max-s", "x"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --max-s: invalid int value: 'x'\n"),
+    (["cohh", "F", "--char="], 2,
+     COHH_USAGE + "cohh cohh: error: argument --char: invalid int value: ''\n"),
+    (["cohh", "F", "--format", "xml"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --format: invalid choice: 'xml' "
+                  "(choose from 'table', 'csv', 'json')\n"),
+    (["collapse", "F", "--format", "csv"], 2,
+     COLLAPSE_USAGE + "cohh collapse: error: argument --format: invalid choice: 'csv' "
+                      "(choose from 'table', 'json')\n"),
+    (["cohh", "F", "--max-s"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --max-s: expected one argument\n"),
+    (["cohh", "F", "--out", "-x"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --out: expected one argument\n"),
+    (["cohh", "F", "--fo"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --format: expected one argument\n"),
+    (["cohh", "F", "--max", "3"], 2,
+     COHH_USAGE + "cohh cohh: error: ambiguous option: --max could match --max-s, --max-t\n"),
+    (["cohh", "F", "-h", "--max"], 2,
+     COHH_USAGE + "cohh cohh: error: ambiguous option: --max could match --max-s, --max-t\n"),
+    (["cohh", "F", "--max-s", "x", "-h"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --max-s: invalid int value: 'x'\n"),
+    (["cohh", "F", "-hx"], 2,
+     COHH_USAGE + "cohh cohh: error: argument -h/--help: ignored explicit argument 'x'\n"),
+    (["cohh", "F", "--bogus"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: --bogus\n"),
+    (["cohh", "F", "extra"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: extra\n"),
+    (["--bogus", "cohh", "F", "--x"], 2,
+     TOP_USAGE + "cohh: error: unrecognized arguments: --bogus --x\n"),
+    (["hz", "--char", "3", "--", "x"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: -- x\n"),
+    (["cohh", "F", "--max-s", "-1"], 2,
+     "input error: window BidegreeWindow(max_s=-1, max_t=24) has a negative bound\n"),
+    (["cohh", "F", "--max-s=-1"], 2,
+     "input error: window BidegreeWindow(max_s=-1, max_t=24) has a negative bound\n"),
+    (["cohh", "--", "-weird"], 2, "input error: [Errno 2] No such file or directory: '-weird'\n"),
+    (["--help"], 0, "--help"),
+    (["-h"], 0, "--help"),
+    (["--he"], 0, "--help"),
+    (["-h", "nope"], 0, "--help"),
+    (["--bogus", "-h"], 0, "--help"),
+    (["cohh", "F", "-h", "--max-s", "x"], 0, "cohh"),
+    (["cohh", "--he"], 0, "cohh"),
+    (["hz", "-h"], 0, "hz"),
+    (["selftest", "--help"], 0, "selftest"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", COMMAND_LINES,
+                         ids=[" ".join(argv) or "none" for argv, _, _ in COMMAND_LINES])
+def test_command_line_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv, code, expected):
+    """Usage errors exit 2 with the usage line of the parser that refused
+    them, help exits 0 with that command's help on stdout."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "F").write_text(LAMBDA3)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert captured.err == ""
+        digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert digest == HELP_SHA256[expected]
+    else:
+        assert (captured.out, captured.err) == ("", expected)
+
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["cohh", "F", "--form", "json"], ["cohh", "F", "--format", "json"]),
+        (["cohh", "F", "--fo=csv"], ["cohh", "F", "--format", "csv"]),
+        (["cohh", "F", "--max-s=2", "--max-t=9"], ["cohh", "F", "--max-s", "2", "--max-t", "9"]),
+        (["cohh", "F", "--max-s", "5", "--max-s", "2"], ["cohh", "F", "--max-s", "2"]),
+        (["cohh", "--max-s", "2", "--", "F"], ["cohh", "F", "--max-s", "2"]),
+        (["cohh", "--max-t", "9", "F", "--"], ["cohh", "F", "--max-t", "9"]),
+        (["cohh", "F", "--char", "5", "--max-t", "11"], ["cohh", "F", "--max-t=11", "--ch=5"]),
+        (["hz", "--char=3", "--max-t", "8"], ["hz", "--max-t", "8", "--char", "3"]),
+        (["primitives", "F", "--max-t", "9"], ["primitives", "--max-t=9", "F"]),
+    ],
+)
+def test_command_line_spellings_run_the_same_command(tmp_path, capsys, monkeypatch, argv,
+                                                     canonical):
+    """`--opt value` and `--opt=value`, unique prefixes, `--`, option order
+    and a repeated option (the last wins) all give the same report."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text(LAMBDA3)
+    assert main(canonical) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_an_option_value_of_double_dash_is_that_string(tmp_path, capsys, monkeypatch):
+    """`--opt=--` gives the value `--`.  argparse (Python 3.11) dropped it and
+    stored an empty list: `--max-s=--` ended as an internal error (exit 3),
+    and `--out=--` wrote the report to stdout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text(LAMBDA3)
+    with pytest.raises(SystemExit) as exc:
+        main(["cohh", "F", "--max-s=--"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        COHH_USAGE + "cohh cohh: error: argument --max-s: invalid int value: '--'\n"
+    )
+    assert main(["cohh", "F", "--out=--"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "--").read_text().startswith("# cohh report\n")
+
+
 def test_process_missing_file_exits_2_with_one_line(tmp_path):
     run = run_cli("cohh", str(tmp_path / "absent.coalg"))
     assert run.returncode == 2 and run.stdout == ""
@@ -354,16 +516,19 @@ def test_process_missing_file_exits_2_with_one_line(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "command, unbuffered",
-    [("cohh", "1"), ("cohh", ""), ("selftest", ""), ("--help", "")],
-    ids=["report-unbuffered", "report-buffered", "selftest", "help"],
+    [("cohh", "1"), ("cohh", ""), ("selftest", ""), ("--help", ""), ("--help", "1"),
+     ("cohh -h", "")],
+    ids=["report-unbuffered", "report-buffered", "selftest", "help", "help-unbuffered",
+         "command-help"],
 )
 def test_process_stdout_without_space_exits_2_with_one_line(tmp_path, command, unbuffered):
     """ENOSPC on stdout is the environment's failure, not a bug.  A report
-    is flushed by `_emit`, in or out of PYTHONUNBUFFERED; `--help` text
-    that argparse leaves in the buffer is flushed by `run()`."""
+    is flushed by `_emit`, in or out of PYTHONUNBUFFERED; help text left
+    in the buffer is flushed by `run()`."""
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
-    argv = {"cohh": ["cohh", str(src)], "selftest": ["selftest"], "--help": ["--help"]}[command]
+    argv = {"cohh": ["cohh", str(src)], "selftest": ["selftest"], "--help": ["--help"],
+            "cohh -h": ["cohh", "-h"]}[command]
     with open("/dev/full", "w") as full:
         run = run_cli(*argv, capture_output=False, stdout=full, stderr=subprocess.PIPE,
                       env={"PYTHONUNBUFFERED": unbuffered})
@@ -386,8 +551,9 @@ def test_process_closed_stdout_exits_2_with_one_line(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "command, code, report",
-    [("cohh", 0, "# cohh report\n"), ("missing", 2, ""), ("selftest", 0, "# selftest report\n")],
-    ids=["cohh", "missing-file", "selftest"],
+    [("cohh", 0, "# cohh report\n"), ("missing", 2, ""), ("selftest", 0, "# selftest report\n"),
+     ("usage", 2, ""), ("unrecognized", 2, "")],
+    ids=["cohh", "missing-file", "selftest", "usage-error", "unrecognized-argument"],
 )
 def test_process_stderr_without_space_keeps_the_exit_code(tmp_path, command, code, report):
     """stderr only describes a run (the stderr rule): when it cannot take a
@@ -398,6 +564,8 @@ def test_process_stderr_without_space_keeps_the_exit_code(tmp_path, command, cod
         "cohh": ["cohh", str(src)],
         "missing": ["cohh", str(tmp_path / "absent.coalg")],
         "selftest": ["selftest"],
+        "usage": ["cohh"],
+        "unrecognized": ["cohh", str(src), "extra"],
     }[command]
     with open("/dev/full", "w") as full:
         run = run_cli(*argv, capture_output=False, stdout=subprocess.PIPE, stderr=full)
@@ -408,9 +576,10 @@ def test_process_stderr_without_space_keeps_the_exit_code(tmp_path, command, cod
 def test_process_closed_stderr_keeps_the_exit_code(tmp_path):
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
-    for path, code in [(src, 0), (tmp_path / "absent.coalg", 2)]:
+    for argv, code in [([src], 0), ([tmp_path / "absent.coalg"], 2), ([], 2), ([src, "--x"], 2)]:
         run = subprocess.run(
-            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "cohh.cli", "cohh", str(path)],
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "cohh.cli", "cohh",
+             *map(str, argv)],
             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=30,
         )
         assert run.returncode == code
@@ -452,7 +621,7 @@ def test_process_exit_code_through_run(body, code, stderr):
 
 def test_main_in_process_never_exits_the_process(tmp_path, monkeypatch):
     """`main()` is the in-process API: every path returns or raises
-    SystemExit (argparse), and none reaches `os._exit`."""
+    SystemExit (help and usage errors), and none reaches `os._exit`."""
     def refuse_exit(code):
         raise AssertionError(f"os._exit({code}) from main")
 

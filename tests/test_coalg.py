@@ -8,10 +8,14 @@ from cohh.coalg import (
     Cogenerator,
     NotConnected,
     ParityViolation,
-    apply_coproduct_to_slot,
 )
 from cohh.exactfield import Field, InvalidInput
-from cohh.selftest import coassociativity_ok, cocommutativity_ok, counitality_ok
+from cohh.selftest import (
+    apply_coproduct_to_slot,
+    coassociativity_ok,
+    cocommutativity_ok,
+    counitality_ok,
+)
 
 
 def exterior(p, *degrees):

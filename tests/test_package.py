@@ -71,6 +71,7 @@ def _cohh_modules(loaded: set) -> set:
 
 
 CLI = {"cohh", "cohh.cli", "cohh.errors"}
+ARGPARSE = {"argparse", "gettext", "locale", "textwrap"}
 
 
 def test_startup_loads_only_the_engine_of_the_command(tmp_path):
@@ -79,12 +80,15 @@ def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     Only `selftest` loads the cobar oracle (`cochain`); `hz` loads
     `exactfield` for its one rank.  No command loads `dataclasses`, which
     pulls in `inspect`, `ast`, `dis` and `tokenize`, nor `inspect` by
-    another route."""
-    loaded = _modules_after(
-        "from cohh.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass"
-    )
-    assert _cohh_modules(loaded) == CLI
-    assert not loaded & {"dataclasses", "json"}
+    another route.  No process, `--help` and usage errors included, loads
+    `argparse` or what it pulls in (`gettext`, `locale`) or formats help
+    with (`textwrap`): the command line is read from `cli.COMMANDS`."""
+    for argv in (["--help"], ["cohh", "-h"], ["hz"]):
+        loaded = _modules_after(
+            f"from cohh.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+        )
+        assert _cohh_modules(loaded) == CLI, argv
+        assert not loaded & {"dataclasses", "json", *ARGPARSE}, argv
 
     slow_imports = {"dataclasses", "inspect"}
     coalg = tmp_path / "lambda.coalg"
@@ -102,11 +106,11 @@ def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     ]:
         loaded = _modules_after(f"from cohh.cli import main\nmain({argv!r})")
         assert _cohh_modules(loaded) == expected, argv
-        assert not loaded & slow_imports, argv
+        assert not loaded & (slow_imports | ARGPARSE), argv
 
     loaded = _modules_after("from cohh.cli import main\nmain(['selftest'])")
     assert {"cohh.selftest", "cohh.cochain"} <= loaded
-    assert not loaded & slow_imports
+    assert not loaded & (slow_imports | ARGPARSE)
 
 
 def test_every_process_enters_by_cli_run():
