@@ -36,7 +36,9 @@ The command line is read from `COMMANDS`, one static table near the end of
 this module, by `parse_args`.  It follows argparse's rules for the options
 the table declares and prints argparse's messages, without argparse's cost
 in every process: the import, with `gettext` and `locale`, seven parsers to
-build, and `textwrap` to format help.  Each help text is argparse's output
+build, and `textwrap` to format help.  Two rules are plainer than
+argparse's: `--` ends the options wherever it stands, and `-h` is one
+argument (`-hh` is an unknown option).  Each help text is argparse's output
 at 80 columns, kept literal, so help formats nothing; a wider terminal gets
 the same 80-column text.
 
@@ -588,24 +590,19 @@ class Namespace:
 def _option(arg: str, names):
     """Which of `names` the argument `arg` gives, as (name, `=` value or None);
     (None, None) for an unknown option, None for a positional.  argparse's
-    rules: `--opt=value`, a unique prefix of a long option, `-hX` as `-h`
-    with the value X, and `-1` or a string with a space is positional."""
-    if arg in names:
-        return arg, None
+    rules: `--opt=value`, a unique prefix of a long option, and `-1` or a
+    string with a space is positional."""
     if arg[:1] != "-" or arg == "-":
         return None
-    name, eq, value = arg.partition("=")
-    value = value if eq else None
-    if eq and name in names:
-        return name, value
+    if arg in names:
+        return arg, None
     if arg[1] == "-":
-        matches = [n for n in names if n.startswith(name)]
-    else:
-        matches, value = [n for n in names if n == arg[:2]], arg[2:]
-    if len(matches) > 1:
-        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
+        name, eq, value = arg.partition("=")
+        matches = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
     number = arg[1:]
     if number.replace(".", "", 1).isdecimal() and not number.endswith(".") or " " in arg:
         return None
@@ -619,11 +616,8 @@ def _choice(what: str, value: str, choices):
     return value
 
 
-def _help(text: str, name: str, value):
-    """Print a help text and exit 0.  Help takes no value, but `-h` chains as
-    argparse's short flags do: `-hh` is `-h`, `-hx` a value."""
-    if name == "-h" and value:
-        value = value.lstrip("h") or None
+def _help(text: str, value):
+    """Print a help text and exit 0; help takes no `=` value."""
     if value is not None:
         raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
     _note(text, sys.stdout)  # to stderr if stdout is closed, as argparse did
@@ -631,24 +625,27 @@ def _help(text: str, name: str, value):
 
 
 def _parse_command(command: str, argv: list):
-    """One command's arguments by attribute name, and those it leaves over.  Every argument is classified before any is used, so an ambiguous
-    prefix is refused even after `-h`; after `--` all are positional."""
+    """One command's arguments by attribute name, and those it leaves over.
+
+    The first `--` ends the options and is dropped.  Every argument is
+    classified before any is used, so an ambiguous prefix is refused even
+    after `-h`."""
     _, takes_file, options, text = COMMANDS[command]
     names = ("-h", "--help", *options)
     end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(arg, names) for arg in argv[:end]]
+    argv = argv[:end] + argv[end + 1:]
+    kinds = [_option(arg, names) for arg in argv[:end]] + [None] * (len(argv) - end)
     values = {name: default for name, (_, default) in options.items()}
     left = []  # indices, in order, of what no option takes
     i = 0
     while i < len(argv):
-        found = kinds[i] if i < end else None
-        i += 1
+        found, i = kinds[i], i + 1
         if found is None or found[0] is None:  # a positional, or an unknown option
             left.append(i - 1)
             continue
         name, value = found
         if name in ("-h", "--help"):
-            _help(text, name, value)
+            _help(text, value)
         if value is None:
             if i >= end or kinds[i] is not None:
                 raise _UsageError(f"argument {name}: expected one argument")
@@ -664,12 +661,10 @@ def _parse_command(command: str, argv: list):
         values[name] = value
     args = {name[2:].replace("-", "_"): value for name, value in values.items()}
     missing = [name for name, value in values.items() if value is REQUIRED]
-    positional = [j for j in left if j > end or j < end and kinds[j] is None]
+    positional = [j for j in left if kinds[j] is None]
     if takes_file and positional:
-        j = positional[0]
-        args["file"] = argv[j]
-        # argparse drops a `--` next to the file: `cohh -- -f`, `cohh f --`.
-        left = [k for k in left if k != j and not (k == end and abs(j - end) == 1)]
+        args["file"] = argv[positional[0]]
+        left.remove(positional[0])
     elif takes_file:
         missing.insert(0, "file")
     if missing:
@@ -681,22 +676,28 @@ def parse_args(argv) -> Namespace:
     """The command line, read against `COMMANDS` as argparse read it: help
     prints and exits 0; a usage error prints the usage line of the parser
     that refused it and `<prog>: error: <message>` to stderr, and exits 2.
-    Unrecognized arguments are refused by the top level, after the command's
-    own errors.  `func` is looked up on the module here, at each call."""
+    Before the command, a `--` is dropped and the next argument is the
+    command.  Unrecognized arguments are refused by the top level, after the
+    command's own errors.  `func` is looked up on the module here, at each
+    call."""
     prog, text = "cohh", HELP
     try:
         extras = []
-        for i, arg in enumerate(argv):
-            found = None if arg == "--" else _option(arg, ("-h", "--help"))
-            if found is None and (arg != "--" or i + 1 < len(argv)):
+        i = 0
+        while i < len(argv) and argv[i] != "--":
+            found = _option(argv[i], ("-h", "--help"))
+            if found is None:
                 break
-            if found is None or found[0] is None:  # a last `--`, or an unknown option
-                extras.append(arg)
+            if found[0] is None:  # an unknown option
+                extras.append(argv[i])
             else:
-                _help(text, *found)
-        else:
+                _help(text, found[1])
+            i += 1
+        if i < len(argv) and argv[i] == "--":
+            i += 1
+        if i == len(argv):
             raise _UsageError("the following arguments are required: command")
-        command = _choice("command", arg, COMMANDS)
+        command = _choice("command", argv[i], COMMANDS)
         prog, text = f"cohh {command}", COMMANDS[command][3]
         args, left = _parse_command(command, argv[i + 1:])
         if extras + left:

@@ -163,31 +163,25 @@ def _unit(window: BidegreeWindow) -> list:
 
 
 def _times(rows: list, num: dict, dens=()) -> list:
-    """rows times num, divided by 1 - x^a q^b for each (a, b) in dens.
+    """rows times num, divided by 1 - x^a q^b for each (a, b) in dens; rows
+    is updated in place and returned.
 
-    num maps (a, b) to c, the term c x^a q^b.  Each division is a running
-    sum, so no (a, b) in dens is (0, 0).  Every exponent is >= 0, so a
-    coefficient inside the window comes only from coefficients inside it, and
-    cutting to the window of rows keeps every coefficient exact.  Each term
-    and each denominator costs one pass over the cells.
-
-    When num's constant term is 1, as in every factor's series, rows is
-    updated in place and returned, and the term 1 costs nothing: the other
-    terms are added from the top row down, so a term x^a q^b with a >= 1
-    reads row s - a before it changes, and a term q^b reads a copy of its
-    own row taken before the row changes."""
-    width = len(rows[0])
-    terms = dict(num)
-    if terms.get((0, 0)) == 1:
-        del terms[(0, 0)]
-        out = rows
-    else:
-        out = [[0] * width for _ in rows]
-    own_row = any(a == 0 for a, _ in terms)
+    num maps (a, b) to c, the term c x^a q^b, and its constant term is 1, as
+    in every factor's series and every connected cobar table.  Each division
+    is a running sum, so no (a, b) in dens is (0, 0).  Every exponent is
+    >= 0, so a coefficient inside the window comes only from coefficients
+    inside it, and cutting to the window of rows keeps every coefficient
+    exact.  The term 1 costs nothing; each other term and each denominator
+    costs one pass over the cells.  The terms are added from the top row
+    down, so a term x^a q^b with a >= 1 reads row s - a before it changes,
+    and a term q^b reads a copy of its own row taken before the row changes."""
+    assert num.get((0, 0)) == 1, "the constant term must be 1"
+    terms = [(a, b, c) for (a, b), c in num.items() if (a, b) != (0, 0)]
+    own_row = any(a == 0 for a, _, _ in terms)
     for s in reversed(range(len(rows))):
-        row = out[s]
-        own = row[:] if own_row and out is rows else rows[s]
-        for (a, b), c in terms.items():
+        row = rows[s]
+        own = row[:] if own_row else row
+        for a, b, c in terms:
             if a > s:
                 continue
             src = rows[s - a] if a else own
@@ -195,15 +189,16 @@ def _times(rows: list, num: dict, dens=()) -> list:
                 row[b:] = map(add if c == 1 else sub, row[b:], src)
             else:
                 row[b:] = [u + c * v for u, v in zip(row[b:], src)]
+    width = len(rows[0])
     for a, b in dens:
-        for s in range(a, len(out)):
-            row = out[s]
+        for s in range(a, len(rows)):
+            row = rows[s]
             if a:
-                row[b:] = map(add, row[b:], out[s - a])
+                row[b:] = map(add, row[b:], rows[s - a])
             else:  # residues r >= width - b have one element in range
                 for r in range(min(b, width - b)):
                     row[r::b] = accumulate(row[r::b])
-    return out
+    return rows
 
 
 def _entries(rows: list) -> dict:

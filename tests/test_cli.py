@@ -390,8 +390,6 @@ COMMAND_LINES = [
     (["--bogus"], 2, TOP_USAGE + "cohh: error: the following arguments are required: command\n"),
     (["nope"], 2, TOP_USAGE + f"cohh: error: argument command: invalid choice: 'nope' "
                               f"(choose from {COMMAND_CHOICES})\n"),
-    (["--", "cohh", "F"], 2, TOP_USAGE + "cohh: error: argument command: invalid choice: '--' "
-                                         f"(choose from {COMMAND_CHOICES})\n"),
     (["cohh"], 2, COHH_USAGE + "cohh cohh: error: the following arguments are required: file\n"),
     (["hz"], 2, HZ_USAGE + "cohh hz: error: the following arguments are required: --char\n"),
     (["cohh", "F", "--max-s", "x"], 2,
@@ -416,13 +414,18 @@ COMMAND_LINES = [
      COHH_USAGE + "cohh cohh: error: ambiguous option: --max could match --max-s, --max-t\n"),
     (["cohh", "F", "--max-s", "x", "-h"], 2,
      COHH_USAGE + "cohh cohh: error: argument --max-s: invalid int value: 'x'\n"),
-    (["cohh", "F", "-hx"], 2,
+    (["cohh", "F", "-hx"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: -hx\n"),
+    (["cohh", "F", "-hh"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: -hh\n"),
+    (["cohh", "F", "--help=x"], 2,
      COHH_USAGE + "cohh cohh: error: argument -h/--help: ignored explicit argument 'x'\n"),
     (["cohh", "F", "--bogus"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: --bogus\n"),
     (["cohh", "F", "extra"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: extra\n"),
     (["--bogus", "cohh", "F", "--x"], 2,
      TOP_USAGE + "cohh: error: unrecognized arguments: --bogus --x\n"),
-    (["hz", "--char", "3", "--", "x"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: -- x\n"),
+    (["hz", "--char", "3", "--", "x"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: x\n"),
+    (["cohh", "F", "--", "-h"], 2, TOP_USAGE + "cohh: error: unrecognized arguments: -h\n"),
+    (["cohh", "F", "--max-s", "--", "2"], 2,
+     COHH_USAGE + "cohh cohh: error: argument --max-s: expected one argument\n"),
     (["cohh", "F", "--max-s", "-1"], 2,
      "input error: window BidegreeWindow(max_s=-1, max_t=24) has a negative bound\n"),
     (["cohh", "F", "--max-s=-1"], 2,
@@ -471,6 +474,7 @@ def test_command_line_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv, 
         (["cohh", "F", "--max-s", "5", "--max-s", "2"], ["cohh", "F", "--max-s", "2"]),
         (["cohh", "--max-s", "2", "--", "F"], ["cohh", "F", "--max-s", "2"]),
         (["cohh", "--max-t", "9", "F", "--"], ["cohh", "F", "--max-t", "9"]),
+        (["--", "cohh", "F"], ["cohh", "F"]),
         (["cohh", "F", "--char", "5", "--max-t", "11"], ["cohh", "F", "--max-t=11", "--ch=5"]),
         (["hz", "--char=3", "--max-t", "8"], ["hz", "--max-t", "8", "--char", "3"]),
         (["primitives", "F", "--max-t", "9"], ["primitives", "--max-t=9", "F"]),
