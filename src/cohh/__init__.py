@@ -19,7 +19,7 @@ _EXPORTS = {
     "Cogenerator": "coalg",
     "E2Presentation": "collapse",
     "Field": "coalg",
-    "SparseMatrix": "exactfield",
+    "SparseMatrix": "cochain",
     "analyze": "collapse",
     "build_complex": "cochain",
     "cohh_table": "cohomology",
@@ -29,7 +29,7 @@ _EXPORTS = {
     "indecomposables": "hopfstruct",
     "kunneth_table": "cohomology",
     "primitives": "hopfstruct",
-    "rank": "exactfield",
+    "rank": "cochain",
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -49,31 +49,35 @@ load:
     collapse         coalg, hopfstruct, collapse
     primitives       coalg, hopfstruct
     indecomposables  coalg, hopfstruct
-    hz               coalg, cohomology, exactfield, torpipe
+    hz               coalg, cohomology, torpipe
     selftest         every module
 
 `coalg` is the presentation module, holding `Field` and `BidegreeWindow`
-too; the cobar machinery (`cochain`, and `exactfield` but for `hz`'s one
-rank) is the oracle, which only `selftest` loads.
+too; the cobar machinery, with its sparse matrices and `rank`, is the
+oracle, `cochain`, which only `selftest` loads.
 
 Exit rule: a process enters through `run()` (`python -m cohh.cli` and the
-`cohh` console script), which calls `main()`, flushes stdout and stderr, and
-ends with `os._exit`, as mypy's CLI does (`mypy.util.hard_exit`).  That skips
+`cohh` console script), which calls `main()`, flushes stderr, and ends with
+`os._exit`, as mypy's CLI does (`mypy.util.hard_exit`).  That skips
 interpreter finalization (module teardown, a last collection, freeing every
 object), 7-9 ms per process on a 2-vCPU host under CPython 3.11, which no
 command needs: every report is written and flushed, and every `--out` file
 closed, before `main` returns, and no cohh module registers an atexit
 callback, a finalizer or a `__del__`.  Atexit callbacks that other code
 registers (a site `.pth` hook, say) are skipped too.  `main()` is the
-in-process API: it returns the exit code and never calls `os._exit`.  A
-stdout that is closed or cannot take the report (ENOSPC, EPIPE) is an input
-error, exit 2 with one line, like an unwritable `--out`.
+in-process API: it returns the exit code, help's and a usage error's too,
+raises no `SystemExit` of its own and never calls `os._exit`.
 
-Stderr rule: everything written to stderr (timings, the `input error:`,
-`invariant failure:` and `internal error:` lines and the traceback) goes
-through `_note`, which is best effort.  A stderr that is closed or cannot take
-a line (ENOSPC) drops it, and the run keeps the exit code it has: the report
-on stdout, or the refusal, is the result, and stderr only describes it.
+Stdout rule: a report, or help, is written and flushed by `_emit`.  A stdout
+that is closed or cannot take it (ENOSPC, EPIPE) is an input error, exit 2
+with one line, like an unwritable `--out`.
+
+Stderr rule: everything written to stderr (timings, usage errors, the
+`input error:`, `invariant failure:` and `internal error:` lines and the
+traceback) goes through `_note`, which is best effort.  A stderr that is
+closed or cannot take a line (ENOSPC) drops it, and the run keeps the exit
+code it has: the report on stdout, or the refusal, is the result, and stderr
+only describes it.
 """
 
 import os
@@ -563,20 +567,24 @@ options:
 }
 
 
-def _note(text: str, stream=None):
-    """Write text to stderr, or to `stream` if it is open, best effort (the
-    stderr rule)."""
-    stream = stream or sys.stderr
-    if stream is None:
+def _note(text: str):
+    """Write text to stderr, best effort (the stderr rule)."""
+    if sys.stderr is None:
         return
     try:
-        stream.write(text)
+        sys.stderr.write(text)
     except OSError:
         pass
 
 
 class _UsageError(Exception):
     """A command line `parse_args` refuses, with argparse's message."""
+
+
+class _Exit(Exception):
+    """Raised with an exit code when the command line is answered in full, by
+    help (0) or a usage error (2): `main` returns the code, and no command
+    runs."""
 
 
 class Namespace:
@@ -617,11 +625,12 @@ def _choice(what: str, value: str, choices):
 
 
 def _help(text: str, value):
-    """Print a help text and exit 0; help takes no `=` value."""
+    """Print a help text as a report and end with code 0; help takes no `=`
+    value."""
     if value is not None:
         raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-    _note(text, sys.stdout)  # to stderr if stdout is closed, as argparse did
-    raise SystemExit(0)
+    _emit(text, None)
+    raise _Exit(0)
 
 
 def _parse_command(command: str, argv: list):
@@ -674,12 +683,12 @@ def _parse_command(command: str, argv: list):
 
 def parse_args(argv) -> Namespace:
     """The command line, read against `COMMANDS` as argparse read it: help
-    prints and exits 0; a usage error prints the usage line of the parser
-    that refused it and `<prog>: error: <message>` to stderr, and exits 2.
-    Before the command, a `--` is dropped and the next argument is the
-    command.  Unrecognized arguments are refused by the top level, after the
-    command's own errors.  `func` is looked up on the module here, at each
-    call."""
+    prints to stdout and raises `_Exit(0)`; a usage error prints the usage
+    line of the parser that refused it and `<prog>: error: <message>` to
+    stderr, and raises `_Exit(2)`.  Before the command, a `--` is dropped
+    and the next argument is the command.  Unrecognized arguments are refused
+    by the top level, after the command's own errors.  `func` is looked up on
+    the module here, at each call."""
     prog, text = "cohh", HELP
     try:
         extras = []
@@ -706,16 +715,18 @@ def parse_args(argv) -> Namespace:
     except _UsageError as exc:
         usage = text.split("\n\n", 1)[0]
         _note(f"{usage}\n{prog}: error: {exc}\n")
-        raise SystemExit(2) from None
+        raise _Exit(2) from None
     func = globals()[COMMANDS[command][0]]
     return Namespace(command=command, func=func, **args)
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     start = time.perf_counter()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         code = args.func(args)
+    except _Exit as exc:
+        return exc.args[0]
     except InvariantFailure as exc:
         _note(f"invariant failure: {exc}\n")
         return 1
@@ -738,27 +749,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry: `main()`, then flush and `os._exit` (the exit rule).
-
-    `parse_args` ends help and usage errors with `SystemExit`, whose code
-    maps as `sys.exit` maps it: None is 0, an int itself, anything else is
-    printed to stderr and exits 1."""
-    try:
-        code = main()
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            code = 0
-        elif not isinstance(code, int):
-            _note(f"{code}\n")
-            code = 1
-    if sys.stdout is not None:  # nothing was written to a closed stdout
-        try:
-            _emit("", None)  # flushes help, and anything else left in the buffer
-        except InvalidInput as exc:
-            if code == 0:  # else main has reported why it failed
-                _note(f"input error: {exc}\n")
-                code = 2
+    """The process entry: `main()`, a flush of stderr and `os._exit` (the
+    exit rule).  Every report, help included, is flushed by `_emit`."""
+    code = main()
     if sys.stderr is not None:
         try:
             sys.stderr.flush()

@@ -22,13 +22,10 @@ This is the presentation module: the one module every production command
 loads beyond the CLI.  Besides the presentation it holds the names those
 commands share: `Field` with its primality test, `add_term`, and the
 `BidegreeWindow` with its default bounds.  It imports only `errors`, `math`
-and `typing`.  `exactfield` re-exports `Field`, `add_term` and
-`CompositeCharacteristic`, and `cochain` re-exports `BidegreeWindow` and
-`WindowTooSmall`; each name is defined here alone.  The cobar machinery
-(`cochain`, and `exactfield`'s `SparseMatrix` and `rank`) is the oracle:
-`selftest`, the tests and the benchmark replay load it, `hz` loads
-`exactfield` for its one rank, and `cohh cohh` loads it only for the one
-factor kind without a closed form, which the grammar cannot express.
+and `typing`.  The cobar machinery, with its `SparseMatrix` and `rank`, is
+the oracle, `cochain`: `selftest`, the tests and the benchmark replay load
+it, and `cohh cohh` loads it only for the one factor kind without a closed
+form, which the grammar cannot express.
 """
 
 from __future__ import annotations

@@ -44,9 +44,9 @@ as oracles, by the tests and `selftest`.
 
 So this module imports only `coalg`, which holds `BidegreeWindow` and
 `WindowTooSmall`, and `errors` at module level: `cohh cohh` loads no cobar
-machinery.  The oracle is imported where it is called: `cohh_table` takes
-`exactfield.rank`, and `kunneth_table`'s cobar branch
-`cochain.build_complex`.
+machinery.  The oracle, `cochain`, is imported where it is called:
+`cohh_table` takes its `rank`, and `kunneth_table`'s cobar branch its
+`build_complex`.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
     established by build_complex(..., check=True) or first_square_failure;
     on a complex that fails it the numbers are not cohomology.
     """
-    from .exactfield import rank
+    from .cochain import rank
 
     entries = {}
     for t in range(cx.window.max_t + 1):

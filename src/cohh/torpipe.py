@@ -29,7 +29,6 @@ from .cohomology import (
     kunneth_table,
 )
 from .errors import InvalidInput, InvariantFailure
-from .exactfield import SparseMatrix, rank
 
 # Tor is computed, checked and reported in degrees 0..TOR_MAX_DEGREE only.
 TOR_MAX_DEGREE = 4
@@ -40,7 +39,7 @@ def tor_fp(p: int, max_degree: int) -> list:
     fld = Field(p)
     if p == 0:
         raise InvalidInput("characteristic must be a prime here")
-    r = rank(SparseMatrix.from_triples(fld, 1, 1, [(0, 0, p)]))
+    r = 1 if fld.scalar(p) else 0  # the rank of the 1x1 matrix (p)
     return ([1 - r, 1 - r] + [0] * max_degree)[: max_degree + 1]
 
 

@@ -2,10 +2,24 @@
 
 Over Q it eliminates in `Fraction`s with ordinary division, over F_p with
 modular inverses, on a full dense copy of the matrix; it shares no code with
-the sparse, fraction-free `exactfield.rank` it checks.
+the sparse, fraction-free `cochain.rank` it checks.  `from_triples` builds the
+`SparseMatrix` of a hand-written or random matrix.
 """
 
 from fractions import Fraction
+
+from cohh.coalg import add_term
+from cohh.cochain import SparseMatrix
+
+
+def from_triples(fld, rows: int, cols: int, triples) -> SparseMatrix:
+    """A `SparseMatrix` from (row, col, value) triples; repeats are summed."""
+    entries: dict = {}
+    for r, c, v in triples:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+        add_term(entries, (r, c), v, fld)
+    return SparseMatrix(fld, rows, cols, entries)
 
 
 def dense_rank(m) -> int:

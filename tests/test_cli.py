@@ -19,11 +19,17 @@ from cohh.cli import (
     parse_e2,
     parse_presentation,
 )
-from cohh.coalg import EXTERIOR, POLYNOMIAL, CoalgebraPresentation, Cogenerator
-from cohh.cochain import BidegreeWindow, build_complex
+from cohh.coalg import (
+    EXTERIOR,
+    POLYNOMIAL,
+    BidegreeWindow,
+    CoalgebraPresentation,
+    Cogenerator,
+    Field,
+)
+from cohh.cochain import build_complex
 from cohh.cohomology import cohh_table, table_to_csv
 from cohh.errors import InvariantFailure
-from cohh.exactfield import Field
 from cohh.selftest import TIME_BUDGETS_SECONDS
 
 LAMBDA3 = "# one odd exterior class\nchar 3\nexterior y 3\n"
@@ -498,9 +504,7 @@ def test_an_option_value_of_double_dash_is_that_string(tmp_path, capsys, monkeyp
     and `--out=--` wrote the report to stdout."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "F").write_text(LAMBDA3)
-    with pytest.raises(SystemExit) as exc:
-        main(["cohh", "F", "--max-s=--"])
-    assert exc.value.code == 2
+    assert main(["cohh", "F", "--max-s=--"]) == 2
     assert capsys.readouterr().err == (
         COHH_USAGE + "cohh cohh: error: argument --max-s: invalid int value: '--'\n"
     )
@@ -542,14 +546,16 @@ def test_process_stdout_without_space_exits_2_with_one_line(tmp_path, command, u
 
 
 def test_process_closed_stdout_exits_2_with_one_line(tmp_path):
+    """Help is a report: with stdout closed it is refused like any other."""
     src = tmp_path / "lambda.coalg"
     src.write_text(LAMBDA3)
-    run = subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cohh.cli", "cohh", str(src)],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=30,
-    )
-    assert run.returncode == 2
-    assert run.stderr == "input error: standard output is closed\n"
+    for argv in (["cohh", str(src)], ["--help"]):
+        run = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cohh.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=30,
+        )
+        assert run.returncode == 2, argv
+        assert run.stderr == "input error: standard output is closed\n", argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -624,8 +630,8 @@ def test_process_exit_code_through_run(body, code, stderr):
 
 
 def test_main_in_process_never_exits_the_process(tmp_path, monkeypatch):
-    """`main()` is the in-process API: every path returns or raises
-    SystemExit (help and usage errors), and none reaches `os._exit`."""
+    """`main()` is the in-process API: every path, help and usage errors
+    included, returns its exit code, and none reaches `os._exit`."""
     def refuse_exit(code):
         raise AssertionError(f"os._exit({code}) from main")
 
@@ -634,9 +640,8 @@ def test_main_in_process_never_exits_the_process(tmp_path, monkeypatch):
     src.write_text(LAMBDA3)
     assert main(["cohh", str(src)]) == 0
     assert main(["cohh", str(tmp_path / "absent.coalg")]) == 2
-    for argv in (["--help"], ["cohh"]):
-        with pytest.raises(SystemExit):
-            main(argv)
+    assert main(["--help"]) == 0
+    assert main(["cohh"]) == 2
     monkeypatch.setattr(cli, "cmd_hz", lambda args: 1 / 0)
     assert main(["hz", "--char", "3"]) == 3
 

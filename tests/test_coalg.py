@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from cohh.coalg import (
@@ -6,10 +9,14 @@ from cohh.coalg import (
     POLYNOMIAL,
     CoalgebraPresentation,
     Cogenerator,
+    CompositeCharacteristic,
+    Field,
     NotConnected,
     ParityViolation,
+    _is_prime,
+    add_term,
 )
-from cohh.exactfield import Field, InvalidInput
+from cohh.errors import InvalidInput
 from cohh.selftest import (
     apply_coproduct_to_slot,
     coassociativity_ok,
@@ -186,3 +193,63 @@ def test_coproduct_rejects_unknown_monomial_shape():
     C = exterior(3, 3)
     with pytest.raises(ValueError):
         C.coproduct_monomial((1, 0))
+
+
+def test_large_prime_characteristic_is_decided_quickly():
+    start = time.perf_counter()
+    assert Field(10**18 + 3).characteristic == 10**18 + 3
+    assert time.perf_counter() - start < 1.0
+    # 10^18+1 = 101 * 9901 * ..., 561 a Carmichael number, 2047 = 23 * 89 a
+    # strong pseudoprime to base 2; 1 and -2 are neither 0 nor prime
+    for bad in (4, 6, 1, 9, -2, 10**18 + 1, 561, 2047):
+        with pytest.raises(CompositeCharacteristic):
+            Field(bad)
+
+
+def test_characteristic_beyond_exact_primality_range_is_refused():
+    # composite, yet a strong pseudoprime to every base 2, 3, ..., 41
+    with pytest.raises(InvalidInput, match="too large"):
+        Field(3317044064679887385961981)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(10**4))
+
+
+def test_scalar_canonicalization():
+    f3 = Field(3)
+    assert f3.scalar(7) == 1
+    assert f3.scalar(-1) == 2
+    q = Field(0)
+    for x in (4, -7, 0, 10**30):
+        assert q.scalar(x) == x and type(q.scalar(x)) is int
+    assert Field(3) == Field(3) != Field(5) and hash(Field(3)) == hash(Field(3))
+
+
+def test_field_record_semantics():
+    """Equal and hashed by characteristic, with the repr error messages print;
+    a composite characteristic is refused at construction."""
+    assert Field(5) == Field(5) and hash(Field(5)) == hash(Field(5))
+    assert Field(5) != Field(7) and Field(0) != 0 and Field(3) != (3,)
+    assert len({Field(3), Field(3), Field(0)}) == 2
+    assert repr(Field(3)) == "Field(characteristic=3)"
+    with pytest.raises(CompositeCharacteristic, match="must be 0 or a prime, got 9"):
+        Field(9)
+
+
+def test_modp_arithmetic_matches_integers():
+    """add_term sums plain ints into canonical nonzero residues (ints over Q)."""
+    rng = random.Random(7)
+    for p in (0, 2, 3, 5, 7):
+        fld = Field(p)
+        acc: dict = {}
+        sums = [0] * 4
+        for _ in range(250):
+            key, a, b = rng.randrange(4), rng.randrange(-50, 50), rng.randrange(-50, 50)
+            add_term(acc, key, a * b, fld)
+            sums[key] += a * b
+            assert acc == {k: fld.scalar(v) for k, v in enumerate(sums) if fld.scalar(v)}
+            assert all(type(v) is int and (not p or 0 < v < p) for v in acc.values())

@@ -1,29 +1,33 @@
+import random
 from itertools import product
 
 import pytest
+from dense_reference import dense_rank, from_triples
 
 from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
     POLYNOMIAL,
+    BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    Field,
+    WindowTooSmall,
 )
 from cohh import cochain, selftest
 from cohh.cochain import (
-    BidegreeWindow,
     DifferentialNotSquareZero,
-    WindowTooSmall,
+    SparseMatrix,
     _matrix_from_terms,
     build_complex,
     coface_terms,
     differential_terms,
     normalized_differential_terms,
+    rank,
     tensor_basis,
     tensor_bases,
     twist_first_to_last,
 )
-from cohh.exactfield import Field, SparseMatrix, rank
 from cohh.selftest import (
     CHARACTERISTICS,
     _structural_corpus,
@@ -314,7 +318,7 @@ def test_normalized_basis_equals_codegeneracy_kernel_intersection():
                 for m in mats:
                     triples += [(r + offset, c, v) for (r, c), v in m.entries.items()]
                     offset += m.rows
-                stacked = SparseMatrix.from_triples(C.field, rows, len(full), triples)
+                stacked = from_triples(C.field, rows, len(full), triples)
                 kernel_dim = stacked.cols - rank(stacked)
                 assert kernel_dim == len(tensor_basis(C, s, t, normalized=True))
 
@@ -486,3 +490,96 @@ def test_scalars_over_q_are_plain_ints():
             assert all(type(v) is int for v in coefficients + entries), C.cogenerators
             if p:
                 assert all(0 < v < p for v in coefficients + entries), C.cogenerators
+
+
+def test_sparse_matrix_equality_sees_field_shape_and_entries():
+    f3, f5 = Field(3), Field(5)
+    m = SparseMatrix(f3, 2, 3, {(0, 1): 2})
+    assert m == SparseMatrix(f3, 2, 3, {(0, 1): 2})
+    assert m != SparseMatrix(f5, 2, 3, {(0, 1): 2})
+    assert m != SparseMatrix(f3, 3, 2, {(0, 1): 2})
+    assert m != SparseMatrix(f3, 2, 3, {(0, 1): 1})
+    assert SparseMatrix(f3, 0, 4) == SparseMatrix(f3, 0, 4) != SparseMatrix(f3, 4, 0)
+    # each matrix built without entries gets its own dict
+    a, b = SparseMatrix(f3, 1, 1), SparseMatrix(f3, 1, 1)
+    a.entries[(0, 0)] = 1
+    assert b.entries == {}
+    with pytest.raises(TypeError):
+        hash(m)
+
+
+def test_from_triples_sums_and_drops_zeros():
+    f3 = Field(3)
+    m = from_triples(f3, 2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 5)])
+    assert m.entries == {(1, 1): 2}
+    with pytest.raises(IndexError):
+        from_triples(f3, 1, 1, [(1, 0, 1)])
+
+
+def test_compose_and_apply():
+    f7 = Field(7)
+    a = from_triples(f7, 2, 2, [(0, 0, 2), (1, 1, 3)])
+    b = from_triples(f7, 2, 2, [(0, 1, 1), (1, 0, 4)])
+    ab = a.compose(b)
+    assert ab.entries == {(0, 1): 2, (1, 0): 5}
+    ones = from_triples(f7, 2, 1, [(0, 0, 1), (1, 0, 1)])
+    assert a.compose(ones).entries == {(0, 0): 2, (1, 0): 3}
+
+
+def _transpose(m):
+    return SparseMatrix(
+        m.field, m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}
+    )
+
+
+def _random_matrix(rng, fld, rows, cols, density):
+    """Random integer entries; over Q some are large, so pivots are not units."""
+    def value():
+        if fld.characteristic == 0 and rng.random() < 0.3:
+            return rng.randrange(-60, 61)
+        return rng.randrange(-4, 5)
+
+    return from_triples(
+        fld, rows, cols,
+        [
+            (r, c, value())
+            for r in range(rows)
+            for c in range(cols)
+            if rng.random() < density
+        ],
+    )
+
+
+def _random_matrices(rng, fld):
+    for rows, cols in ((0, 4), (4, 0), (0, 0), (3, 5)):
+        yield SparseMatrix(fld, rows, cols)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        yield _random_matrix(rng, fld, rows, cols, rng.choice((0.15, 0.4, 0.8)))
+    # products through a narrow middle have rank below both sides
+    for _ in range(30):
+        inner = rng.randrange(1, 4)
+        a = _random_matrix(rng, fld, rng.randrange(2, 9), inner, 0.7)
+        b = _random_matrix(rng, fld, inner, rng.randrange(2, 9), 0.7)
+        yield a.compose(b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_sparse_rank_agrees_with_dense_row_reduce(p):
+    fld = Field(p)
+    rng = random.Random(100 + p)
+    deficient = 0
+    for m in _random_matrices(rng, fld):
+        r = rank(m)
+        assert r == dense_rank(m), m
+        assert r == rank(_transpose(m)), m
+        deficient += r < min(m.rows, m.cols)
+    assert deficient >= 20  # the oracle saw rank-deficient matrices
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_sparse_rank_agrees_with_dense_on_the_structural_corpus(p):
+    for label, C, window, _ in _structural_corpus(p):
+        cx = build_complex(C, window)
+        for key, d in cx.differentials.items():
+            assert rank(d) == dense_rank(d), (label, p, key)

@@ -10,13 +10,14 @@ from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
     POLYNOMIAL,
+    BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    Field,
+    WindowTooSmall,
 )
 from cohh.cochain import (
-    BidegreeWindow,
     DifferentialNotSquareZero,
-    WindowTooSmall,
     build_complex,
     tensor_basis,
 )
@@ -35,7 +36,6 @@ from cohh.cohomology import (
     table_to_csv,
     table_to_json_dict,
 )
-from cohh.exactfield import Field
 from cohh.torpipe import hz_e2_pipeline
 
 CHARS = (0, 2, 3, 5)

@@ -22,7 +22,7 @@ from cohh.collapse import (
     gamma_collapse,
     source_count,
 )
-from cohh.exactfield import InvalidInput
+from cohh.errors import InvalidInput
 from cohh.selftest import brute_force_feasible
 
 

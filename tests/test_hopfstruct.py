@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from dense_reference import dense_rank
+from dense_reference import dense_rank, from_triples
 
 from cohh.coalg import (
     DIVIDED_POWER,
@@ -9,9 +9,11 @@ from cohh.coalg import (
     POLYNOMIAL,
     CoalgebraPresentation,
     Cogenerator,
+    Field,
+    add_term,
 )
 from cohh.coalg import NotConnected, ParityViolation
-from cohh.exactfield import Field, InvalidInput, SparseMatrix, add_term
+from cohh.errors import InvalidInput
 from cohh.hopfstruct import AlgebraPresentation, indecomposables, primitives
 from cohh.selftest import reduced_coproduct
 
@@ -95,7 +97,7 @@ def reduced_coproduct_rank(C, t):
         for pair, c in C.coproduct_monomial(m).items()
         if pair in pairs
     ]
-    return dense_rank(SparseMatrix.from_triples(C.field, len(pairs), len(basis), triples))
+    return dense_rank(from_triples(C.field, len(pairs), len(basis), triples))
 
 
 def oracle_presentations(p):
@@ -226,7 +228,7 @@ def test_indecomposables_equal_the_product_scan():
 def test_structure_commands_and_euler_check_enumerate_no_basis(monkeypatch):
     """Primitives, indecomposables and the Euler check are closed forms in the
     cogenerators: none of them enumerates a basis or computes a coproduct."""
-    from cohh.cochain import BidegreeWindow
+    from cohh.coalg import BidegreeWindow
     from cohh.cohomology import kunneth_table, presentation_euler_check
 
     gens = [Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2, truncation=4)]

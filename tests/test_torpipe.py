@@ -3,10 +3,9 @@ import time
 import pytest
 
 from cohh import torpipe
-from cohh.cochain import BidegreeWindow, WindowTooSmall
+from cohh.coalg import BidegreeWindow, CompositeCharacteristic, WindowTooSmall
 from cohh.cohomology import EXTERIOR_POLYNOMIAL, WindowTooLarge, kunneth_table
-from cohh.errors import InvariantFailure
-from cohh.exactfield import CompositeCharacteristic, InvalidInput
+from cohh.errors import InvalidInput, InvariantFailure
 from cohh.torpipe import hz_e2_pipeline, tor_fp
 
 
