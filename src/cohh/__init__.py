@@ -23,7 +23,6 @@ _EXPORTS = {
     "analyze": "collapse",
     "build_complex": "cochain",
     "cohh_table": "cohomology",
-    "feasible_differentials": "collapse",
     "hz_e2_pipeline": "torpipe",
     "identify_presentation": "cohomology",
     "indecomposables": "hopfstruct",

@@ -20,12 +20,13 @@ twisted cobar term reads the degree of each of its factors.
 
 This is the presentation module: the one module every production command
 loads beyond the CLI.  Besides the presentation it holds the names those
-commands share: `Field` with its primality test, `add_term`, and the
-`BidegreeWindow` with its default bounds.  It imports only `errors`, `math`
-and `typing`.  The cobar machinery, with its `SparseMatrix` and `rank`, is
-the oracle, `cochain`: `selftest`, the tests and the benchmark replay load
-it, and `cohh cohh` loads it only for the one factor kind without a closed
-form, which the grammar cannot express.
+commands share: `Field` with its primality test, `add_term`, and
+`BidegreeWindow`, whose bounds every caller gives (the CLI's defaults live in
+`cli.COMMANDS`).  It imports only `errors`, `math` and `typing`.  The cobar
+machinery, with its `SparseMatrix` and `rank`, is the oracle, `cochain`:
+`selftest`, the tests and the benchmark replay load it, and `cohh cohh` loads
+it only for the one factor kind without a closed form, which the grammar
+cannot express.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInput
-
-DEFAULT_MAX_S = 6
-DEFAULT_MAX_T = 24
-
 
 class CompositeCharacteristic(InvalidInput):
     """Requested characteristic is neither 0 nor a prime."""
@@ -123,8 +120,8 @@ def add_term(acc: dict, key, coeff: int, fld: Field):
 class BidegreeWindow(NamedTuple):
     """Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."""
 
-    max_s: int = DEFAULT_MAX_S
-    max_t: int = DEFAULT_MAX_T
+    max_s: int
+    max_t: int
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"

@@ -20,6 +20,11 @@ st - |w_j|, each times w_j, over every j.  They share a bidegree, the target
 and the page e - 1, so they are the witnesses of one obstruction.  The sets
 are listed once, keyed by degree, after `source_count` has refused a page
 with more than MAX_SOURCES sources.
+
+`analyze` is the one entry point.  It certifies a divided-power page by the
+column argument, and for an exterior-polynomial page returns the obstructions:
+an `Obstruction` is the one record of a candidate map, and its witnesses are
+the candidate sources.
 """
 
 from __future__ import annotations
@@ -90,19 +95,15 @@ class E2Presentation:
                     f"column-0 exterior generator {g.name} must have odd internal degree"
                 )
 
-    def by_kind(self, kind: str, s: Optional[int] = None) -> list:
-        return [
-            g for g in self.generators
-            if g.kind == kind and (s is None or g.s == s)
-        ]
-
     @property
     def exterior(self) -> list:
-        return self.by_kind(EXTERIOR, 0)
+        """The column-0 exterior generators."""
+        return [g for g in self.generators if g.kind == EXTERIOR and g.s == 0]
 
     @property
     def polynomial(self) -> list:
-        return self.by_kind(POLYNOMIAL, 1)
+        """The polynomial generators, each in column 1 (`__init__` checks)."""
+        return [g for g in self.generators if g.kind == POLYNOMIAL]
 
     def shape(self) -> str:
         kinds = {(g.kind, g.s) for g in self.generators}
@@ -227,36 +228,6 @@ def candidate_targets(e2: E2Presentation, max_t: int) -> list:
     return out
 
 
-class CandidateDifferential(NamedTuple):
-    """One (source monomial, target monomial, page) triple obeying the bidegree law."""
-
-    source: tuple
-    target: tuple
-    page: int
-    source_bidegree: tuple
-    target_bidegree: tuple
-
-    def describe(self, e2: E2Presentation) -> str:
-        return (
-            f"d_{self.page}: {e2.format_monomial(self.source)} "
-            f"{self.source_bidegree} -> {e2.format_monomial(self.target)} "
-            f"{self.target_bidegree}"
-        )
-
-
-def feasible_differentials(e2: E2Presentation, max_t: int) -> list:
-    """Every (source, target, r >= 2) satisfying (s+r, t+r-1) = target bidegree:
-    by the rule of the module docstring, each witness of each obstruction
-    (`_obstructions`), ordered by source internal degree, page, source, target."""
-    out = [
-        CandidateDifferential(w, o.target, o.page, o.source_bidegree, o.target_bidegree)
-        for o in _obstructions(e2, max_t)
-        for w in o.witnesses
-    ]
-    out.sort(key=lambda c: (c.source_bidegree[1], c.page, c.source, c.target))
-    return out
-
-
 def exton2_hypotheses(e2: E2Presentation) -> dict:
     """Side conditions for the two-exterior-generator collapse certificate.
 
@@ -302,10 +273,9 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
 
 
 class Obstruction(NamedTuple):
-    """Candidates sharing (source bidegree, target, page): one potential map d_r.
-
-    The fields of `CandidateDifferential`, plus the witnesses; `source` is the
-    lexicographically least of them."""
+    """One potential map d_r: every candidate source monomial (the witnesses)
+    of one source bidegree that the bidegree law lets hit `target` on page r.
+    `source` is the lexicographically least witness."""
 
     source: tuple
     target: tuple
@@ -318,7 +288,11 @@ class Obstruction(NamedTuple):
         """One report line; `names` are the witnesses formatted, as
         `CollapseCertificate.witness_names` gives them.  The first is the
         source, which is the least witness, and is not repeated."""
-        head = CandidateDifferential.describe(self, e2)
+        head = (
+            f"d_{self.page}: {e2.format_monomial(self.source)} "
+            f"{self.source_bidegree} -> {e2.format_monomial(self.target)} "
+            f"{self.target_bidegree}"
+        )
         if len(self.witnesses) > 1:
             head += f" (same-bidegree sources: {', '.join(names[1:])})"
         return head
@@ -328,7 +302,7 @@ def _obstructions(e2: E2Presentation, max_t: int) -> list:
     """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
     source of internal degree st = tt - ts + 2, on page ts - 1: each exterior
     set of degree st - |w_j|, times w_j.  Targets of one st share one sorted
-    witness tuple.  Ordered as the candidates."""
+    witness tuple.  Ordered by source internal degree, page, source, target."""
     sets = _exterior_sets(e2, max_t)
     poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
     by_degree: dict = {}  # st -> the sorted sources of internal degree st
@@ -395,36 +369,6 @@ class CollapseCertificate(NamedTuple):
         }
 
 
-def gamma_collapse(e2: E2Presentation, max_t: int = 0) -> CollapseCertificate:
-    """Column argument for a divided-power base with column-1 exterior generators.
-
-    Indecomposable sources sit in column 1 and any page-r differential with
-    r >= 2 lands in column >= 3, while every primitive target sits in columns
-    0 or 1, so no candidate differential exists at any page."""
-    if e2.shape() != GAMMA_EXTERIOR:
-        raise WrongShape(
-            "column argument needs a divided-power column-0 base with exterior "
-            "column-1 generators only"
-        )
-    argument = (
-        "sources (indecomposables) lie in column 1; a page-r differential with "
-        "r >= 2 raises the column to >= 3; targets (primitives) lie in columns "
-        "<= 1, so every candidate is bidegree-infeasible"
-    )
-    return CollapseCertificate(
-        verdict="collapses",
-        obstructions=[],
-        hypothesis_checks={
-            "sources_confined_to_column_1": True,
-            "targets_confined_to_columns_0_1": True,
-        },
-        max_t=max_t,
-        max_page_searched=None,
-        shape=GAMMA_EXTERIOR,
-        argument=argument,
-    )
-
-
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
     """Full certificate for a recognized E2 shape.
 
@@ -436,7 +380,23 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
         raise InvalidInput(f"max_t={max_t} is negative")
     shape = e2.shape()
     if shape == GAMMA_EXTERIOR:
-        return gamma_collapse(e2, max_t)
+        # No search: the column argument rules out every candidate on every page.
+        return CollapseCertificate(
+            verdict="collapses",
+            obstructions=[],
+            hypothesis_checks={
+                "sources_confined_to_column_1": True,
+                "targets_confined_to_columns_0_1": True,
+            },
+            max_t=max_t,
+            max_page_searched=None,
+            shape=GAMMA_EXTERIOR,
+            argument=(
+                "sources (indecomposables) lie in column 1; a page-r differential with "
+                "r >= 2 raises the column to >= 3; targets (primitives) lie in columns "
+                "<= 1, so every candidate is bidegree-infeasible"
+            ),
+        )
     if shape not in (LAMBDA_POLY, TRIVIAL):
         raise WrongShape("E2 page mixes generator kinds beyond the recognized shapes")
     obstructions = _obstructions(e2, max_t)

@@ -53,7 +53,6 @@ from .collapse import (
     e2_from_divided_homotopy,
     e2_from_exterior_homotopy,
     exton2_hypotheses,
-    feasible_differentials,
 )
 from .errors import InvariantFailure
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
@@ -186,7 +185,7 @@ def check_hypothesis_sweep():
             e2 = e2_from_exterior_homotopy(p, [a, b])
             checks = exton2_hypotheses(e2)
             if all(checks.values()):
-                if feasible_differentials(e2, SWEEP_MAX_T):
+                if analyze(e2, SWEEP_MAX_T).obstructions:
                     return False, f"hypotheses hold but candidates survive: |y|=({a},{b}), p={p}"
                 verified += 1
     return True, f"{verified} hypothesis-clean cases have empty candidate lists"
@@ -597,8 +596,9 @@ def check_oracle_equivalence():
         for p in CHARACTERISTICS:
             e2 = e2_from_exterior_homotopy(p, degrees)
             fast = {
-                (c.source, c.target, c.page)
-                for c in feasible_differentials(e2, SWEEP_MAX_T)
+                (w, o.target, o.page)
+                for o in analyze(e2, SWEEP_MAX_T).obstructions
+                for w in o.witnesses
             }
             slow = brute_force_feasible(e2, SWEEP_MAX_T)
             if fast != slow:

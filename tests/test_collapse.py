@@ -18,12 +18,15 @@ from cohh.collapse import (
     e2_from_divided_homotopy,
     e2_from_exterior_homotopy,
     exton2_hypotheses,
-    feasible_differentials,
-    gamma_collapse,
     source_count,
 )
 from cohh.errors import InvalidInput
 from cohh.selftest import brute_force_feasible
+
+
+def candidates(e2, max_t):
+    """(source, target, page) of each witness of each obstruction, in order."""
+    return [(w, o.target, o.page) for o in analyze(e2, max_t).obstructions for w in o.witnesses]
 
 
 def test_e2_validation():
@@ -91,21 +94,18 @@ def test_candidate_targets():
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_single_generator_feasible_is_empty(degree, p):
     e2 = e2_from_exterior_homotopy(p, [degree])
-    assert feasible_differentials(e2, 10 * degree) == []
+    assert candidates(e2, 10 * degree) == []
 
 
 def test_known_obstruction_p3():
     e2 = e2_from_exterior_homotopy(3, [3, 5])
-    cands = feasible_differentials(e2, 40)
-    described = {c.describe(e2) for c in cands}
+    cert = analyze(e2, 40)
+    names = cert.witness_names(e2)
     # y2*w1 and y1*w2 share bidegree (1,8); both hit w1^3 on page 2
-    assert described == {
-        "d_2: y2*w1 (1, 8) -> w1^3 (3, 9)",
-        "d_2: y1*w2 (1, 8) -> w1^3 (3, 9)",
-    }
-    obs = analyze(e2, 40).obstructions
-    assert len(obs) == 1
-    o = obs[0]
+    assert [o.describe(e2, names[o.source_bidegree]) for o in cert.obstructions] == [
+        "d_2: y2*w1 (1, 8) -> w1^3 (3, 9) (same-bidegree sources: y1*w2)",
+    ]
+    o = cert.obstructions[0]
     assert e2.format_monomial(o.source) == "y2*w1"
     assert e2.format_monomial(o.target) == "w1^3"
     assert o.page == 2
@@ -114,9 +114,11 @@ def test_known_obstruction_p3():
 
 def test_known_obstruction_p2():
     e2 = e2_from_exterior_homotopy(2, [3, 5])
-    cands = feasible_differentials(e2, 40)
-    assert [(c.describe(e2)) for c in cands] == ["d_3: y2*w2 (1, 10) -> w1^4 (4, 12)"]
     cert = analyze(e2, 40)
+    names = cert.witness_names(e2)
+    assert [o.describe(e2, names[o.source_bidegree]) for o in cert.obstructions] == [
+        "d_3: y2*w2 (1, 10) -> w1^4 (4, 12)",
+    ]
     assert cert.verdict == "obstructed"
     assert len(cert.obstructions) == 1 and cert.obstructions[0].page == 3
 
@@ -124,12 +126,13 @@ def test_known_obstruction_p2():
 def test_bidegree_law_reverified():
     for degrees, p in (([3, 5], 3), ([3, 5], 2), ([5, 7], 3)):
         e2 = e2_from_exterior_homotopy(p, degrees)
-        for c in feasible_differentials(e2, 40):
-            assert c.source_bidegree == e2.bidegree(c.source)
-            assert c.target_bidegree == e2.bidegree(c.target)
-            s, t = c.source_bidegree
-            assert (s + c.page, t + c.page - 1) == c.target_bidegree
-            assert c.page >= 2
+        for o in analyze(e2, 40).obstructions:
+            for w in o.witnesses:
+                assert o.source_bidegree == e2.bidegree(w)
+            assert o.target_bidegree == e2.bidegree(o.target)
+            s, t = o.source_bidegree
+            assert (s + o.page, t + o.page - 1) == o.target_bidegree
+            assert o.page >= 2
 
 
 def test_exton2_hypotheses_examples():
@@ -184,7 +187,7 @@ def test_degree_one_exterior_generator_fails_the_ratio_checks():
         e2 = e2_from_exterior_homotopy(p, degrees)
         assert not any(exton2_hypotheses(e2).values()), (p, degrees)
         cert = analyze(e2, 40)
-        want = "obstructed" if feasible_differentials(e2, 40) else "collapses"
+        want = "obstructed" if brute_force_feasible(e2, 40) else "collapses"
         assert cert.verdict == want
 
 
@@ -198,11 +201,11 @@ def test_two_condition_gap_cases_need_the_third_check():
         assert checks["pm_ne_ratio_plus_one"] is True
         assert checks["p2_pm_ne_ratio"] is True
         assert checks["odd_p_pm_ne_twice_ratio"] is False
-        cands = feasible_differentials(e2, 40)
+        cands = candidates(e2, 40)
         assert len(cands) == 1
-        c = cands[0]
-        assert e2.format_monomial(c.source) == "y2*w2"
-        assert c.target[2] and not any(c.target[i] for i in (0, 1, 3))  # a w1 power
+        source, target, _ = cands[0]
+        assert e2.format_monomial(source) == "y2*w2"
+        assert target[2] and not any(target[i] for i in (0, 1, 3))  # a w1 power
 
 
 def test_no_bare_w_sources_ever_feasible():
@@ -211,17 +214,16 @@ def test_no_bare_w_sources_ever_feasible():
             for p in (0, 2, 3, 5, 7):
                 e2 = e2_from_exterior_homotopy(p, [a, b])
                 ext_count = 2
-                for c in feasible_differentials(e2, 40):
-                    assert sum(c.source[:ext_count]) >= 1
+                for source, _, _ in candidates(e2, 40):
+                    assert sum(source[:ext_count]) >= 1
 
 
 def test_gamma_collapse():
-    cert = gamma_collapse(e2_from_divided_homotopy(3, [2]), 20)
+    cert = analyze(e2_from_divided_homotopy(3, [2]), 20)
     assert cert.verdict == "collapses" and cert.argument
-    cert = gamma_collapse(e2_from_divided_homotopy(0, [2, 4]), 20)
+    cert = analyze(e2_from_divided_homotopy(0, [2, 4]), 20)
     assert cert.verdict == "collapses" and not cert.obstructions
-    with pytest.raises(WrongShape):
-        gamma_collapse(e2_from_exterior_homotopy(3, [3]), 20)
+    assert cert.max_t == 20 and cert.max_page_searched is None
 
 
 def test_analyze_dispatch_and_trivial():
@@ -237,8 +239,7 @@ def test_analyze_dispatch_and_trivial():
 def test_oracle_equivalence_spot_checks():
     for degrees, p in (([3, 5], 3), ([3, 5], 2), ([3], 0), ([5, 7], 3)):
         e2 = e2_from_exterior_homotopy(p, degrees)
-        fast = {(c.source, c.target, c.page) for c in feasible_differentials(e2, 40)}
-        assert fast == brute_force_feasible(e2, 40)
+        assert set(candidates(e2, 40)) == brute_force_feasible(e2, 40)
 
 
 BENCHMARK_E2_DEGREES = list(range(3, 26, 2))   # 12 exterior generators
@@ -247,7 +248,7 @@ BENCHMARK_E2_DEGREES = list(range(3, 26, 2))   # 12 exterior generators
 @pytest.mark.parametrize("p", [2, 3])
 def test_indexed_search_equals_the_all_pairs_oracle(p):
     e2 = e2_from_exterior_homotopy(p, BENCHMARK_E2_DEGREES)
-    fast = {(c.source, c.target, c.page) for c in feasible_differentials(e2, 40)}
+    fast = set(candidates(e2, 40))
     assert fast and fast == brute_force_feasible(e2, 40)
     for exps, bidegree in candidate_sources(e2, 40):
         assert bidegree == e2.bidegree(exps)
@@ -305,7 +306,7 @@ def random_pages(seed: int, count: int):
 def test_closed_form_search_equals_the_all_pairs_oracle_on_random_pages():
     hits = 0
     for e2, max_t in random_pages(15, 120):
-        fast = [(c.source, c.target, c.page) for c in feasible_differentials(e2, max_t)]
+        fast = candidates(e2, max_t)
         assert len(fast) == len(set(fast))
         assert set(fast) == brute_force_feasible(e2, max_t), (e2.generators, max_t)
         hits += bool(fast)
@@ -344,7 +345,6 @@ def test_analyze_reads_no_source_list(monkeypatch):
         raise AssertionError("analyze listed the sources")
 
     monkeypatch.setattr(collapse, "candidate_sources", broken)
-    monkeypatch.setattr(collapse, "_sources", broken, raising=False)
     e2 = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
     cert = analyze(e2, 160)
     assert cert.verdict == "obstructed"
