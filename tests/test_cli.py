@@ -267,6 +267,29 @@ def test_cohh_reports_are_pinned(tmp_path, name, fmt):
     assert digest == COHH_REPORT_SHA256[(name, fmt)]
 
 
+# `cohh hz --char p` at the default window: the sha256 of each report.  The
+# csv report is the table alone, the same for every p.
+HZ_REPORT_SHA256 = {
+    (2, "table"): "3b41909952450c64b6542dd9f5b7aeee10dad9b1a9258b93df96f181e182393e",
+    (2, "csv"): "58145d229906ba65b1550ee15050242ba2d35413ddb7c503dca4d2f6a6a7b055",
+    (2, "json"): "a9e003ff3ee9bb2abf079ce633e38c632c89d6f3f384b90cc052c16afcd3af4a",
+    (3, "table"): "b4d58dd4eed57fbe95174577d8819554e247313b89fc6351a1c39bb6b5b6bdba",
+    (3, "csv"): "58145d229906ba65b1550ee15050242ba2d35413ddb7c503dca4d2f6a6a7b055",
+    (3, "json"): "e97536aabefc9f7eeeb6d71427ea1f466f26e90d20119b26a333ac6a7e5d7b13",
+    (5, "table"): "045ca8df65b7d42790b1fbe8afde9de2fe230ec163996e90f430033ee99e013a",
+    (5, "csv"): "58145d229906ba65b1550ee15050242ba2d35413ddb7c503dca4d2f6a6a7b055",
+    (5, "json"): "f47acdaddd9299044af6fc7ab4adae7ded3f6fa79d8e1b0f60ccf47e563b11a5",
+}
+
+
+@pytest.mark.parametrize("p, fmt", sorted(HZ_REPORT_SHA256))
+def test_hz_reports_are_pinned(tmp_path, p, fmt):
+    out = tmp_path / "report"
+    assert main(["hz", "--char", str(p), "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == HZ_REPORT_SHA256[(p, fmt)]
+
+
 def test_collapse_command_gamma(tmp_path, capsys):
     src = tmp_path / "e2.txt"
     src.write_text(GAMMA_E2)
