@@ -17,7 +17,7 @@ _EXPORTS = {
     "BidegreeWindow": "coalg",
     "CoalgebraPresentation": "coalg",
     "Cogenerator": "coalg",
-    "E2Presentation": "collapse",
+    "E2Presentation": "coalg",
     "Field": "coalg",
     "SparseMatrix": "cochain",
     "analyze": "collapse",

@@ -30,7 +30,8 @@ imports `dataclasses`: each process compiles the modules it loads and pays
 for their imports, and `dataclasses` pulls in `inspect`, `ast`, `dis` and
 `tokenize`, which cost more than the table of a small presentation.  Records
 are `typing.NamedTuple`s, or plain classes with `__slots__` where they
-validate, mutate or define equality.
+validate, mutate or define equality, as `Field` and `E2Presentation`, the
+one E2 page record, which identification returns and `collapse` certifies.
 
 The command line is read from `COMMANDS`, one static table near the end of
 this module, by `parse_args`.  It follows argparse's rules for the options
@@ -52,9 +53,10 @@ load:
     hz               coalg, cohomology, torpipe
     selftest         every module
 
-`coalg` is the presentation module, holding `Field` and `BidegreeWindow`
-too; the cobar machinery, with its sparse matrices and `rank`, is the
-oracle, `cochain`, which only `selftest` loads.
+`coalg` is the presentation module, holding `Field`, `BidegreeWindow` and
+the E2 page record too, so `cohh` names the page it identifies without
+loading `collapse`; the cobar machinery, with its sparse matrices and
+`rank`, is the oracle, `cochain`, which only `selftest` loads.
 
 Exit rule: a process enters through `run()` (`python -m cohh.cli` and the
 `cohh` console script), which calls `main()`, flushes stderr, and ends with
@@ -171,7 +173,7 @@ def format_presentation(C) -> str:
 
 def parse_e2(text: str, override_char=None):
     """An `E2Presentation` from the E2 file grammar."""
-    from .collapse import E2Generator, E2Presentation
+    from .coalg import E2Generator, E2Presentation
 
     characteristic, records = _parse_records(
         text, override_char, "<kind> <name> <s> <t>", ("column", "internal degree")

@@ -20,17 +20,21 @@ twisted cobar term reads the degree of each of its factors.
 
 This is the presentation module: the one module every production command
 loads beyond the CLI.  Besides the presentation it holds the names those
-commands share: `Field` with its primality test, `add_term`, and
+commands share: `Field` with its primality test, `add_term`,
 `BidegreeWindow`, whose bounds every caller gives (the CLI's defaults live in
-`cli.COMMANDS`).  It imports only `errors`, `math` and `typing`.  The cobar
-machinery, with its `SparseMatrix` and `rank`, is the oracle, `cochain`:
-`selftest`, the tests and the benchmark replay load it, and `cohh cohh` loads
-it only for the one factor kind without a closed form, which the grammar
-cannot express.
+`cli.COMMANDS`), and the E2 page record, `E2Presentation`, with the one shape
+vocabulary (`shape()`), the named page of a shape (`standard_page`) and its
+identification line (`describe`): identification returns a page and
+`collapse` certifies one.  It imports only `errors`, `itertools`, `math` and
+`typing`.  The cobar machinery, with its `SparseMatrix` and `rank`, is the
+oracle, `cochain`: `selftest`, the tests and the benchmark replay load it,
+and `cohh cohh` loads it only for the one factor kind without a closed form,
+which the grammar cannot express.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -287,3 +291,122 @@ class CoalgebraPresentation:
         self._coproduct_cache[m] = result
         return result
 
+
+# -- the E2 page -----------------------------------------------------------------
+
+LAMBDA_POLY = "lambda_poly"
+GAMMA_EXTERIOR = "gamma_exterior"
+TRIVIAL = "trivial"
+OTHER = "other"
+# Per named shape: (name stem, kind) of the column-0 and column-1 generators.
+_STANDARD = {
+    LAMBDA_POLY: (("y", EXTERIOR), ("w", POLYNOMIAL)),
+    GAMMA_EXTERIOR: (("x", DIVIDED_POWER), ("z", EXTERIOR)),
+}
+
+
+class WrongShape(InvalidInput):
+    """E2 presentation does not have the shape this operation analyzes."""
+
+
+class E2Generator(NamedTuple):
+    name: str
+    kind: str
+    s: int
+    t: int
+
+
+class E2Presentation:
+    """Symbolic E2 page: generators with bidegrees over a fixed characteristic."""
+
+    __slots__ = ("characteristic", "generators")
+
+    def __init__(self, characteristic: int, generators):
+        Field(characteristic)  # refuses a characteristic that is not 0 or a prime
+        self.characteristic = characteristic
+        self.generators = tuple(generators)
+        names = [g.name for g in self.generators]
+        if len(set(names)) != len(names):
+            raise InvalidInput(f"duplicate generator names in {names}")
+        for g in self.generators:
+            if g.t < 1:
+                raise InvalidInput(f"generator {g.name} must have positive internal degree")
+            if g.kind == POLYNOMIAL and g.s != 1:
+                raise WrongShape(f"polynomial generator {g.name} must sit in column 1")
+            if g.kind == DIVIDED_POWER and g.s != 0:
+                raise WrongShape(f"divided-power generator {g.name} must sit in column 0")
+            if g.kind == EXTERIOR and g.s not in (0, 1):
+                raise WrongShape(f"exterior generator {g.name} must sit in column 0 or 1")
+            if characteristic != 2 and g.kind == EXTERIOR and g.s == 0 and g.t % 2 == 0:
+                raise WrongShape(
+                    f"column-0 exterior generator {g.name} must have odd internal degree"
+                )
+
+    def __eq__(self, other):
+        if other.__class__ is not E2Presentation:
+            return NotImplemented
+        return (self.characteristic, self.generators) == (other.characteristic, other.generators)
+
+    @property
+    def exterior(self) -> list:
+        """The column-0 exterior generators."""
+        return [g for g in self.generators if g.kind == EXTERIOR and g.s == 0]
+
+    @property
+    def polynomial(self) -> list:
+        """The polynomial generators, each in column 1 (`__init__` checks)."""
+        return [g for g in self.generators if g.kind == POLYNOMIAL]
+
+    def shape(self) -> str:
+        kinds = {(g.kind, g.s) for g in self.generators}
+        if not kinds:
+            return TRIVIAL
+        for shape, ((_, base), (_, top)) in _STANDARD.items():
+            if kinds <= {(base, 0), (top, 1)}:
+                return shape
+        return OTHER
+
+    # exponent vectors are plain tuples aligned with self.generators
+    def bidegree(self, exponents: tuple) -> tuple:
+        s = sum(e * g.s for e, g in zip(exponents, self.generators))
+        t = sum(e * g.t for e, g in zip(exponents, self.generators))
+        return (s, t)
+
+    def format_monomial(self, exponents: tuple) -> str:
+        parts = []
+        for g, e in zip(self.generators, exponents):
+            if e == 0:
+                continue
+            parts.append(g.name if e == 1 else f"{g.name}^{e}")
+        return "*".join(parts) if parts else "1"
+
+    def describe(self, coefficients: str = "k") -> str:
+        """The page as an identification line over the field `coefficients`,
+        as `Λ(y1)⊗k[w1], ||y1||=(0,3), ||w1||=(1,3)` or `Γ[x1]⊗Λ(z1), ...`:
+        the i-th generator of column 0 before the i-th of column 1."""
+        shape = self.shape()
+        if shape == TRIVIAL:
+            return "k (trivial)"
+        if shape == OTHER:
+            raise WrongShape("E2 page mixes generator kinds beyond the recognized shapes")
+        columns = [[g for g in self.generators if g.s == s] for s in (0, 1)]
+        base, top = (",".join(g.name for g in column) for column in columns)
+        head = (f"Λ({base})⊗{coefficients}[{top}]" if shape == LAMBDA_POLY
+                else f"Γ[{base}]⊗Λ({top})")
+        listed = [g for pair in zip_longest(*columns) for g in pair if g is not None]
+        return ", ".join([head, *(f"||{g.name}||=({g.s},{g.t})" for g in listed)])
+
+
+def standard_page(shape: str, characteristic: int, degrees, names=None) -> E2Presentation:
+    """The named page of `shape` (LAMBDA_POLY or GAMMA_EXTERIOR) on `degrees`:
+    a column-0 generator at (0, d) for each degree d, then a column-1
+    generator at (1, d) for each, named by `names` in that order, or by
+    default y1.., w1.. on Λ(y)⊗k[w] and x1.., z1.. on Γ[x]⊗Λ(z)."""
+    (base, base_kind), (top, top_kind) = _STANDARD[shape]
+    n = len(degrees)
+    names = names or [f"{stem}{i + 1}" for stem in (base, top) for i in range(n)]
+    places = [(base_kind, 0)] * n + [(top_kind, 1)] * n
+    return E2Presentation(characteristic, [
+        E2Generator(name, kind, s, d)
+        for name, (kind, s), d in zip(names, places, [*degrees, *degrees])
+    ])

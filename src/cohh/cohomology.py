@@ -22,7 +22,8 @@ multiplied out here, the tables and the two grid shapes of
 `expected_grid`, go through one kernel, `_times`: a numerator times
 1/(1 - x^a q^b) per denominator, cut to the window.  The checks on a table
 compare it with closed forms instead: the Euler check with delta_{t,0},
-and identification with the degrees it reads off rows 0 and 1.
+and identification with the degrees it reads off rows 0 and 1; it returns
+the page it names, which `collapse.analyze` takes as it is.
 
 Each factor's series comes in closed form (`factor_series`).  For a
 finite-type connected coalgebra C, the cyclic cobar complex is the
@@ -42,9 +43,9 @@ alone keeps its cobar complex, the only complex a table comes from, and the
 grammar cannot express it.  The cobar complexes are otherwise built only
 as oracles, by the tests and `selftest`.
 
-So this module imports only `coalg`, which holds `BidegreeWindow` and
-`WindowTooSmall`, and `errors` at module level: `cohh cohh` loads no cobar
-machinery.  The oracle, `cochain`, is imported where it is called:
+So this module imports only `coalg`, which holds `BidegreeWindow`,
+`WindowTooSmall` and the page record, and `errors` at module level: `cohh
+cohh` loads no cobar machinery.  The oracle, `cochain`, is imported where it is called:
 `cohh_table` takes its `rank`, and `kunneth_table`'s cobar branch its
 `build_complex`.
 """
@@ -57,11 +58,16 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .coalg import (
     EXTERIOR,
+    GAMMA_EXTERIOR,
+    LAMBDA_POLY,
     POLYNOMIAL,
     BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    E2Presentation,
     WindowTooSmall,
+    WrongShape,
+    standard_page,
 )
 from .errors import InvalidInput
 
@@ -81,10 +87,11 @@ class WindowTooLarge(InvalidInput):
 
 
 class BigradedTable(NamedTuple):
-    """Exact dimensions per (s, t) in the window."""
+    """Exact dimensions per (s, t) in the window, over `characteristic`."""
 
     window: BidegreeWindow
     entries: dict                     # (s, t) -> dimension
+    characteristic: int
 
     def dim(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)
@@ -110,7 +117,7 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
             r = rank(cx.differentials[(s, t)])
             entries[(s, t)] = cx.spot_dim(s, t) - r - incoming
             incoming = r
-    return BigradedTable(cx.window, entries)
+    return BigradedTable(cx.window, entries, cx.presentation.field.characteristic)
 
 
 def check_window(window: BidegreeWindow, factors: int = 1):
@@ -281,7 +288,7 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
             rows = _times(rows, cobar[key])
         else:
             rows = _times(rows, *factor_series(cog, p))
-    return BigradedTable(window, _entries(rows))
+    return BigradedTable(window, _entries(rows), p)
 
 
 class EulerReport(NamedTuple):
@@ -346,56 +353,25 @@ def euler_check(cx: CochainComplex, table: BigradedTable) -> EulerReport:
 
 # -- symbolic identification ---------------------------------------------------
 
-EXTERIOR_POLYNOMIAL = "exterior_polynomial"
-DIVIDED_EXTERIOR = "divided_exterior"
-TRIVIAL = "trivial"
-
-
-class Identification(NamedTuple):
-    """Matched grid shape with the internal degrees of its column-0 generators."""
-
-    shape: str
-    degrees: list
-
-    def describe(self, base_names=None, column_names=None, coefficients="k") -> str:
-        if self.shape == TRIVIAL:
-            return "k (trivial)"
-        n = len(self.degrees)
-        if self.shape == EXTERIOR_POLYNOMIAL:
-            base_names = base_names or [f"y{i + 1}" for i in range(n)]
-            column_names = column_names or [f"w{i + 1}" for i in range(n)]
-            head = (
-                f"Λ({','.join(base_names)})⊗"
-                f"{coefficients}[{','.join(column_names)}]"
-            )
-        else:
-            base_names = base_names or [f"x{i + 1}" for i in range(n)]
-            column_names = column_names or [f"z{i + 1}" for i in range(n)]
-            head = f"Γ[{','.join(base_names)}]⊗Λ({','.join(column_names)})"
-        degs = ", ".join(
-            f"||{b}||=(0,{d}), ||{c}||=(1,{d})"
-            for b, c, d in zip(base_names, column_names, self.degrees)
-        )
-        return f"{head}, {degs}"
-
 
 def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
     """Dimension grid of the closed-form answer over the window.
 
     The product of one series per degree d, written here apart from
-    `factor_series`: exterior_polynomial, Λ(y_d) at (0, d) times k[w_d] at
-    (1, d), is (1 + q^d) / (1 - x q^d); divided_exterior, Γ(x_d) at (0, d)
-    times Λ(z_d) at (1, d), is (1 + x q^d) / (1 - q^d)."""
+    `factor_series`, for a shape of `E2Presentation.shape()`: LAMBDA_POLY,
+    Λ(y_d) at (0, d) times k[w_d] at (1, d), is (1 + q^d) / (1 - x q^d);
+    GAMMA_EXTERIOR, Γ(x_d) at (0, d) times Λ(z_d) at (1, d), is
+    (1 + x q^d) / (1 - q^d)."""
     row0 = _expected_row0(shape, degrees, window.max_t + 1)
     return _entries(_expected_rows(shape, degrees, window, row0))
 
 
 def _expected_row0(shape: str, degrees, width: int) -> list:
     """Row 0 of `expected_grid`, its factors in q alone: prod (1 + q^d) for
-    exterior_polynomial, prod 1 / (1 - q^d) for divided_exterior."""
+    LAMBDA_POLY, prod 1 / (1 - q^d) for GAMMA_EXTERIOR."""
     rows = [[1] + [0] * (width - 1)]
     for d in degrees:
-        if shape == EXTERIOR_POLYNOMIAL:
+        if shape == LAMBDA_POLY:
             rows = _times(rows, {(0, 0): 1, (0, d): 1})
         else:
             rows = _times(rows, {(0, 0): 1}, [(0, d)])
@@ -404,20 +380,20 @@ def _expected_row0(shape: str, degrees, width: int) -> list:
 
 def _expected_rows(shape: str, degrees, window: BidegreeWindow, row0: list) -> list:
     """The rows of `expected_grid` from its row 0, times its factors in x:
-    prod 1 / (1 - x q^d) for exterior_polynomial, prod (1 + x q^d) for
-    divided_exterior."""
+    prod 1 / (1 - x q^d) for LAMBDA_POLY, prod (1 + x q^d) for
+    GAMMA_EXTERIOR."""
     rows = _unit(window)
     rows[0] = row0
     for d in degrees:
-        if shape == EXTERIOR_POLYNOMIAL:
+        if shape == LAMBDA_POLY:
             rows = _times(rows, {(0, 0): 1}, [(1, d)])
         else:
             rows = _times(rows, {(0, 0): 1, (1, d): 1})
     return rows
 
 
-def identify_presentation(table: BigradedTable) -> Optional[Identification]:
-    """Match the table against the two closed-form grid shapes, or return None.
+def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
+    """The `standard_page` whose closed-form grid the table is, or None.
 
     In both shapes row 1 is row 0 times sum_d q^d over the degrees: it is
     the x^1 coefficient of prod (1 + q^d) / (1 - x q^d) and of
@@ -425,17 +401,19 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
     row 1 / row 0, exact over the integers as row 0 starts with 1, one
     subtraction pass per distinct degree; a negative coefficient fits
     neither shape.  `expected_grid`'s closed form then decides the shape,
-    row 0 first: the rows above are multiplied out, from that row, only for
-    a shape whose row 0 matches.  This needs max_s >= 1: the column-1
-    generators the answer names sit in row 1, and without it nothing in the
-    window shows them, so a window of row 0 alone identifies only the
-    trivial table.  Only entries inside the window are compared; no claim
-    is made beyond it."""
+    LAMBDA_POLY first, row 0 first: the rows above are multiplied out, from
+    that row, only for a shape whose row 0 matches.  This needs max_s >= 1:
+    the column-1 generators the answer names sit in row 1, and without it
+    nothing in the window shows them, so a window of row 0 alone identifies
+    only the trivial table, the page with no generators.  Only entries inside
+    the window are compared; no claim is made beyond it: with max_t < 2 d, d
+    the least degree, both grids match, and a Λ page that `E2Presentation`
+    refuses (an even |y| outside characteristic 2) yields to the Γ page."""
     width = table.window.max_t + 1
     if table.dim(0, 0) != 1:
         return None
     if all(v == 0 for k, v in table.entries.items() if k != (0, 0)):
-        return Identification(TRIVIAL, [])
+        return E2Presentation(table.characteristic, [])
     row0 = [table.dim(0, t) for t in range(width)]
     rest = [table.dim(1, t) for t in range(width)]
     degrees: list = []
@@ -446,12 +424,15 @@ def identify_presentation(table: BigradedTable) -> Optional[Identification]:
         if c:
             degrees += [t] * c
             rest[t:] = [u - c * v for u, v in zip(rest[t:], row0)]
-    for shape in (EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR):
+    for shape in (LAMBDA_POLY, GAMMA_EXTERIOR):
         first = _expected_row0(shape, degrees, width)
         if first == row0 and table.entries == _entries(
             _expected_rows(shape, degrees, table.window, first)
         ):
-            return Identification(shape, degrees)
+            try:
+                return standard_page(shape, table.characteristic, degrees)
+            except WrongShape:
+                continue
     return None
 
 

@@ -8,7 +8,9 @@ characteristic).  A certificate of collapse records that no candidate survives
 the arithmetic inside the stated search bounds; surviving candidates are
 reported as obstructions, never as nonzero differentials.
 
-The candidates follow from the page's shape.  `E2Presentation` puts every
+The candidates follow from the page's shape.  The page record,
+`E2Presentation`, lives in `coalg`, with its shape vocabulary, so that
+identification can return a page without loading this module; it puts every
 polynomial generator w_j in column 1, so a source, a set of column-0 exterior
 generators times one w_j, sits at (1, st).  A target is a column-0 y_i at
 (0, |y_i|) or a power w_i^e at (e, e |w_i|), e = p^m (e = 1 alone if p = 0).
@@ -21,24 +23,29 @@ and the page e - 1, so they are the witnesses of one obstruction.  The sets
 are listed once, keyed by degree, after `source_count` has refused a page
 with more than MAX_SOURCES sources.
 
-`analyze` is the one entry point.  It certifies a divided-power page by the
-column argument, and for an exterior-polynomial page returns the obstructions:
-an `Obstruction` is the one record of a candidate map, and its witnesses are
-the candidate sources.
+`analyze` is the one entry point for a certificate.  It certifies a
+divided-power page by the column argument, and for an exterior-polynomial
+page returns the obstructions of `obstruction_search`: an `Obstruction` is
+the one record of a candidate map, and its witnesses are the candidate
+sources.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Field
+from .coalg import (
+    EXTERIOR,
+    GAMMA_EXTERIOR,
+    LAMBDA_POLY,
+    POLYNOMIAL,
+    TRIVIAL,
+    E2Presentation,
+    WrongShape,
+)
 from .errors import InvalidInput
 from .hopfstruct import primitive_exponents
 
-LAMBDA_POLY = "lambda_poly"
-GAMMA_EXTERIOR = "gamma_exterior"
-TRIVIAL = "trivial"
-OTHER = "other"
 # Most sources a page may have.  Time, memory and report size grow with them:
 # y_d, w_d for odd d <= 41 at max_t = 160 over F_2 is 1.6M sources, which
 # took 4.6 s and 194 MB and printed 8.7 MB.
@@ -58,90 +65,6 @@ CONVERGENCE_NOTE = (
     "collapse certifies E2 = E-infinity within the search bounds; complete "
     "convergence of the underlying spectral sequence is assumed, not checked"
 )
-
-
-class WrongShape(InvalidInput):
-    """E2 presentation does not have the shape this operation analyzes."""
-
-
-class E2Generator(NamedTuple):
-    name: str
-    kind: str
-    s: int
-    t: int
-
-
-class E2Presentation:
-    """Symbolic E2 page: generators with bidegrees over a fixed characteristic."""
-
-    def __init__(self, characteristic: int, generators):
-        Field(characteristic)  # refuses a characteristic that is not 0 or a prime
-        self.characteristic = characteristic
-        self.generators = tuple(generators)
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise InvalidInput(f"duplicate generator names in {names}")
-        for g in self.generators:
-            if g.t < 1:
-                raise InvalidInput(f"generator {g.name} must have positive internal degree")
-            if g.kind == POLYNOMIAL and g.s != 1:
-                raise WrongShape(f"polynomial generator {g.name} must sit in column 1")
-            if g.kind == DIVIDED_POWER and g.s != 0:
-                raise WrongShape(f"divided-power generator {g.name} must sit in column 0")
-            if g.kind == EXTERIOR and g.s not in (0, 1):
-                raise WrongShape(f"exterior generator {g.name} must sit in column 0 or 1")
-            if characteristic != 2 and g.kind == EXTERIOR and g.s == 0 and g.t % 2 == 0:
-                raise WrongShape(
-                    f"column-0 exterior generator {g.name} must have odd internal degree"
-                )
-
-    @property
-    def exterior(self) -> list:
-        """The column-0 exterior generators."""
-        return [g for g in self.generators if g.kind == EXTERIOR and g.s == 0]
-
-    @property
-    def polynomial(self) -> list:
-        """The polynomial generators, each in column 1 (`__init__` checks)."""
-        return [g for g in self.generators if g.kind == POLYNOMIAL]
-
-    def shape(self) -> str:
-        kinds = {(g.kind, g.s) for g in self.generators}
-        if not kinds:
-            return TRIVIAL
-        if kinds <= {(EXTERIOR, 0), (POLYNOMIAL, 1)}:
-            return LAMBDA_POLY
-        if kinds <= {(DIVIDED_POWER, 0), (EXTERIOR, 1)}:
-            return GAMMA_EXTERIOR
-        return OTHER
-
-    # exponent vectors are plain tuples aligned with self.generators
-    def bidegree(self, exponents: tuple) -> tuple:
-        s = sum(e * g.s for e, g in zip(exponents, self.generators))
-        t = sum(e * g.t for e, g in zip(exponents, self.generators))
-        return (s, t)
-
-    def format_monomial(self, exponents: tuple) -> str:
-        parts = []
-        for g, e in zip(self.generators, exponents):
-            if e == 0:
-                continue
-            parts.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-
-def e2_from_exterior_homotopy(characteristic: int, degrees) -> E2Presentation:
-    """Standard E2 page of an exterior coalgebra: y_i at (0, a_i), w_i at (1, a_i)."""
-    gens = [E2Generator(f"y{i + 1}", EXTERIOR, 0, d) for i, d in enumerate(degrees)]
-    gens += [E2Generator(f"w{i + 1}", POLYNOMIAL, 1, d) for i, d in enumerate(degrees)]
-    return E2Presentation(characteristic, gens)
-
-
-def e2_from_divided_homotopy(characteristic: int, degrees) -> E2Presentation:
-    """Standard E2 page of a divided-power coalgebra: x_i at (0, d_i), z_i at (1, d_i)."""
-    gens = [E2Generator(f"x{i + 1}", DIVIDED_POWER, 0, d) for i, d in enumerate(degrees)]
-    gens += [E2Generator(f"z{i + 1}", EXTERIOR, 1, d) for i, d in enumerate(degrees)]
-    return E2Presentation(characteristic, gens)
 
 
 def _refuse_sources(count: str):
@@ -298,11 +221,14 @@ class Obstruction(NamedTuple):
         return head
 
 
-def _obstructions(e2: E2Presentation, max_t: int) -> list:
+def obstruction_search(e2: E2Presentation, max_t: int) -> list:
     """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
     source of internal degree st = tt - ts + 2, on page ts - 1: each exterior
     set of degree st - |w_j|, times w_j.  Targets of one st share one sorted
-    witness tuple.  Ordered by source internal degree, page, source, target."""
+    witness tuple.  Ordered by source internal degree, page, source, target.
+    This is `analyze`'s search of an exterior-polynomial page, without the
+    hypothesis checks and the page bound, which a caller that reads only the
+    obstructions need not compute."""
     sets = _exterior_sets(e2, max_t)
     poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
     by_degree: dict = {}  # st -> the sorted sources of internal degree st
@@ -399,7 +325,7 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
         )
     if shape not in (LAMBDA_POLY, TRIVIAL):
         raise WrongShape("E2 page mixes generator kinds beyond the recognized shapes")
-    obstructions = _obstructions(e2, max_t)
+    obstructions = obstruction_search(e2, max_t)
     checks: dict = {}
     if len(e2.exterior) == 2:
         checks.update(exton2_hypotheses(e2))

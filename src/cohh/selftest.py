@@ -31,29 +31,20 @@ from typing import NamedTuple, Optional
 from .coalg import (
     DIVIDED_POWER,
     EXTERIOR,
+    GAMMA_EXTERIOR,
+    LAMBDA_POLY,
     POLYNOMIAL,
     BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    E2Presentation,
     Field,
     add_term,
+    standard_page,
 )
 from .cochain import build_complex, coface_terms, tensor_bases
-from .cohomology import (
-    DIVIDED_EXTERIOR,
-    EXTERIOR_POLYNOMIAL,
-    cohh_table,
-    euler_check,
-    expected_grid,
-    kunneth_table,
-)
-from .collapse import (
-    E2Presentation,
-    analyze,
-    e2_from_divided_homotopy,
-    e2_from_exterior_homotopy,
-    exton2_hypotheses,
-)
+from .cohomology import cohh_table, euler_check, expected_grid, kunneth_table
+from .collapse import analyze, exton2_hypotheses, obstruction_search
 from .errors import InvariantFailure
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
@@ -111,7 +102,7 @@ def check_lambda_tables():
         for p in CHARACTERISTICS:
             window = BidegreeWindow(4, 5 * d)
             table = kunneth_table(_lambda_presentation(p, [d]), window)
-            grid = expected_grid(EXTERIOR_POLYNOMIAL, [d], window)
+            grid = expected_grid(LAMBDA_POLY, [d], window)
             if table.entries != grid:
                 return False, f"table mismatch for |y|={d} over characteristic {p}"
             count += 1
@@ -124,7 +115,7 @@ def check_gamma_tables():
         for p in CHARACTERISTICS:
             window = BidegreeWindow(2, 4 * d)
             table = kunneth_table(_gamma_presentation(p, d), window)
-            grid = expected_grid(DIVIDED_EXTERIOR, [d], window)
+            grid = expected_grid(GAMMA_EXTERIOR, [d], window)
             if table.entries != grid:
                 return False, f"table mismatch for |x|={d} over characteristic {p}"
             count += 1
@@ -133,29 +124,24 @@ def check_gamma_tables():
 
 def check_hz_pipeline():
     window = BidegreeWindow(3, 6)
-    grid = expected_grid(EXTERIOR_POLYNOMIAL, [1], window)
+    grid = expected_grid(LAMBDA_POLY, [1], window)
     for p in (2, 3, 5):
         result = hz_e2_pipeline(p, window)
         if result.table.entries != grid:
             return False, f"table mismatch at p={p}"
-        if (
-            "||τ||=(0,1)" not in result.description
-            or "||ω||=(1,1)" not in result.description
-        ):
+        if result.description != f"Λ(τ)⊗F_{p}[ω], ||τ||=(0,1), ||ω||=(1,1)":
             return False, f"identification string wrong at p={p}: {result.description}"
-        if result.tor_dims[:3] != [1, 1, 0]:
-            return False, f"unexpected Tor dims at p={p}: {result.tor_dims[:3]}"
     return True, "pipeline reproduces the (0,1)/(1,1) grid at p=2,3,5"
 
 
 def check_collapse_certificates():
     for d in LAMBDA_DEGREES:
         for p in CHARACTERISTICS:
-            cert = analyze(e2_from_exterior_homotopy(p, [d]), max_t=10 * d)
+            cert = analyze(standard_page(LAMBDA_POLY, p, [d]), max_t=10 * d)
             if cert.verdict != "collapses" or cert.obstructions:
                 return False, f"single-generator case |y|={d}, p={p} did not collapse"
     # two generators of degrees 3 and 5: the two known low-degree obstructions
-    cert3 = analyze(e2_from_exterior_homotopy(3, [3, 5]), max_t=SWEEP_MAX_T)
+    cert3 = analyze(standard_page(LAMBDA_POLY, 3, [3, 5]), max_t=SWEEP_MAX_T)
     want_src = (0, 1, 1, 0)   # y2*w1 in generator order y1, y2, w1, w2
     want_tgt = (0, 0, 3, 0)   # w1^3
     if cert3.verdict != "obstructed" or len(cert3.obstructions) != 1:
@@ -163,7 +149,7 @@ def check_collapse_certificates():
     o = cert3.obstructions[0]
     if (o.source, o.target, o.page) != (want_src, want_tgt, 2):
         return False, "p=3 case: obstruction is not d_2: y2*w1 -> w1^3"
-    cert2 = analyze(e2_from_exterior_homotopy(2, [3, 5]), max_t=SWEEP_MAX_T)
+    cert2 = analyze(standard_page(LAMBDA_POLY, 2, [3, 5]), max_t=SWEEP_MAX_T)
     hits = [
         o for o in cert2.obstructions
         if (o.source, o.target, o.page) == ((0, 1, 0, 1), (0, 0, 4, 0), 3)
@@ -172,7 +158,7 @@ def check_collapse_certificates():
         return False, "p=2 case: missing d_3: y2*w2 -> w1^4"
     for degrees in ([2], [4], [2, 4]):
         for p in (0, 3):
-            cert = analyze(e2_from_divided_homotopy(p, degrees), max_t=SWEEP_MAX_T)
+            cert = analyze(standard_page(GAMMA_EXTERIOR, p, degrees), max_t=SWEEP_MAX_T)
             if cert.verdict != "collapses" or cert.argument is None:
                 return False, f"divided-power case {degrees}, p={p} lacks the column argument"
     return True, "single-generator collapse, both known obstructions, column argument"
@@ -182,10 +168,9 @@ def check_hypothesis_sweep():
     verified = 0
     for a, b in combinations_with_replacement(range(3, 16, 2), 2):
         for p in SWEEP_PRIMES:
-            e2 = e2_from_exterior_homotopy(p, [a, b])
-            checks = exton2_hypotheses(e2)
-            if all(checks.values()):
-                if analyze(e2, SWEEP_MAX_T).obstructions:
+            e2 = standard_page(LAMBDA_POLY, p, [a, b])
+            if all(exton2_hypotheses(e2).values()):
+                if obstruction_search(e2, SWEEP_MAX_T):
                     return False, f"hypotheses hold but candidates survive: |y|=({a},{b}), p={p}"
                 verified += 1
     return True, f"{verified} hypothesis-clean cases have empty candidate lists"
@@ -594,7 +579,7 @@ def check_oracle_equivalence():
     cases = 0
     for degrees in ([3], [5], [7], [3, 5]):
         for p in CHARACTERISTICS:
-            e2 = e2_from_exterior_homotopy(p, degrees)
+            e2 = standard_page(LAMBDA_POLY, p, degrees)
             fast = {
                 (w, o.target, o.page)
                 for o in analyze(e2, SWEEP_MAX_T).obstructions

@@ -9,12 +9,16 @@ from cohh import cochain, cohomology
 from cohh.coalg import (
     DIVIDED_POWER,
     EXTERIOR,
+    GAMMA_EXTERIOR,
+    LAMBDA_POLY,
     POLYNOMIAL,
     BidegreeWindow,
     CoalgebraPresentation,
     Cogenerator,
+    E2Presentation,
     Field,
     WindowTooSmall,
+    standard_page,
 )
 from cohh.cochain import (
     DifferentialNotSquareZero,
@@ -22,8 +26,6 @@ from cohh.cochain import (
     tensor_basis,
 )
 from cohh.cohomology import (
-    DIVIDED_EXTERIOR,
-    EXTERIOR_POLYNOMIAL,
     BigradedTable,
     check_window,
     cohh_table,
@@ -39,6 +41,11 @@ from cohh.cohomology import (
 from cohh.torpipe import hz_e2_pipeline
 
 CHARS = (0, 2, 3, 5)
+
+
+def page_degrees(page):
+    """The internal degrees of a standard page's column-0 generators."""
+    return [g.t for g in page.generators if g.s == 0]
 
 
 def exterior(p, *degrees):
@@ -152,10 +159,10 @@ def test_gamma_table_matches_brute_grid(p):
 
 def test_expected_grid_agrees_with_brute_enumeration():
     window = BidegreeWindow(4, 20)
-    assert expected_grid(EXTERIOR_POLYNOMIAL, [3, 5], window) == brute_exterior_poly_grid(
+    assert expected_grid(LAMBDA_POLY, [3, 5], window) == brute_exterior_poly_grid(
         [3, 5], window
     )
-    assert expected_grid(DIVIDED_EXTERIOR, [2, 4], window) == brute_divided_exterior_grid(
+    assert expected_grid(GAMMA_EXTERIOR, [2, 4], window) == brute_divided_exterior_grid(
         [2, 4], window
     )
 
@@ -176,7 +183,7 @@ def test_trivial_coalgebra_table():
     assert table.dim(0, 0) == 1
     assert sum(table.entries.values()) == 1
     ident = identify_presentation(table)
-    assert ident is not None and ident.shape == "trivial"
+    assert ident == E2Presentation(3, []) and ident.shape() == "trivial"
     assert ident.describe() == "k (trivial)"
 
 
@@ -186,7 +193,7 @@ def test_euler_check_passes_and_detects_corruption():
     report = euler_check(cx, table)
     assert report.passed and report.checked_degrees
 
-    corrupted = BigradedTable(table.window, dict(table.entries))
+    corrupted = BigradedTable(table.window, dict(table.entries), 3)
     corrupted.entries[(1, 6)] += 1
     corrupted.entries[(2, 9)] += 1
     report = euler_check(cx, corrupted)
@@ -208,27 +215,39 @@ def test_identify_presentation_shapes():
     window = BidegreeWindow(3, 16)
     t1 = cohh_table(build_complex(exterior(3, 3, 5), window))
     ident = identify_presentation(t1)
-    assert ident.shape == EXTERIOR_POLYNOMIAL and ident.degrees == [3, 5]
-    assert "Λ(y1,y2)⊗k[w1,w2]" in ident.describe()
-    assert "||y2||=(0,5)" in ident.describe()
+    assert ident == standard_page(LAMBDA_POLY, 3, [3, 5])
+    assert ident.describe() == (
+        "Λ(y1,y2)⊗k[w1,w2], ||y1||=(0,3), ||w1||=(1,3), ||y2||=(0,5), ||w2||=(1,5)"
+    )
 
     t2 = cohh_table(build_complex(gamma(5, 2), BidegreeWindow(2, 8)))
     ident2 = identify_presentation(t2)
-    assert ident2.shape == DIVIDED_EXTERIOR and ident2.degrees == [2]
-    assert "Γ[x1]⊗Λ(z1)" in ident2.describe()
-    assert "||z1||=(1,2)" in ident2.describe()
+    assert ident2 == standard_page(GAMMA_EXTERIOR, 5, [2])
+    assert ident2.describe() == "Γ[x1]⊗Λ(z1), ||x1||=(0,2), ||z1||=(1,2)"
 
     rng = random.Random(2020)
-    for shape, _ in product((EXTERIOR_POLYNOMIAL, DIVIDED_EXTERIOR), range(60)):
+    for shape, _ in product((LAMBDA_POLY, GAMMA_EXTERIOR), range(60)):
         window = BidegreeWindow(rng.randint(1, 5), rng.randint(1, 30))
         degrees = [rng.randint(1, window.max_t) for _ in range(rng.randint(1, 5))]
         grid = expected_grid(shape, degrees, window)
-        ident = identify_presentation(BigradedTable(window, grid))
-        assert ident.degrees == sorted(degrees), (shape, degrees, window)
+        # characteristic 2 admits an exterior generator of any degree
+        ident = identify_presentation(BigradedTable(window, grid, 2))
+        assert page_degrees(ident) == sorted(degrees), (shape, degrees, window)
         # a window too small to tell the shapes apart names the first
-        assert ident.shape == shape or grid == expected_grid(
-            EXTERIOR_POLYNOMIAL, degrees, window
-        )
+        assert ident.shape() == shape or grid == expected_grid(LAMBDA_POLY, degrees, window)
+
+
+def test_identify_presentation_names_no_even_exterior_generator_outside_char_2():
+    """Below t = 4, k[w2] has the grid of Λ(y2)⊗k[w2] too, but outside
+    characteristic 2 that page is refused, so Γ[x1]⊗Λ(z1) is named."""
+    window = BidegreeWindow(2, 3)
+    grid = expected_grid(LAMBDA_POLY, [2], window)
+    assert grid == expected_grid(GAMMA_EXTERIOR, [2], window)
+    for p in CHARS:
+        table = kunneth_table(poly(p, 2), window)
+        assert table.entries == grid
+        shape = LAMBDA_POLY if p == 2 else GAMMA_EXTERIOR
+        assert identify_presentation(table) == standard_page(shape, p, [2])
 
 
 def test_identify_presentation_needs_row_1():
@@ -237,7 +256,7 @@ def test_identify_presentation_needs_row_1():
     for C in (exterior(0, 3, 5), gamma(0, 2), poly(3, 2)):
         assert identify_presentation(kunneth_table(C, BidegreeWindow(0, 24))) is None
     empty = CoalgebraPresentation(Field(0), [])
-    assert identify_presentation(kunneth_table(empty, BidegreeWindow(0, 24))).shape == "trivial"
+    assert identify_presentation(kunneth_table(empty, BidegreeWindow(0, 24))).shape() == "trivial"
 
 
 def test_identify_presentation_of_30_dense_factors_reads_row_1_once():
@@ -251,7 +270,7 @@ def test_identify_presentation_of_30_dense_factors_reads_row_1_once():
     start = time.perf_counter()
     ident = identify_presentation(table)
     assert time.perf_counter() - start < 1
-    assert ident.shape == DIVIDED_EXTERIOR and ident.degrees == [1] * 30
+    assert ident == standard_page(GAMMA_EXTERIOR, 2, [1] * 30)
 
 
 def test_identify_presentation_unrecognized():
@@ -259,10 +278,10 @@ def test_identify_presentation_unrecognized():
     entries = {(s, t): 0 for s in range(3) for t in range(6)}
     entries[(0, 0)] = 1
     entries[(1, 5)] = 7
-    assert identify_presentation(BigradedTable(window, entries)) is None
+    assert identify_presentation(BigradedTable(window, entries, 0)) is None
     entries2 = {(s, t): 0 for s in range(3) for t in range(6)}
     entries2[(0, 0)] = 2
-    assert identify_presentation(BigradedTable(window, entries2)) is None
+    assert identify_presentation(BigradedTable(window, entries2, 0)) is None
 
 
 def test_identify_presentation_refuses_a_negative_quotient_before_any_grid(monkeypatch):
@@ -279,10 +298,11 @@ def test_identify_presentation_refuses_a_negative_quotient_before_any_grid(monke
 @pytest.mark.parametrize(
     "C, shape",
     [
-        (divided(0, 2, 4), DIVIDED_EXTERIOR),
-        (exterior(3, 3, 5), EXTERIOR_POLYNOMIAL),
-        (divided(2, 1, 1, 1), DIVIDED_EXTERIOR),
+        (divided(0, 2, 4), GAMMA_EXTERIOR),
+        (exterior(3, 3, 5), LAMBDA_POLY),
+        (divided(2, 1, 1, 1), GAMMA_EXTERIOR),
     ],
+    ids=["C0-divided_exterior", "C1-exterior_polynomial", "C2-divided_exterior"],
 )
 def test_identify_presentation_builds_the_rows_above_row_0_of_one_shape(
     monkeypatch, C, shape
@@ -301,8 +321,8 @@ def test_identify_presentation_builds_the_rows_above_row_0_of_one_shape(
 
     monkeypatch.setattr(cohomology, "_expected_rows", recording)
     ident = identify_presentation(table)
-    assert ident.shape == shape and built == [shape]
-    assert expected_grid(shape, ident.degrees, window) == table.entries
+    assert ident.shape() == shape and built == [shape]
+    assert expected_grid(shape, page_degrees(ident), window) == table.entries
 
 
 def test_csv_and_json_exports_agree_with_table():
@@ -681,7 +701,9 @@ def spots_satisfy_the_euler_reference(C, window, spots):
     """In every degree the Euler check covers, the alternating sum of the
     spot sizes is delta_{t,0}, the check's closed-form reference, and the
     check passes on the spot sizes taken as a table."""
-    report = presentation_euler_check(C, window, BigradedTable(window, spots))
+    report = presentation_euler_check(
+        C, window, BigradedTable(window, spots, C.field.characteristic)
+    )
     # with no cogenerator every spot of positive degree is empty
     least = min((c.degree for c in C.cogenerators), default=window.max_t + 1)
     covered = [t for t in range(window.max_t + 1) if t // least <= window.max_s]

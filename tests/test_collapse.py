@@ -6,20 +6,33 @@ from fractions import Fraction
 import pytest
 
 from cohh import collapse
-from cohh.coalg import DIVIDED_POWER, EXTERIOR, POLYNOMIAL
-from cohh.collapse import (
-    MAX_SOURCES,
+from cohh.cli import format_e2, main, parse_e2
+from cohh.coalg import (
+    DIVIDED_POWER,
+    EXTERIOR,
+    GAMMA_EXTERIOR,
+    KINDS,
+    LAMBDA_POLY,
+    POLYNOMIAL,
+    TRIVIAL,
+    BidegreeWindow,
+    CoalgebraPresentation,
+    Cogenerator,
     E2Generator,
     E2Presentation,
+    Field,
     WrongShape,
+    standard_page,
+)
+from cohh.collapse import (
+    MAX_SOURCES,
     analyze,
     candidate_sources,
     candidate_targets,
-    e2_from_divided_homotopy,
-    e2_from_exterior_homotopy,
     exton2_hypotheses,
     source_count,
 )
+from cohh.cohomology import identify_presentation, kunneth_table
 from cohh.errors import InvalidInput
 from cohh.selftest import brute_force_feasible
 
@@ -45,8 +58,8 @@ def test_e2_validation():
 
 
 def test_shapes():
-    assert e2_from_exterior_homotopy(3, [3]).shape() == "lambda_poly"
-    assert e2_from_divided_homotopy(3, [2]).shape() == "gamma_exterior"
+    assert standard_page(LAMBDA_POLY, 3, [3]).shape() == "lambda_poly"
+    assert standard_page(GAMMA_EXTERIOR, 3, [2]).shape() == "gamma_exterior"
     assert E2Presentation(3, []).shape() == "trivial"
     mixed = E2Presentation(
         3,
@@ -58,7 +71,7 @@ def test_shapes():
 
 
 def test_candidate_sources_single_generator():
-    e2 = e2_from_exterior_homotopy(3, [3])
+    e2 = standard_page(LAMBDA_POLY, 3, [3])
     sources = candidate_sources(e2, 30)
     names = [e2.format_monomial(m) for m, _ in sources]
     assert names == ["w1", "y1*w1"]
@@ -66,7 +79,7 @@ def test_candidate_sources_single_generator():
 
 
 def test_candidate_sources_two_generators():
-    e2 = e2_from_exterior_homotopy(3, [3, 5])
+    e2 = standard_page(LAMBDA_POLY, 3, [3, 5])
     names = {e2.format_monomial(m) for m, _ in candidate_sources(e2, 40)}
     assert names == {
         "w1", "w2", "y1*w1", "y2*w1", "y1*w2", "y2*w2",
@@ -80,10 +93,10 @@ def test_candidate_sources_without_polynomial_part():
 
 
 def test_candidate_targets():
-    e2 = e2_from_exterior_homotopy(3, [3])
+    e2 = standard_page(LAMBDA_POLY, 3, [3])
     got = {e2.format_monomial(m) for m, _ in candidate_targets(e2, 30)}
     assert got == {"y1", "w1", "w1^3", "w1^9"}
-    e0 = e2_from_exterior_homotopy(0, [3])
+    e0 = standard_page(LAMBDA_POLY, 0, [3])
     got0 = {e0.format_monomial(m) for m, _ in candidate_targets(e0, 30)}
     assert got0 == {"y1", "w1"}
     empty = E2Presentation(5, [])
@@ -93,12 +106,12 @@ def test_candidate_targets():
 @pytest.mark.parametrize("degree", [3, 5, 7])
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_single_generator_feasible_is_empty(degree, p):
-    e2 = e2_from_exterior_homotopy(p, [degree])
+    e2 = standard_page(LAMBDA_POLY, p, [degree])
     assert candidates(e2, 10 * degree) == []
 
 
 def test_known_obstruction_p3():
-    e2 = e2_from_exterior_homotopy(3, [3, 5])
+    e2 = standard_page(LAMBDA_POLY, 3, [3, 5])
     cert = analyze(e2, 40)
     names = cert.witness_names(e2)
     # y2*w1 and y1*w2 share bidegree (1,8); both hit w1^3 on page 2
@@ -113,7 +126,7 @@ def test_known_obstruction_p3():
 
 
 def test_known_obstruction_p2():
-    e2 = e2_from_exterior_homotopy(2, [3, 5])
+    e2 = standard_page(LAMBDA_POLY, 2, [3, 5])
     cert = analyze(e2, 40)
     names = cert.witness_names(e2)
     assert [o.describe(e2, names[o.source_bidegree]) for o in cert.obstructions] == [
@@ -125,7 +138,7 @@ def test_known_obstruction_p2():
 
 def test_bidegree_law_reverified():
     for degrees, p in (([3, 5], 3), ([3, 5], 2), ([5, 7], 3)):
-        e2 = e2_from_exterior_homotopy(p, degrees)
+        e2 = standard_page(LAMBDA_POLY, p, degrees)
         for o in analyze(e2, 40).obstructions:
             for w in o.witnesses:
                 assert o.source_bidegree == e2.bidegree(w)
@@ -136,16 +149,16 @@ def test_bidegree_law_reverified():
 
 
 def test_exton2_hypotheses_examples():
-    checks = exton2_hypotheses(e2_from_exterior_homotopy(3, [3, 5]))
+    checks = exton2_hypotheses(standard_page(LAMBDA_POLY, 3, [3, 5]))
     assert checks["pm_ne_ratio_plus_one"] is False  # (5-1)/(3-1)+1 = 3 = 3^1
     assert checks["p2_pm_ne_ratio"] is True
-    checks = exton2_hypotheses(e2_from_exterior_homotopy(2, [3, 5]))
+    checks = exton2_hypotheses(standard_page(LAMBDA_POLY, 2, [3, 5]))
     assert checks["pm_ne_ratio_plus_one"] is True
     assert checks["p2_pm_ne_ratio"] is False  # (5-1)/(3-1) = 2 = 2^1
-    checks = exton2_hypotheses(e2_from_exterior_homotopy(5, [3, 7]))
+    checks = exton2_hypotheses(standard_page(LAMBDA_POLY, 5, [3, 7]))
     assert all(checks.values())  # (7-1)/(3-1)+1 = 4 is not a power of 5
     with pytest.raises(WrongShape):
-        exton2_hypotheses(e2_from_exterior_homotopy(3, [3]))
+        exton2_hypotheses(standard_page(LAMBDA_POLY, 3, [3]))
 
 
 def fraction_hypotheses(a: int, b: int, p: int) -> dict:
@@ -174,7 +187,7 @@ def test_integer_ratio_checks_equal_the_fraction_reference():
     cases += [(a, b, 2) for a in range(2, 62, 2) for b in range(a, 62)]
     hits = 0
     for a, b, p in cases:
-        got = exton2_hypotheses(e2_from_exterior_homotopy(p, [b, a]))
+        got = exton2_hypotheses(standard_page(LAMBDA_POLY, p, [b, a]))
         assert got == fraction_hypotheses(a, b, p), (a, b, p)
         hits += not all(got.values())
     assert hits >= 100  # the reference sees every check fail somewhere
@@ -184,7 +197,7 @@ def test_degree_one_exterior_generator_fails_the_ratio_checks():
     """R = (b-1)/(a-1) is undefined for a = 1: every ratio check fails, and
     the verdict comes from the search alone."""
     for p, degrees in ((3, [1, 3]), (2, [1, 1]), (0, [1, 5])):
-        e2 = e2_from_exterior_homotopy(p, degrees)
+        e2 = standard_page(LAMBDA_POLY, p, degrees)
         assert not any(exton2_hypotheses(e2).values()), (p, degrees)
         cert = analyze(e2, 40)
         want = "obstructed" if brute_force_feasible(e2, 40) else "collapses"
@@ -196,7 +209,7 @@ def test_two_condition_gap_cases_need_the_third_check():
     the doubled-ratio check is what rules them out."""
     gap_cases = [((5, 7), 3), ((5, 11), 5), ((5, 15), 7), ((9, 13), 3)]
     for degrees, p in gap_cases:
-        e2 = e2_from_exterior_homotopy(p, list(degrees))
+        e2 = standard_page(LAMBDA_POLY, p, list(degrees))
         checks = exton2_hypotheses(e2)
         assert checks["pm_ne_ratio_plus_one"] is True
         assert checks["p2_pm_ne_ratio"] is True
@@ -212,16 +225,16 @@ def test_no_bare_w_sources_ever_feasible():
     for a in range(3, 16, 2):
         for b in range(a, 16, 2):
             for p in (0, 2, 3, 5, 7):
-                e2 = e2_from_exterior_homotopy(p, [a, b])
+                e2 = standard_page(LAMBDA_POLY, p, [a, b])
                 ext_count = 2
                 for source, _, _ in candidates(e2, 40):
                     assert sum(source[:ext_count]) >= 1
 
 
 def test_gamma_collapse():
-    cert = analyze(e2_from_divided_homotopy(3, [2]), 20)
+    cert = analyze(standard_page(GAMMA_EXTERIOR, 3, [2]), 20)
     assert cert.verdict == "collapses" and cert.argument
-    cert = analyze(e2_from_divided_homotopy(0, [2, 4]), 20)
+    cert = analyze(standard_page(GAMMA_EXTERIOR, 0, [2, 4]), 20)
     assert cert.verdict == "collapses" and not cert.obstructions
     assert cert.max_t == 20 and cert.max_page_searched is None
 
@@ -229,16 +242,16 @@ def test_gamma_collapse():
 def test_analyze_dispatch_and_trivial():
     cert = analyze(E2Presentation(3, []), 20)
     assert cert.verdict == "collapses" and not cert.obstructions
-    cert = analyze(e2_from_divided_homotopy(3, [2]), 20)
+    cert = analyze(standard_page(GAMMA_EXTERIOR, 3, [2]), 20)
     assert cert.shape == "gamma_exterior"
-    cert = analyze(e2_from_exterior_homotopy(5, [3]), 30)
+    cert = analyze(standard_page(LAMBDA_POLY, 5, [3]), 30)
     assert cert.verdict == "collapses"
     assert cert.max_page_searched is not None
 
 
 def test_oracle_equivalence_spot_checks():
     for degrees, p in (([3, 5], 3), ([3, 5], 2), ([3], 0), ([5, 7], 3)):
-        e2 = e2_from_exterior_homotopy(p, degrees)
+        e2 = standard_page(LAMBDA_POLY, p, degrees)
         assert set(candidates(e2, 40)) == brute_force_feasible(e2, 40)
 
 
@@ -247,7 +260,7 @@ BENCHMARK_E2_DEGREES = list(range(3, 26, 2))   # 12 exterior generators
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_indexed_search_equals_the_all_pairs_oracle(p):
-    e2 = e2_from_exterior_homotopy(p, BENCHMARK_E2_DEGREES)
+    e2 = standard_page(LAMBDA_POLY, p, BENCHMARK_E2_DEGREES)
     fast = set(candidates(e2, 40))
     assert fast and fast == brute_force_feasible(e2, 40)
     for exps, bidegree in candidate_sources(e2, 40):
@@ -281,7 +294,7 @@ def test_source_count_equals_the_stream():
         e2 = E2Presentation(3, gens)
         max_t = rng.randrange(0, 90)
         assert source_count(e2, max_t) == len(candidate_sources(e2, max_t)), gens
-    benchmark_page = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
+    benchmark_page = standard_page(LAMBDA_POLY, 2, BENCHMARK_E2_DEGREES)
     assert source_count(benchmark_page, 160) == 48623 <= MAX_SOURCES
 
 
@@ -345,14 +358,14 @@ def test_analyze_reads_no_source_list(monkeypatch):
         raise AssertionError("analyze listed the sources")
 
     monkeypatch.setattr(collapse, "candidate_sources", broken)
-    e2 = e2_from_exterior_homotopy(2, BENCHMARK_E2_DEGREES)
+    e2 = standard_page(LAMBDA_POLY, 2, BENCHMARK_E2_DEGREES)
     cert = analyze(e2, 160)
     assert cert.verdict == "obstructed"
     assert sum(len(o.witnesses) for o in cert.obstructions) == 8621
 
 
 def test_over_budget_page_is_refused_before_streaming():
-    e2 = e2_from_exterior_homotopy(3, list(range(3, 42, 2)))
+    e2 = standard_page(LAMBDA_POLY, 3, list(range(3, 42, 2)))
     start = time.perf_counter()
     with pytest.raises(InvalidInput, match="stream 1610037 sources"):
         analyze(e2, 160)
@@ -371,11 +384,11 @@ def test_page_with_too_many_set_degrees_is_refused(monkeypatch):
 
 def test_negative_max_t_is_refused():
     with pytest.raises(InvalidInput, match="negative"):
-        analyze(e2_from_exterior_homotopy(3, [3, 5]), -1)
+        analyze(standard_page(LAMBDA_POLY, 3, [3, 5]), -1)
 
 
 def test_certificate_json():
-    e2 = e2_from_exterior_homotopy(3, [3, 5])
+    e2 = standard_page(LAMBDA_POLY, 3, [3, 5])
     cert = analyze(e2, 40)
     data = cert.to_json_dict(e2)
     assert data["verdict"] == "obstructed"
@@ -385,7 +398,50 @@ def test_certificate_json():
     assert data["search_bounds"]["max_t"] == 40
     assert data["convergence_note"] is None
     json.dumps(data)
-    collapsing = analyze(e2_from_exterior_homotopy(5, [3]), 30)
+    collapsing = analyze(standard_page(LAMBDA_POLY, 5, [3]), 30)
     assert collapsing.to_json_dict(
-        e2_from_exterior_homotopy(5, [3])
+        standard_page(LAMBDA_POLY, 5, [3])
     )["convergence_note"]
+
+
+def random_presentations(seed: int, count: int):
+    """Seeded presentations of 1-3 cogenerators over p in {0, 2, 3, 5}, each
+    with a window (max_s in 1..4, max_t in 1..30): the parity that p asks of
+    each kind, degrees 1..8, and small windows, which can match both grids."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((0, 2, 3, 5))
+        cogs = []
+        for i in range(rng.randint(1, 3)):
+            kind = rng.choice(KINDS)
+            degree = rng.randint(1, 8)
+            if p != 2 and degree % 2 != (kind == EXTERIOR):
+                degree += 1
+            cogs.append(Cogenerator(f"g{i}", kind, degree))
+        window = BidegreeWindow(rng.randint(1, 4), rng.randint(1, 30))
+        yield CoalgebraPresentation(Field(p), cogs), window
+
+
+def test_collapse_of_an_identified_page_equals_collapse_of_its_e2_file(tmp_path):
+    """The page `identify_presentation` names is the page `cohh collapse`
+    reads: written out by `format_e2`, it parses back equal, and the CLI's
+    verdict, obstructions and hypothesis checks are `analyze`'s on it."""
+    fields = ("verdict", "shape", "obstructions", "hypothesis_checks")
+    shapes = []
+    for C, window in random_presentations(2026, 240):
+        page = identify_presentation(kunneth_table(C, window))
+        if page is None:
+            continue
+        shapes.append(page.shape())
+        text = format_e2(page)
+        assert parse_e2(text) == page, text
+        src, out = tmp_path / "page.e2", tmp_path / "report.json"
+        src.write_text(text, encoding="utf-8")
+        max_t = window.max_t + 10
+        assert main(["collapse", str(src), "--max-t", str(max_t), "--format", "json",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        want = analyze(page, max_t).to_json_dict(page)
+        assert {k: report[k] for k in fields} == {k: want[k] for k in fields}, text
+    assert len(shapes) >= 100
+    assert {LAMBDA_POLY, GAMMA_EXTERIOR, TRIVIAL} <= set(shapes)

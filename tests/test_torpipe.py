@@ -4,22 +4,9 @@ import pytest
 
 from cohh import torpipe
 from cohh.coalg import BidegreeWindow, CompositeCharacteristic, WindowTooSmall
-from cohh.cohomology import EXTERIOR_POLYNOMIAL, WindowTooLarge, kunneth_table
+from cohh.cohomology import WindowTooLarge, kunneth_table
 from cohh.errors import InvalidInput, InvariantFailure
-from cohh.torpipe import hz_e2_pipeline, tor_fp
-
-
-def test_tor_dims():
-    assert tor_fp(3, 5) == [1, 1, 0, 0, 0, 0]
-    assert tor_fp(2, 3) == [1, 1, 0, 0]
-    assert tor_fp(7, 0) == [1]
-
-
-def test_tor_rejects_bad_characteristic():
-    with pytest.raises(CompositeCharacteristic):
-        tor_fp(4, 3)
-    with pytest.raises(InvalidInput):
-        tor_fp(0, 3)
+from cohh.torpipe import hz_e2_pipeline
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -31,11 +18,7 @@ def test_pipeline_table(p):
         (0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)
     }
     assert all(v == 1 for v in result.table.entries.values() if v)
-    assert result.identification.shape == EXTERIOR_POLYNOMIAL
-    assert result.identification.degrees == [1]
-    assert "||τ||=(0,1)" in result.description
-    assert "||ω||=(1,1)" in result.description
-    assert f"F_{p}[" in result.description
+    assert result.description == f"Λ(τ)⊗F_{p}[ω], ||τ||=(0,1), ||ω||=(1,1)"
     assert result.tor_dims[:3] == [1, 1, 0]
 
 
@@ -61,6 +44,8 @@ def test_pipeline_reports_tor_in_degrees_0_to_4():
 def test_pipeline_rejects_composite():
     with pytest.raises(CompositeCharacteristic):
         hz_e2_pipeline(4, BidegreeWindow(3, 6))
+    with pytest.raises(InvalidInput, match="characteristic must be a prime here"):
+        hz_e2_pipeline(0, BidegreeWindow(3, 6))
 
 
 @pytest.mark.parametrize("spot", [(0, 1), (1, 2), (3, 6), (2, 5)])
