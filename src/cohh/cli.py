@@ -305,12 +305,12 @@ def render_collapse_report(e2, cert, fmt: str) -> str:
             lines.append(f"  {o.describe(e2, names[o.source_bidegree])}")
     if cert.argument:
         lines.append(f"# argument: {cert.argument}")
-    if cert.verdict == "collapses":
-        from .collapse import CONVERGENCE_NOTE
+    from .collapse import CERTIFICATE_CAVEATS, CONVERGENCE_NOTE
 
+    if cert.verdict == "collapses":
         lines.append(f"# note: {CONVERGENCE_NOTE}")
     lines.append("# caveats:")
-    for c in cert.caveats:
+    for c in CERTIFICATE_CAVEATS:
         lines.append(f"#   - {c}")
     return "\n".join(lines) + "\n"
 

@@ -18,12 +18,13 @@ Ziegenhagen, "Computational tools for topological coHochschild homology",
 2018).  Over F_p a polynomial cogenerator splits further into truncated
 factors by Lucas's theorem (`kunneth_factors`).  A table is thus a product
 of power series in x (marking s) and q (marking t), and both series
-multiplied out here, the tables and the two grid shapes of
-`expected_grid`, go through one kernel, `_times`: a numerator times
-1/(1 - x^a q^b) per denominator, cut to the window.  The checks on a table
-compare it with closed forms instead: the Euler check with delta_{t,0},
-and identification with the degrees it reads off rows 0 and 1; it returns
-the page it names, which `collapse.analyze` takes as it is.
+multiplied out here, the tables and the grid of an E2 page (`page_grid`,
+one series per generator), go through one kernel, `_times`: a numerator
+times 1/(1 - x^a q^b) per denominator, cut to the window, passing only over
+the rows it can reach.  The checks on a table compare it with closed forms
+instead: the Euler check with delta_{t,0}, and identification with the
+grid of the page whose degrees it reads off rows 0 and 1; it returns that
+page, which `collapse.analyze` takes as it is.
 
 Each factor's series comes in closed form (`factor_series`).  For a
 finite-type connected coalgebra C, the cyclic cobar complex is the
@@ -178,31 +179,42 @@ def _times(rows: list, num: dict, dens=()) -> list:
     is a running sum, so no (a, b) in dens is (0, 0).  Every exponent is
     >= 0, so a coefficient inside the window comes only from coefficients
     inside it, and cutting to the window of rows keeps every coefficient
-    exact.  The term 1 costs nothing; each other term and each denominator
-    costs one pass over the cells.  The terms are added from the top row
-    down, so a term x^a q^b with a >= 1 reads row s - a before it changes,
-    and a term q^b reads a copy of its own row taken before the row changes."""
+    exact.  A pass of x-degree a writes row s only if row s - a can be
+    nonzero, so it costs only the rows it can reach: up to the top nonzero
+    row on entry, plus a for a numerator term, and every row from a up for
+    a denominator with a >= 1, which fills them.  The term 1 costs nothing.
+    The terms are added from the top row down, so a term x^a q^b with a >= 1
+    reads row s - a before it changes, and a term q^b reads a copy of its
+    own row taken before the row changes."""
     assert num.get((0, 0)) == 1, "the constant term must be 1"
     terms = [(a, b, c) for (a, b), c in num.items() if (a, b) != (0, 0)]
+    width = len(rows[0])
+    top = len(rows) - 1  # the top row that can be nonzero
+    while top and rows[top].count(0) == width:  # faster than any() on a zero row
+        top -= 1
+    reach = min(len(rows) - 1, top + max((a for a, _, _ in terms), default=0))
     own_row = any(a == 0 for a, _, _ in terms)
-    for s in reversed(range(len(rows))):
+    for s in reversed(range(reach + 1)):
         row = rows[s]
-        own = row[:] if own_row else row
+        own = row[:] if own_row and s <= top else row
         for a, b, c in terms:
-            if a > s:
+            if a > s or s - a > top:
                 continue
             src = rows[s - a] if a else own
             if c in (1, -1):
                 row[b:] = map(add if c == 1 else sub, row[b:], src)
             else:
                 row[b:] = [u + c * v for u, v in zip(row[b:], src)]
-    width = len(rows[0])
+    top = reach
     for a, b in dens:
-        for s in range(a, len(rows)):
-            row = rows[s]
-            if a:
+        if a:
+            for s in range(a, len(rows)):
+                row = rows[s]
                 row[b:] = map(add, row[b:], rows[s - a])
-            else:  # residues r >= width - b have one element in range
+            top = len(rows) - 1
+        else:  # residues r >= width - b have one element in range
+            for s in range(top + 1):
+                row = rows[s]
                 for r in range(min(b, width - b)):
                     row[r::b] = accumulate(row[r::b])
     return rows
@@ -263,13 +275,14 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     and two denominators, each one pass over the cells, so the work is
     O(factors * cells), which `MAX_FACTOR_CELLS` bounds.  A pass costs more
     as the dimensions grow to hundreds of bits.  Measured at the limits
-    (Python 3.11, shared 2-vCPU host, wall time of single runs): the table
-    of 36 odd exterior degrees over Q at (40, 400), which fills the window,
-    takes 0.22-0.28 s of CPU, and the whole `cohh cohh` run 0.4-0.6 s.  The
-    worst accepted input found is 30 Γ(x_1) over F_2, with dimensions of
-    ~300 bits: its table takes ~0.08 s, and the whole run 0.20-0.35 s at
-    (0, 19999) and 0.32-0.55 s at (1, 9999), of which
-    `identify_presentation` takes ~0.15 s to confirm the shape.
+    (Python 3.11, shared 2-vCPU host, five runs each): the table of the 36
+    exterior degrees 3, 5, ..., 73 over Q at (40, 400), which fills the
+    window, takes 0.11-0.14 s of CPU, and the whole `cohh cohh` run
+    0.21-0.22 s of wall time.  The worst accepted input found is 30 Γ(x_1)
+    over F_2, with dimensions of ~300 bits: its table takes 0.026-0.042 s,
+    and the whole run 0.14-0.16 s at (0, 19999) and 0.18-0.20 s at
+    (1, 9999), of which `identify_presentation` takes 0.045-0.050 s to
+    confirm the shape.
     """
     p = C.field.characteristic
     factors = kunneth_factors(C, window.max_t)
@@ -354,66 +367,46 @@ def euler_check(cx: CochainComplex, table: BigradedTable) -> EulerReport:
 # -- symbolic identification ---------------------------------------------------
 
 
-def expected_grid(shape: str, degrees, window: BidegreeWindow) -> dict:
-    """Dimension grid of the closed-form answer over the window.
-
-    The product of one series per degree d, written here apart from
-    `factor_series`, for a shape of `E2Presentation.shape()`: LAMBDA_POLY,
-    Λ(y_d) at (0, d) times k[w_d] at (1, d), is (1 + q^d) / (1 - x q^d);
-    GAMMA_EXTERIOR, Γ(x_d) at (0, d) times Λ(z_d) at (1, d), is
-    (1 + x q^d) / (1 - q^d)."""
-    row0 = _expected_row0(shape, degrees, window.max_t + 1)
-    return _entries(_expected_rows(shape, degrees, window, row0))
-
-
-def _expected_row0(shape: str, degrees, width: int) -> list:
-    """Row 0 of `expected_grid`, its factors in q alone: prod (1 + q^d) for
-    LAMBDA_POLY, prod 1 / (1 - q^d) for GAMMA_EXTERIOR."""
-    rows = [[1] + [0] * (width - 1)]
-    for d in degrees:
-        if shape == LAMBDA_POLY:
-            rows = _times(rows, {(0, 0): 1, (0, d): 1})
+def _times_generators(rows: list, generators) -> list:
+    """rows times one series per E2 generator at (s, t): 1 + x^s q^t for an
+    exterior generator, 1 / (1 - x^s q^t) for a polynomial or divided-power
+    one (`E2Presentation` puts every one at t >= 1)."""
+    for g in generators:
+        if g.kind == EXTERIOR:
+            _times(rows, {(0, 0): 1, (g.s, g.t): 1})
         else:
-            rows = _times(rows, {(0, 0): 1}, [(0, d)])
-    return rows[0]
-
-
-def _expected_rows(shape: str, degrees, window: BidegreeWindow, row0: list) -> list:
-    """The rows of `expected_grid` from its row 0, times its factors in x:
-    prod 1 / (1 - x q^d) for LAMBDA_POLY, prod (1 + x q^d) for
-    GAMMA_EXTERIOR."""
-    rows = _unit(window)
-    rows[0] = row0
-    for d in degrees:
-        if shape == LAMBDA_POLY:
-            rows = _times(rows, {(0, 0): 1}, [(1, d)])
-        else:
-            rows = _times(rows, {(0, 0): 1, (1, d): 1})
+            _times(rows, {(0, 0): 1}, [(g.s, g.t)])
     return rows
 
 
-def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
-    """The `standard_page` whose closed-form grid the table is, or None.
+def page_grid(page: E2Presentation, window: BidegreeWindow) -> dict:
+    """Dimension grid of an E2 page over the window: the product of its
+    generators' series, written here apart from `factor_series`."""
+    return _entries(_times_generators(_unit(window), page.generators))
 
-    In both shapes row 1 is row 0 times sum_d q^d over the degrees: it is
-    the x^1 coefficient of prod (1 + q^d) / (1 - x q^d) and of
-    prod (1 + x q^d) / (1 - q^d).  So the degrees are read off the quotient
-    row 1 / row 0, exact over the integers as row 0 starts with 1, one
-    subtraction pass per distinct degree; a negative coefficient fits
-    neither shape.  `expected_grid`'s closed form then decides the shape,
-    LAMBDA_POLY first, row 0 first: the rows above are multiplied out, from
-    that row, only for a shape whose row 0 matches.  This needs max_s >= 1:
-    the column-1 generators the answer names sit in row 1, and without it
-    nothing in the window shows them, so a window of row 0 alone identifies
-    only the trivial table, the page with no generators.  Only entries inside
-    the window are compared; no claim is made beyond it: with max_t < 2 d, d
-    the least degree, both grids match, and a Λ page that `E2Presentation`
-    refuses (an even |y| outside characteristic 2) yields to the Γ page."""
+
+def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
+    """The `standard_page` whose `page_grid` the table is, or None.
+
+    On both named pages row 1 is row 0 times sum_d q^d over the degrees: it
+    is the x^1 coefficient of prod (1 + q^d) / (1 - x q^d), Λ(y)⊗k[w], and
+    of prod (1 + x q^d) / (1 - q^d), Γ[x]⊗Λ(z).  So the degrees are read off
+    the quotient row 1 / row 0, exact over the integers as row 0 starts with
+    1, one subtraction pass per distinct degree; a negative coefficient fits
+    neither page.  The grid then decides the page, LAMBDA_POLY first.  A
+    page that `standard_page` refuses (an even |y| outside characteristic 2)
+    is skipped before any grid is built.  The column-0 generators are
+    multiplied in first, which fills row 0 alone (`_times` skips the rows
+    that are still zero), and the column-1 generators, which fill the rows
+    above, only when row 0 matches.  This needs max_s >= 1: the column-1
+    generators the answer names sit in row 1, and without it nothing in the
+    window shows them, so a window of row 0 alone identifies only the
+    trivial table, the page with no generators.  Only entries inside the
+    window are compared; no claim is made beyond it: with max_t < 2 d, d the
+    least degree, both grids match, and the Λ page is named where it exists."""
     width = table.window.max_t + 1
     if table.dim(0, 0) != 1:
         return None
-    if all(v == 0 for k, v in table.entries.items() if k != (0, 0)):
-        return E2Presentation(table.characteristic, [])
     row0 = [table.dim(0, t) for t in range(width)]
     rest = [table.dim(1, t) for t in range(width)]
     degrees: list = []
@@ -424,15 +417,18 @@ def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
         if c:
             degrees += [t] * c
             rest[t:] = [u - c * v for u, v in zip(rest[t:], row0)]
+    n = len(degrees)
     for shape in (LAMBDA_POLY, GAMMA_EXTERIOR):
-        first = _expected_row0(shape, degrees, width)
-        if first == row0 and table.entries == _entries(
-            _expected_rows(shape, degrees, table.window, first)
+        try:
+            page = standard_page(shape, table.characteristic, degrees)
+        except WrongShape:
+            continue
+        # standard_page lists the n column-0 generators before column 1
+        rows = _times_generators(_unit(table.window), page.generators[:n])
+        if rows[0] == row0 and table.entries == _entries(
+            _times_generators(rows, page.generators[n:])
         ):
-            try:
-                return standard_page(shape, table.characteristic, degrees)
-            except WrongShape:
-                continue
+            return page
     return None
 
 

@@ -258,7 +258,6 @@ class CollapseCertificate(NamedTuple):
     max_page_searched: Optional[int]
     shape: str
     argument: Optional[str] = None
-    caveats: tuple = CERTIFICATE_CAVEATS
 
     def witness_names(self, e2: E2Presentation) -> dict:
         """Source bidegree -> the formatted witnesses of its obstructions,
@@ -291,7 +290,7 @@ class CollapseCertificate(NamedTuple):
             ],
             "argument": self.argument,
             "convergence_note": CONVERGENCE_NOTE if self.verdict == "collapses" else None,
-            "caveats": list(self.caveats),
+            "caveats": list(CERTIFICATE_CAVEATS),
         }
 
 

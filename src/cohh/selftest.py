@@ -43,7 +43,7 @@ from .coalg import (
     standard_page,
 )
 from .cochain import build_complex, coface_terms, tensor_bases
-from .cohomology import cohh_table, euler_check, expected_grid, kunneth_table
+from .cohomology import cohh_table, euler_check, kunneth_table, page_grid
 from .collapse import analyze, exton2_hypotheses, obstruction_search
 from .errors import InvariantFailure
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
@@ -96,35 +96,31 @@ def _gamma_presentation(
     )
 
 
+def _check_grids(shape, degrees, max_s, t_per_degree, presentation, generator, grid):
+    """`kunneth_table` of presentation(p, d) against the `page_grid` of
+    standard_page(shape, p, [d]) at (max_s, t_per_degree * d), for each
+    degree d and characteristic p."""
+    for d, p in product(degrees, CHARACTERISTICS):
+        window = BidegreeWindow(max_s, t_per_degree * d)
+        table = kunneth_table(presentation(p, d), window)
+        if table.entries != page_grid(standard_page(shape, p, [d]), window):
+            return False, f"table mismatch for |{generator}|={d} over characteristic {p}"
+    return True, f"{len(degrees) * len(CHARACTERISTICS)} tables equal the {grid} grid"
+
+
 def check_lambda_tables():
-    count = 0
-    for d in LAMBDA_DEGREES:
-        for p in CHARACTERISTICS:
-            window = BidegreeWindow(4, 5 * d)
-            table = kunneth_table(_lambda_presentation(p, [d]), window)
-            grid = expected_grid(LAMBDA_POLY, [d], window)
-            if table.entries != grid:
-                return False, f"table mismatch for |y|={d} over characteristic {p}"
-            count += 1
-    return True, f"{count} tables equal the exterior x polynomial grid"
+    return _check_grids(LAMBDA_POLY, LAMBDA_DEGREES, 4, 5,
+                        lambda p, d: _lambda_presentation(p, [d]), "y", "exterior x polynomial")
 
 
 def check_gamma_tables():
-    count = 0
-    for d in GAMMA_DEGREES:
-        for p in CHARACTERISTICS:
-            window = BidegreeWindow(2, 4 * d)
-            table = kunneth_table(_gamma_presentation(p, d), window)
-            grid = expected_grid(GAMMA_EXTERIOR, [d], window)
-            if table.entries != grid:
-                return False, f"table mismatch for |x|={d} over characteristic {p}"
-            count += 1
-    return True, f"{count} tables equal the divided-power x exterior grid"
+    return _check_grids(GAMMA_EXTERIOR, GAMMA_DEGREES, 2, 4, _gamma_presentation, "x",
+                        "divided-power x exterior")
 
 
 def check_hz_pipeline():
     window = BidegreeWindow(3, 6)
-    grid = expected_grid(LAMBDA_POLY, [1], window)
+    grid = page_grid(standard_page(LAMBDA_POLY, 0, [1]), window)
     for p in (2, 3, 5):
         result = hz_e2_pipeline(p, window)
         if result.table.entries != grid:
