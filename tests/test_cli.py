@@ -290,6 +290,53 @@ def test_hz_reports_are_pinned(tmp_path, p, fmt):
     assert digest == HZ_REPORT_SHA256[(p, fmt)]
 
 
+# Collapse reports with the lines the 24-generator page never prints: the four
+# hypothesis checks and the convergence note of a collapsing Λ⊗k[w] page, and
+# the column argument of a Γ⊗Λ page.  The sha256 of each report.
+COLLAPSE_INPUTS = {
+    "lambda37-f5": (
+        "char 5\nexterior y3 0 3\nexterior y7 0 7\npolynomial w3 1 3\npolynomial w7 1 7\n",
+        ["--max-t", "60"],
+    ),
+    "gamma-f3": (GAMMA_E2, []),
+}
+COLLAPSE_REPORT_SHA256 = {
+    ("lambda37-f5", "table"): "3f5b281b4dacac9ef1b77e9dd7c1b168ab5137c974487aca58a44756ea175e52",
+    ("lambda37-f5", "json"): "11675aa3a7d14c7a1cb72902927405541c119fea66a5609b313ddc04c39108d4",
+    ("gamma-f3", "table"): "4e7eef4f1ac907ab7f5e05daf2de342b6a05fa3afd28a7c260198e874b715120",
+    ("gamma-f3", "json"): "a95243f1a49e02a763f26e7ceb7febee295fda67099e9526b2f464d65c1ee98b",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(COLLAPSE_REPORT_SHA256))
+def test_collapse_reports_are_pinned(tmp_path, name, fmt):
+    text, options = COLLAPSE_INPUTS[name]
+    src = tmp_path / "e2.txt"
+    src.write_text(text)
+    out = tmp_path / "report"
+    assert main(["collapse", str(src), *options, "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == COLLAPSE_REPORT_SHA256[(name, fmt)]
+
+
+# `primitives` and `indecomposables` of two polynomial and one exterior
+# cogenerator over F_3 at --max-t 40: the sha256 of each report.
+MONOMIAL_REPORT_SHA256 = {
+    "primitives": "ededd10d10e47c370f700bf838d2d82f792c03a6fe74a165fd26737826c02da7",
+    "indecomposables": "73f6c9b5c292cc4a666b40577a54b755495581aa2c80cd8c5a8823d2099ff750",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MONOMIAL_REPORT_SHA256))
+def test_monomial_reports_are_pinned(tmp_path, command):
+    src = tmp_path / "input.coalg"
+    src.write_text("char 3\npolynomial w 2\npolynomial v 4\nexterior y 3\n")
+    out = tmp_path / "report"
+    assert main([command, str(src), "--max-t", "40", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == MONOMIAL_REPORT_SHA256[command]
+
+
 def test_collapse_command_gamma(tmp_path, capsys):
     src = tmp_path / "e2.txt"
     src.write_text(GAMMA_E2)
