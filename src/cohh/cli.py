@@ -16,6 +16,14 @@ complex is built.  A window of more than `cohomology.MAX_WINDOW_CELLS`
 cells, or more than `cohomology.MAX_FACTOR_CELLS` factors times cells, is
 refused with exit 2.
 
+Report rule: every report byte is laid out here, by the `render_*`
+functions: the grid, the csv, the json (one helper, `_json`, adds `tool` and
+sorts the keys) and `FORMAT_VERSION`, the version of the `cohh` and `hz`
+json; the `collapse` json is at version 1.  Engine records carry data and
+the mathematical names of their objects (`format_monomial`,
+`E2Presentation.describe`), and lay out no line, csv or json, so a format
+change edits this module alone.
+
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 internal error.
 Codes 1 and 2 each have one exception base in `errors` (`InvariantFailure`,
 `InvalidInput`), a module that imports nothing.  A `MemoryError` also exits
@@ -90,6 +98,7 @@ from . import __version__
 from .errors import InvalidInput, InvariantFailure
 
 TOOL_LINE = f"# tool: cohh {__version__}"
+FORMAT_VERSION = 3  # of the `cohh` and `hz` json reports
 
 
 class ParseError(InvalidInput):
@@ -205,32 +214,35 @@ def render_grid(table) -> str:
     return "\n".join(lines)
 
 
+def _json(data: dict) -> str:
+    """A json report: `data` and `tool`, keys sorted, in one `json.dumps`."""
+    import json
+
+    data["tool"] = f"cohh {__version__}"
+    return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def render_table_report(
     kind, title, table, characteristic, ident_str, comments, json_fields, fmt: str
 ) -> str:
     """A bigraded-table report (`cohh`, `hz`) in one format.
 
-    csv is the table alone; json is the table's dict plus the report fields
-    and `json_fields`; the table format prints `comments` between the
+    csv is the table alone; json is the table with the report fields and
+    `json_fields`; the table format prints `comments` between the
     characteristic and the identification, then the grid."""
-    from .cohomology import table_to_csv, table_to_json_dict
-
+    cells = sorted(table.entries.items())
     if fmt == "csv":
-        return table_to_csv(table)
+        return "".join(["s,t,dim\n", *(f"{s},{t},{dim}\n" for (s, t), dim in cells)])
     if fmt == "json":
-        import json
-
-        data = table_to_json_dict(table)
-        data.update(
-            {
-                "kind": kind,
-                "tool": f"cohh {__version__}",
-                "characteristic": characteristic,
-                "identification": ident_str,
-                **json_fields,
-            }
-        )
-        return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+        return _json({
+            "format_version": FORMAT_VERSION,
+            "window": {"max_s": table.window.max_s, "max_t": table.window.max_t},
+            "entries": [{"s": s, "t": t, "dim": dim} for (s, t), dim in cells],
+            "kind": kind,
+            "characteristic": characteristic,
+            "identification": ident_str,
+            **json_fields,
+        })
     lines = [
         f"# {title} report",
         TOOL_LINE,
@@ -251,6 +263,13 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
     every input the grammar accepts the table comes in closed form from no
     complex, so the line holds vacuously."""
     presentation = format_presentation(C).splitlines()
+    if euler.passed:
+        euler_text = (
+            f"pass ({len(euler.checked_degrees)} degrees checked, "
+            f"{len(euler.skipped_degrees)} beyond the window)"
+        )
+    else:
+        euler_text = f"FAIL at internal degree t={euler.first_violation}"
     comments = [
         f"# window: max_s={window.max_s} max_t={window.max_t}",
         "# presentation:",
@@ -260,7 +279,7 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
     ]
     json_fields = {
         "presentation": presentation,
-        "checks": {"d_squared": "ok", "euler": euler.describe()},
+        "checks": {"d_squared": "ok", "euler": euler_text},
     }
     ident_str = ident.describe() if ident is not None else "unrecognized"
     return render_table_report(
@@ -269,23 +288,51 @@ def render_cohh_report(C, window, table, ident, euler, fmt: str) -> str:
     )
 
 
-def render_hz_report(result, fmt: str) -> str:
-    """The `hz` report in one format."""
+def render_hz_report(result, characteristic: int, fmt: str) -> str:
+    """The `hz` report in one format, with the cited Tor dimensions."""
+    from .torpipe import TOR_DIMS
+
     return render_table_report(
-        "hz_report", "hz pipeline", result.table, result.characteristic,
-        result.description, [f"# tor dims (degrees 0..4): {result.tor_dims}"],
-        {"tor_dims": result.tor_dims}, fmt,
+        "hz_report", "hz pipeline", result.table, characteristic,
+        result.description, [f"# tor dims (degrees 0..4): {TOR_DIMS}"],
+        {"tor_dims": TOR_DIMS}, fmt,
     )
 
 
 def render_collapse_report(e2, cert, fmt: str) -> str:
-    if fmt == "json":
-        import json
+    """The `collapse` report in one format.  The obstructions of one source
+    bidegree share its witnesses, so each list is formatted once; the first
+    witness is the source, which the table line does not repeat."""
+    from .collapse import CERTIFICATE_CAVEATS, CONVERGENCE_NOTE
 
-        data = cert.to_json_dict(e2)
-        data["tool"] = f"cohh {__version__}"
-        data["presentation"] = format_e2(e2).splitlines()
-        return json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    mono = e2.format_monomial
+    shared = {o.source_bidegree: o.witnesses for o in cert.obstructions}
+    names = {b: [mono(w) for w in ws] for b, ws in shared.items()}
+    note = CONVERGENCE_NOTE if cert.verdict == "collapses" else None
+    if fmt == "json":
+        return _json({
+            "format_version": 1,
+            "verdict": cert.verdict,
+            "shape": cert.shape,
+            "characteristic": e2.characteristic,
+            "search_bounds": {"max_t": cert.max_t, "max_page": cert.max_page_searched},
+            "hypothesis_checks": cert.hypothesis_checks,
+            "obstructions": [
+                {
+                    "page": o.page,
+                    "source": mono(o.source),
+                    "target": mono(o.target),
+                    "source_bidegree": list(o.source_bidegree),
+                    "target_bidegree": list(o.target_bidegree),
+                    "same_bidegree_sources": names[o.source_bidegree],
+                }
+                for o in cert.obstructions
+            ],
+            "argument": cert.argument,
+            "convergence_note": note,
+            "caveats": list(CERTIFICATE_CAVEATS),
+            "presentation": format_e2(e2).splitlines(),
+        })
     lines = [
         "# collapse certificate",
         TOOL_LINE,
@@ -300,15 +347,18 @@ def render_collapse_report(e2, cert, fmt: str) -> str:
     lines.append(f"verdict: {cert.verdict}")
     if cert.obstructions:
         lines.append("obstructions:")
-        names = cert.witness_names(e2)
         for o in cert.obstructions:
-            lines.append(f"  {o.describe(e2, names[o.source_bidegree])}")
+            line = (
+                f"  d_{o.page}: {mono(o.source)} {o.source_bidegree} -> "
+                f"{mono(o.target)} {o.target_bidegree}"
+            )
+            if len(o.witnesses) > 1:
+                line += f" (same-bidegree sources: {', '.join(names[o.source_bidegree][1:])})"
+            lines.append(line)
     if cert.argument:
         lines.append(f"# argument: {cert.argument}")
-    from .collapse import CERTIFICATE_CAVEATS, CONVERGENCE_NOTE
-
-    if cert.verdict == "collapses":
-        lines.append(f"# note: {CONVERGENCE_NOTE}")
+    if note:
+        lines.append(f"# note: {note}")
     lines.append("# caveats:")
     for c in CERTIFICATE_CAVEATS:
         lines.append(f"#   - {c}")
@@ -375,7 +425,7 @@ def cmd_hz(args) -> int:
     from .torpipe import hz_e2_pipeline
 
     result = hz_e2_pipeline(args.char, BidegreeWindow(args.max_s, args.max_t))
-    _emit(render_hz_report(result, args.format), args.out)
+    _emit(render_hz_report(result, args.char, args.format), args.out)
     return 0
 
 
@@ -388,8 +438,8 @@ def render_monomial_report(title: str, C, max_t: int, found) -> str:
         f"# characteristic: {C.field.characteristic}",
         f"# max internal degree: {max_t}",
     ]
-    for t, elems in found.formatted(C).items():
-        lines.append(f"t={t}: " + "; ".join(elems))
+    for t, ms in found.by_degree.items():
+        lines.append(f"t={t}: " + "; ".join(C.format_monomial(m) for m in ms))
     return "\n".join(lines) + "\n"
 
 

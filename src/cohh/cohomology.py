@@ -9,6 +9,7 @@ degree and the window starts at s = 0, so every incoming differential lies
 inside the window and every entry is exact.  The formula counts cohomology
 only when d.d = 0, which `build_complex` checks exactly
 (`cochain.check_square_zero`) before any table is computed from a complex.
+A table and its `EulerReport` are data; `cli` lays out their report bytes.
 
 The table of a presentation is computed by the factor route, `kunneth_table`:
 the coalgebra is the tensor product of its one-cogenerator factors, and over
@@ -75,7 +76,6 @@ from .errors import InvalidInput
 if TYPE_CHECKING:
     from .cochain import CochainComplex
 
-FORMAT_VERSION = 3
 # Most (max_s + 1) * (max_t + 1) cells and most factors * cells that
 # `kunneth_table` accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
@@ -140,7 +140,8 @@ def check_window(window: BidegreeWindow, factors: int = 1):
 
 
 def kunneth_factors(C: CoalgebraPresentation, max_t: int) -> list:
-    """One-cogenerator presentations whose tensor product is C up to degree max_t.
+    """The cogenerators of the one-cogenerator factors whose tensor product is
+    C up to degree max_t.
 
     Exterior, divided-power and truncated cogenerators stay whole; a divided
     power cannot split, since its dual is a polynomial algebra.  Over F_p an
@@ -159,7 +160,7 @@ def kunneth_factors(C: CoalgebraPresentation, max_t: int) -> list:
                 degree *= p
         else:
             cogs.append(cog)
-    return [CoalgebraPresentation(C.field, [cog]) for cog in cogs]
+    return cogs
 
 
 def _unit(window: BidegreeWindow) -> list:
@@ -289,13 +290,13 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     check_window(window, len(factors))
     cobar: dict = {}  # (degree, truncation) -> nonzero cobar table entries
     rows = _unit(window)
-    for F in factors:
-        (cog,) = F.cogenerators
+    for cog in factors:
         if cog.kind == POLYNOMIAL and p and cog.truncation >= p:
             key = (cog.degree, cog.truncation)
             if key not in cobar:
                 from .cochain import build_complex
 
+                F = CoalgebraPresentation(C.field, [cog])
                 table = cohh_table(build_complex(F, window))
                 cobar[key] = {k: v for k, v in table.entries.items() if v}
             rows = _times(rows, cobar[key])
@@ -311,14 +312,6 @@ class EulerReport(NamedTuple):
     checked_degrees: list
     skipped_degrees: list
     first_violation: Optional[int] = None
-
-    def describe(self) -> str:
-        if self.passed:
-            return (
-                f"pass ({len(self.checked_degrees)} degrees checked, "
-                f"{len(self.skipped_degrees)} beyond the window)"
-            )
-        return f"FAIL at internal degree t={self.first_violation}"
 
 
 def presentation_euler_check(
@@ -430,24 +423,3 @@ def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
         ):
             return page
     return None
-
-
-# -- export -----------------------------------------------------------------
-
-
-def table_to_csv(table: BigradedTable) -> str:
-    lines = ["s,t,dim"]
-    for (s, t) in sorted(table.entries):
-        lines.append(f"{s},{t},{table.entries[(s, t)]}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_json_dict(table: BigradedTable) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "window": {"max_s": table.window.max_s, "max_t": table.window.max_t},
-        "entries": [
-            {"s": s, "t": t, "dim": table.entries[(s, t)]}
-            for (s, t) in sorted(table.entries)
-        ],
-    }

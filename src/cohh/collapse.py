@@ -27,7 +27,8 @@ with more than MAX_SOURCES sources.
 divided-power page by the column argument, and for an exterior-polynomial
 page returns the obstructions of `obstruction_search`: an `Obstruction` is
 the one record of a candidate map, and its witnesses are the candidate
-sources.
+sources.  A certificate is data: `cli.render_collapse_report` lays out its
+report, with the texts `CERTIFICATE_CAVEATS` and `CONVERGENCE_NOTE`.
 """
 
 from __future__ import annotations
@@ -207,19 +208,6 @@ class Obstruction(NamedTuple):
     target_bidegree: tuple
     witnesses: tuple         # all source monomials in this bidegree
 
-    def describe(self, e2: E2Presentation, names: list) -> str:
-        """One report line; `names` are the witnesses formatted, as
-        `CollapseCertificate.witness_names` gives them.  The first is the
-        source, which is the least witness, and is not repeated."""
-        head = (
-            f"d_{self.page}: {e2.format_monomial(self.source)} "
-            f"{self.source_bidegree} -> {e2.format_monomial(self.target)} "
-            f"{self.target_bidegree}"
-        )
-        if len(self.witnesses) > 1:
-            head += f" (same-bidegree sources: {', '.join(names[1:])})"
-        return head
-
 
 def obstruction_search(e2: E2Presentation, max_t: int) -> list:
     """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
@@ -258,40 +246,6 @@ class CollapseCertificate(NamedTuple):
     max_page_searched: Optional[int]
     shape: str
     argument: Optional[str] = None
-
-    def witness_names(self, e2: E2Presentation) -> dict:
-        """Source bidegree -> the formatted witnesses of its obstructions,
-        which share them: each list is formatted once."""
-        names: dict = {}
-        for o in self.obstructions:
-            if o.source_bidegree not in names:
-                names[o.source_bidegree] = [e2.format_monomial(w) for w in o.witnesses]
-        return names
-
-    def to_json_dict(self, e2: E2Presentation) -> dict:
-        names = self.witness_names(e2)
-        return {
-            "format_version": 1,
-            "verdict": self.verdict,
-            "shape": self.shape,
-            "characteristic": e2.characteristic,
-            "search_bounds": {"max_t": self.max_t, "max_page": self.max_page_searched},
-            "hypothesis_checks": dict(sorted(self.hypothesis_checks.items())),
-            "obstructions": [
-                {
-                    "page": o.page,
-                    "source": e2.format_monomial(o.source),
-                    "target": e2.format_monomial(o.target),
-                    "source_bidegree": list(o.source_bidegree),
-                    "target_bidegree": list(o.target_bidegree),
-                    "same_bidegree_sources": names[o.source_bidegree],
-                }
-                for o in self.obstructions
-            ],
-            "argument": self.argument,
-            "convergence_note": CONVERGENCE_NOTE if self.verdict == "collapses" else None,
-            "caveats": list(CERTIFICATE_CAVEATS),
-        }
 
 
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:

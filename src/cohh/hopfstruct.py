@@ -83,9 +83,6 @@ class MonomialSet(NamedTuple):
 
     by_degree: dict
 
-    def formatted(self, C: CoalgebraPresentation) -> dict:
-        return {t: [C.format_monomial(m) for m in ms] for t, ms in self.by_degree.items()}
-
 
 def _powers(C: CoalgebraPresentation, max_t: int, exponents) -> MonomialSet:
     """The single powers g^e for each cogenerator g and e in exponents(g)."""

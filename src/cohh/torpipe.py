@@ -29,8 +29,6 @@ TOR_DIMS = [1, 1, 0, 0, 0]
 
 
 class HZPipelineResult(NamedTuple):
-    characteristic: int
-    tor_dims: list
     table: BigradedTable
     description: str
 
@@ -55,4 +53,4 @@ def hz_e2_pipeline(p: int, window: BidegreeWindow) -> HZPipelineResult:
             f"pipeline table did not identify as expected: {page and page.describe()}"
         )
     description = standard_page(LAMBDA_POLY, p, [1], ["τ", "ω"]).describe(f"F_{p}")
-    return HZPipelineResult(p, list(TOR_DIMS), table, description)
+    return HZPipelineResult(table, description)

@@ -18,6 +18,7 @@ from cohh.cli import (
     main,
     parse_e2,
     parse_presentation,
+    render_table_report,
 )
 from cohh.coalg import (
     EXTERIOR,
@@ -28,7 +29,7 @@ from cohh.coalg import (
     Field,
 )
 from cohh.cochain import build_complex
-from cohh.cohomology import cohh_table, table_to_csv
+from cohh.cohomology import cohh_table
 from cohh.errors import InvariantFailure
 from cohh.selftest import TIME_BUDGETS_SECONDS
 
@@ -100,7 +101,32 @@ def test_cohh_command_csv_matches_library(tmp_path):
     assert code == 0
     C = parse_presentation(LAMBDA3)
     table = cohh_table(build_complex(C, BidegreeWindow(4, 15)))
-    assert out_path.read_text() == table_to_csv(table)
+    expected = "s,t,dim\n" + "".join(
+        f"{s},{t},{dim}\n" for (s, t), dim in sorted(table.entries.items())
+    )
+    assert out_path.read_text() == expected
+
+
+def test_csv_and_json_exports_agree_with_table():
+    window = BidegreeWindow(2, 8)
+    C = CoalgebraPresentation(Field(2), [Cogenerator("y", EXTERIOR, 3)])
+    table = cohh_table(build_complex(C, window))
+
+    def export(fmt):
+        return render_table_report("cohh_report", "cohh", table, 2, "unrecognized", [], {}, fmt)
+
+    lines = export("csv").strip().splitlines()
+    assert lines[0] == "s,t,dim"
+    parsed = {}
+    for line in lines[1:]:
+        s, t, dim = line.split(",")
+        parsed[(int(s), int(t))] = int(dim)
+    assert parsed == table.entries
+
+    data = json.loads(export("json"))
+    assert data["format_version"] == 3
+    from_json = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
+    assert from_json == table.entries
 
 
 def test_cohh_command_json(tmp_path, capsys):
@@ -350,6 +376,13 @@ def test_collapse_command_wrong_shape(tmp_path, capsys):
     src = tmp_path / "e2.txt"
     src.write_text("char 3\ndivided_power x 0 2\npolynomial w 1 2\n")
     assert main(["collapse", str(src)]) == 2
+
+
+def test_hz_reports_tor_in_degrees_0_to_4(capsys):
+    for max_t in (6, 40):
+        assert main(["hz", "--char", "5", "--max-t", str(max_t)]) == 0
+        out = capsys.readouterr().out
+        assert "# tor dims (degrees 0..4): [1, 1, 0, 0, 0]\n" in out
 
 
 def test_hz_command(tmp_path, capsys):

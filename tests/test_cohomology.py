@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import product
 
@@ -35,8 +34,6 @@ from cohh.cohomology import (
     kunneth_table,
     page_grid,
     presentation_euler_check,
-    table_to_csv,
-    table_to_json_dict,
 )
 from cohh.torpipe import hz_e2_pipeline
 
@@ -358,25 +355,6 @@ def test_identify_presentation_builds_the_rows_above_row_0_of_one_shape(
     assert page_grid(ident, window) == table.entries
 
 
-def test_csv_and_json_exports_agree_with_table():
-    window = BidegreeWindow(2, 8)
-    table = cohh_table(build_complex(exterior(2, 3), window))
-    csv_text = table_to_csv(table)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "s,t,dim"
-    parsed = {}
-    for line in lines[1:]:
-        s, t, dim = line.split(",")
-        parsed[(int(s), int(t))] = int(dim)
-    assert parsed == table.entries
-
-    data = table_to_json_dict(table)
-    assert data["format_version"] == 3
-    from_json = {(e["s"], e["t"]): e["dim"] for e in data["entries"]}
-    assert from_json == table.entries
-    json.dumps(data)  # serializable
-
-
 def test_normalized_and_full_cohomology_agree():
     for p in CHARS:
         C = exterior(p, 3)
@@ -404,6 +382,12 @@ def pairwise_product(tables) -> dict:
 
 def cobar_tables(factors, window) -> list:
     return [cohh_table(build_complex(F, window)) for F in factors]
+
+
+def kunneth_factor_tables(C, window) -> list:
+    """The cobar table of each of C's `kunneth_factors`, one cogenerator each."""
+    factors = kunneth_factors(C, window.max_t)
+    return cobar_tables([CoalgebraPresentation(C.field, [cog]) for cog in factors], window)
 
 
 @pytest.mark.parametrize("p", (0, 2, 3))
@@ -471,7 +455,7 @@ def test_factor_route_equals_full_complex_on_random_presentations():
         C = CoalgebraPresentation(Field(p), cogs)
         table = kunneth_table(C, window).entries
         assert table == cohh_table(build_complex(C, window)).entries, (cogs, p)
-        factors = cobar_tables(kunneth_factors(C, window.max_t), window)
+        factors = kunneth_factor_tables(C, window)
         assert table == pairwise_product(factors), (cogs, p)
         kinds.update((c.kind, c.truncation is not None, p) for c in cogs)
     # the sample reaches a Lucas split, a truncated divided power and Q
@@ -491,15 +475,14 @@ def test_factor_route_equals_full_complex_on_random_presentations():
 def test_lucas_split_of_a_polynomial_cogenerator_equals_full_complex(degree, p, window):
     C = poly(p, degree)
     window = BidegreeWindow(*window)
-    factors = kunneth_factors(C, window.max_t)
-    digits = [F.cogenerators[0] for F in factors]
+    digits = kunneth_factors(C, window.max_t)
     assert [(c.degree, c.truncation) for c in digits] == [
         (degree * p ** i, p - 1) for i in range(len(digits))
     ]
     assert len(digits) >= 3 and degree * p ** len(digits) > window.max_t
     table = kunneth_table(C, window).entries
     assert table == cohh_table(build_complex(C, window)).entries
-    assert table == pairwise_product(cobar_tables(factors, window))
+    assert table == pairwise_product(kunneth_factor_tables(C, window))
 
 
 @pytest.mark.parametrize(
@@ -518,7 +501,7 @@ def test_kunneth_table_builds_each_distinct_factor_once(
     C = CoalgebraPresentation(
         Field(p), [Cogenerator("a", kind, degree), Cogenerator("b", kind, degree)]
     )
-    degrees = {F.cogenerators[0].degree for F in kunneth_factors(C, window.max_t)}
+    degrees = {cog.degree for cog in kunneth_factors(C, window.max_t)}
     assert len(degrees) == distinct
     expected = pairwise_product(cobar_tables([one, one], window))
     monkeypatch.setattr(cochain, "build_complex", refuse)
@@ -702,7 +685,7 @@ def test_truncated_polynomial_cogenerator_is_not_split():
     cog = Cogenerator("w", POLYNOMIAL, 2, truncation=5)
     C = CoalgebraPresentation(Field(3), [cog])
     window = BidegreeWindow(3, 18)
-    assert [F.cogenerators for F in kunneth_factors(C, window.max_t)] == [(cog,)]
+    assert kunneth_factors(C, window.max_t) == [cog]
     assert kunneth_table(C, window).entries == cohh_table(build_complex(C, window)).entries
 
 

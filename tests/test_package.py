@@ -76,6 +76,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_cli_lays_out_reports():
+    """`cli` turns records into report bytes; no other module imports `json`
+    or names a `format_version`, so a format change edits `cli` alone."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "cohh").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.stem}:{node.lineno} imports {m}"
+                for m in modules if m.split(".")[0] == "json"
+            ]
+        if "format_version" in text.lower():
+            offenders.append(f"{path.stem} names a format_version")
+    assert offenders == []
+
+
 def _modules_after(code: str) -> set:
     """The modules a fresh interpreter holds after running `code`, as a CLI
     process would with `PYTHONPATH=src`."""

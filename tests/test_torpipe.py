@@ -19,7 +19,6 @@ def test_pipeline_table(p):
     }
     assert all(v == 1 for v in result.table.entries.values() if v)
     assert result.description == f"Λ(τ)⊗F_{p}[ω], ||τ||=(0,1), ||ω||=(1,1)"
-    assert result.tor_dims[:3] == [1, 1, 0]
 
 
 def test_pipeline_window_precondition():
@@ -34,11 +33,6 @@ def test_pipeline_refuses_an_oversized_window_before_computing_tor():
     with pytest.raises(WindowTooLarge, match="has 120000004 cells"):
         hz_e2_pipeline(3, BidegreeWindow(3, 30_000_000))
     assert time.perf_counter() - start < 0.5
-
-
-def test_pipeline_reports_tor_in_degrees_0_to_4():
-    for max_t in (6, 40):
-        assert hz_e2_pipeline(5, BidegreeWindow(3, max_t)).tor_dims == [1, 1, 0, 0, 0]
 
 
 def test_pipeline_rejects_composite():
