@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cohh import cli, cohomology
+from cohh import cli, cochain, cohomology, selftest
 from cohh.cli import (
     ParseError,
     format_e2,
@@ -906,6 +906,41 @@ def test_a_corrupt_twist_reaches_only_the_cobar_oracle(corrupted_twist, capsys):
     assert (
         "FAIL structural-invariants (factor route differs from the cobar complex: "
         "Lambda(3) over characteristic 0)"
+    ) in out
+    assert "# total: 8 checks, 1 failed" in out
+
+
+def _one_rank_too_high(monkeypatch):
+    """Make `cochain.rank` return one more than the true rank at the first
+    matrix it is given that has entries and is not of full rank."""
+    true_rank = cochain.rank
+    fired = []
+
+    def wrong(m):
+        r = true_rank(m)
+        if not fired and m.entries and r < min(m.rows, m.cols):
+            fired.append((m.rows, m.cols))
+            return r + 1
+        return r
+
+    monkeypatch.setattr(cochain, "rank", wrong)
+    return fired
+
+
+def test_selftest_catches_a_wrong_cobar_rank(capsys, monkeypatch):
+    """The Euler check telescopes and cannot see one rank off by one; the
+    factor route does."""
+    fired = _one_rank_too_high(monkeypatch)
+    assert selftest.check_structural_suite() == (
+        False, "factor route differs from the cobar complex: k[w2] over characteristic 0"
+    )
+    assert fired
+    _one_rank_too_high(monkeypatch)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL structural-invariants (factor route differs from the cobar complex: "
+        "k[w2] over characteristic 0)"
     ) in out
     assert "# total: 8 checks, 1 failed" in out
 

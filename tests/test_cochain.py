@@ -22,6 +22,7 @@ from cohh.cochain import (
     build_complex,
     coface_terms,
     differential_terms,
+    first_square_failure,
     normalized_differential_terms,
     rank,
     tensor_basis,
@@ -210,6 +211,43 @@ def test_build_complex_trivial_coalgebra():
         if (s, t) != (0, 0)
     )
     assert all(m.is_zero() for m in cx.differentials.values())
+
+
+@pytest.mark.parametrize("C, window", [
+    (exterior(0, 7), BidegreeWindow(4, 35)), (poly(0, 2), BidegreeWindow(4, 12)),
+], ids=["Lambda(7)", "k[w2]"])
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "full"])
+def test_every_differential_has_the_shape_of_its_spots(C, window, normalized):
+    """Empty spots included: d(s,t) maps spot (s,t) to spot (s+1,t)."""
+    cx = build_complex(C, window, normalized=normalized)
+    assert set(cx.differentials) == {
+        (s, t) for s in range(window.max_s + 1) for t in range(window.max_t + 1)
+    }
+    empty = 0
+    for (s, t), d in cx.differentials.items():
+        assert (d.rows, d.cols) == (cx.spot_dim(s + 1, t), cx.spot_dim(s, t))
+        empty += not d.rows * d.cols
+    assert empty > 0
+
+
+def test_rank_of_a_matrix_without_entries_is_zero():
+    for p in (0, 3):
+        for rows, cols in ((0, 0), (3, 0), (3, 4)):
+            assert rank(SparseMatrix(Field(p), rows, cols)) == 0
+
+
+@pytest.mark.parametrize("C, window, normalized, spot", [
+    (exterior(0, 7), BidegreeWindow(4, 35), True, None),
+    (exterior(0, 7), BidegreeWindow(4, 35), False, (0, 0)),
+    (poly(0, 2), BidegreeWindow(4, 12), True, (0, 4)),
+    (poly(0, 2), BidegreeWindow(4, 12), False, (0, 0)),
+    (exterior(3, 3, 5), BidegreeWindow(3, 16), True, (0, 8)),
+])
+def test_first_square_failure_under_a_corrupted_twist(
+    corrupted_twist, C, window, normalized, spot
+):
+    cx = build_complex(C, window, normalized=normalized, check=False)
+    assert first_square_failure(cx) == spot
 
 
 def test_window_too_small():
@@ -447,6 +485,41 @@ def test_identity_scan_reports_a_dropped_codegeneracy_exactly(
         _corrupted(selftest.codegeneracy_terms, i, s, degrees, lambda C, out: {}),
     )
     report = verify_cosimplicial_identities(exterior(3, 3, 5), BidegreeWindow(2, 10))
+    assert report == (False, checked, failure)
+
+
+def _swap_two_terms(C, out):
+    """Swap the tuples of the least two image terms, in tuple order, whose
+    coefficients differ; the coefficients stay where they were."""
+    keys = sorted(out)
+    for k, a in enumerate(keys):
+        for b in keys[k + 1:]:
+            if out[a] != out[b]:
+                return {**out, a: out[b], b: out[a]}
+    return out
+
+
+# Two image terms of one spot trade rows.  Each pair of the composed sides
+# then differs in two rows of one column: an identity scan that keys a level
+# by (column, row) with the wrong row count would read them as another column.
+@pytest.mark.parametrize("C, window, i, s, degrees, checked, failure", [
+    (exterior(3, 3, 5), (2, 10), 1, 0, (8,), 20, _failure("coface-coface", 0, 2, 0, 8)),
+    (exterior(3, 3, 5), (2, 10), 2, 1, (6,), 62, _failure("coface-coface", 0, 3, 1, 6)),
+    (exterior(3, 3, 5), (2, 10), 0, 2, (8,), 42, _failure("coface-coface", 0, 1, 1, 8)),
+    (exterior(3, 3, 5), (2, 10), 2, 2, (8,), 53, _failure("coface-coface", 0, 2, 1, 8)),
+    (poly(0, 2), (2, 8), 0, 0, (4,), 5, _failure("coface-coface", 0, 1, 0, 4)),
+    (poly(0, 2), (2, 8), 2, 1, (6,), 16, _failure("coface-coface", 0, 2, 0, 6)),
+    (poly(0, 2), (2, 8), 1, 2, (6,), 34, _failure("coface-coface", 0, 1, 1, 6)),
+    (poly(0, 2), (2, 8), 3, 2, (8,), 54, _failure("coface-coface", 0, 3, 1, 8)),
+])
+def test_identity_scan_reports_two_swapped_coface_rows_exactly(
+    monkeypatch, C, window, i, s, degrees, checked, failure
+):
+    monkeypatch.setattr(
+        selftest, "coface_terms",
+        _corrupted(selftest.coface_terms, i, s, degrees, _swap_two_terms),
+    )
+    report = verify_cosimplicial_identities(C, BidegreeWindow(*window))
     assert report == (False, checked, failure)
 
 
