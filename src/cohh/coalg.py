@@ -181,9 +181,20 @@ class CoalgebraPresentation:
                     )
             if cog.truncation is not None and cog.truncation < 1:
                 raise ValueError(f"truncation of {cog.name} must be >= 1")
+        # with every degree even no Koszul sign arises
+        self.even = all(cog.degree % 2 == 0 for cog in self.cogenerators)
         self._basis_cache: dict = {}
         self._coproduct_cache: dict = {}
         self._degree_cache: dict = {}
+
+    def over(self, field: Field) -> "CoalgebraPresentation":
+        """The same cogenerators over another field.  The basis and the degrees
+        do not depend on the field, so the two presentations share them; the
+        coproduct, whose coefficients do, is computed apart."""
+        other = CoalgebraPresentation(field, self.cogenerators)
+        other._basis_cache = self._basis_cache
+        other._degree_cache = self._degree_cache
+        return other
 
     # -- monomials ---------------------------------------------------------
 
@@ -228,31 +239,18 @@ class CoalgebraPresentation:
         """All monomials of internal degree t, in lexicographic exponent order."""
         if t < 0:
             return []
-        if t in self._basis_cache:
-            return self._basis_cache[t]
-        cogs = self.cogenerators
-        out = []
-        acc = [0] * len(cogs)
-
-        def rec(idx: int, remaining: int):
-            if idx == len(cogs):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            cog = cogs[idx]
-            cap = remaining // cog.degree
-            if cog.kind == EXTERIOR:
-                cap = min(cap, 1)
-            if cog.truncation is not None:
-                cap = min(cap, cog.truncation)
-            for e in range(cap + 1):
-                acc[idx] = e
-                rec(idx + 1, remaining - e * cog.degree)
-            acc[idx] = 0
-
-        rec(0, t)
-        self._basis_cache[t] = out
-        return out
+        basis = self._basis_cache.get(t)
+        if basis is None:
+            partial = [((), t)]  # leading exponents, and the degree they leave
+            for cog in self.cogenerators:
+                cap = 1 if cog.kind == EXTERIOR else cog.truncation
+                grown = []
+                for exps, left in partial:
+                    top = left // cog.degree if cap is None else min(left // cog.degree, cap)
+                    grown += [(exps + (e,), left - e * cog.degree) for e in range(top + 1)]
+                partial = grown
+            basis = self._basis_cache[t] = [exps for exps, left in partial if not left]
+        return basis
 
     # -- coproduct ----------------------------------------------------------
 
@@ -268,8 +266,9 @@ class CoalgebraPresentation:
 
     def coproduct_monomial(self, m: tuple) -> dict:
         """Coproduct of a basis monomial as {(left, right): coefficient}."""
-        if m in self._coproduct_cache:
-            return self._coproduct_cache[m]
+        result = self._coproduct_cache.get(m)
+        if result is not None:
+            return result
         self._validate_monomial(m)
         # partial terms: (left exps, right exps, right degree, coefficient)
         partial = [((), (), 0, 1)]

@@ -21,11 +21,14 @@ so the two stay independent.  The codegeneracies, which apply the counit in an
 interior slot, serve only the cosimplicial identity scan, so they live with it
 in `selftest`.
 
-A differential is a `SparseMatrix` of canonical ints (`coalg.add_term`), so
+A differential is a `SparseMatrix` of canonical ints (`reduced_sums`), so
 equal maps have equal entries.  `rank` is the only elimination: mod p over
-F_p and fraction-free over Q, with no dense matrix or kernel built.  Every
-coefficient is an integer combination of binomials and signs, so over Q a
-complex is the integral one, and an identity checked on it holds over Z.
+F_p and fraction-free over Q, with no dense matrix or kernel built.  An empty
+spot costs nothing: its differential is a zero-shape matrix built without a
+target index, its rank is 0 without any elimination, and d.d = 0 is composed
+only where both maps have entries.  Every coefficient is an integer
+combination of binomials and signs, so over Q a complex is the integral one,
+and an identity checked on it holds over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
@@ -45,7 +48,6 @@ from .coalg import (
     Field,
     NotConnected,
     WindowTooSmall,
-    add_term,
 )
 from .errors import InvariantFailure
 
@@ -82,24 +84,35 @@ class SparseMatrix:
         return not self.entries
 
     def compose(self, inner: "SparseMatrix") -> "SparseMatrix":
-        """self @ inner (apply inner first).  The products are summed as ints
-        and each sum is reduced once."""
+        """self @ inner (apply inner first).  The products are summed as ints,
+        keyed row * cols + column, and each sum is reduced once."""
         if inner.rows != self.cols:
             raise ValueError("composition shape mismatch")
-        fld = self.field
+        fld, cols = self.field, inner.cols
         if not self.entries or not inner.entries:
-            return SparseMatrix(fld, self.rows, inner.cols)
+            return SparseMatrix(fld, self.rows, cols)
         by_row: dict = {}
         for (r, c), v in inner.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+            if r in by_row:
+                by_row[r].append((c, v))
+            else:
+                by_row[r] = [(c, v)]
         sums: dict = {}
         for (r, k), v in self.entries.items():
+            base = r * cols
             for c, w in by_row.get(k, ()):
-                key = (r, c)
+                key = base + c
                 sums[key] = sums.get(key, 0) + v * w
-        scalar = fld.scalar
-        entries = {key: x for key, v in sums.items() if (x := scalar(v))}
-        return SparseMatrix(fld, self.rows, inner.cols, entries)
+        entries = reduced_sums(sums, fld.characteristic)
+        return SparseMatrix(fld, self.rows, cols, {divmod(k, cols): v for k, v in entries.items()})
+
+
+def reduced_sums(sums: dict, p: int) -> dict:
+    """The integer sums reduced into characteristic p, with the zeros dropped;
+    over Q, sums with no zero are returned as they are."""
+    if p:
+        return {key: x for key, v in sums.items() if (x := v % p)}
+    return sums if all(sums.values()) else {key: v for key, v in sums.items() if v}
 
 
 def _primitive(row: dict) -> dict:
@@ -123,10 +136,15 @@ def rank(m: SparseMatrix) -> int:
     pivot row is stored with content 1, so the rank is exact in both cases.
     No dense row and no kernel is ever built.
     """
+    if not m.entries:
+        return 0
     p = m.field.characteristic
     grouped: dict = {}
     for (r, c), v in m.entries.items():
-        grouped.setdefault(r, {})[c] = v
+        if r in grouped:
+            grouped[r][c] = v
+        else:
+            grouped[r] = {c: v}
     pivots: dict = {}  # leading column -> pivot row
     for row in sorted(grouped.values(), key=len):
         while row:
@@ -187,23 +205,33 @@ def tensor_bases(
         return {}
     degrees = [(d, basis) for d in range(max_t + 1) if (basis := C.basis_in_degree(d))]
 
-    def prepend(tails: list, t: int, lo: int) -> list:
-        out: list = []
+    def prepend(tails: list, lo: int) -> list:
+        """The nonempty spots, as (degree, tuples) ascending, of each monomial
+        of degree >= lo put in front of each tail of `tails`, which are listed
+        likewise; the monomial degrees ascend, so each spot fills in order."""
+        out: dict = {}
         for d, basis in degrees:
-            if d > t:
-                break
-            if d >= lo and (rest := tails[t - d]):
-                out += [(m,) + tail for m in basis for tail in rest]
-        return out
+            if d < lo:
+                continue
+            for t, rest in tails:
+                if d + t > max_t:
+                    break
+                tups = [(m,) + tail for m in basis for tail in rest]
+                if d + t in out:
+                    out[d + t] += tups
+                else:
+                    out[d + t] = tups
+        return sorted(out.items())
 
-    tails = [[()]] + [[] for _ in range(max_t)]  # no slots yet, indexed by degree
-    spots: dict = {}
+    tails = [(0, [()])]  # no slots yet
+    spots = {(s, t): [] for s in range(max_s + 1) for t in range(max_t + 1)}
     for s in range(max_s + 1):
-        row = [prepend(tails, t, 0) for t in range(max_t + 1)]
-        spots.update(((s, t), basis) for t, basis in enumerate(row))
+        row = prepend(tails, 0)
+        for t, tups in row:
+            spots[(s, t)] = tups
         if s < max_s:
             # without normalization a tail is any spot one slot shorter
-            tails = [prepend(tails, t, 1) for t in range(max_t + 1)] if normalized else row
+            tails = prepend(tails, 1) if normalized else row
     return spots
 
 
@@ -215,13 +243,24 @@ def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> 
 
 
 def twist_first_to_last(C: CoalgebraPresentation, terms: dict) -> dict:
-    """Cycle the first tensor factor to the last with the Koszul sign."""
-    fld = C.field
+    """Cycle the first tensor factor to the last with the Koszul sign.
+
+    The terms share one internal degree, as the image of one tuple does, so
+    a first factor of degree d crosses a rest of degree total - d: the sign
+    is -1 exactly when d is odd and the total even, and never when every
+    degree is even or p = 2.  The coefficients are canonical and nonzero,
+    and the cycle is one-to-one, so each is stored as given or negated."""
+    if not terms:
+        return {}
+    degree, p = C.degree, C.field.characteristic
+    if C.even or p == 2 or sum(map(degree, next(iter(terms)))) % 2:
+        return {tup[1:] + tup[:1]: coeff for tup, coeff in terms.items()}
     out: dict = {}
     for tup, coeff in terms.items():
-        first, rest = tup[0], tup[1:]
-        crossing = C.degree(first) * sum(C.degree(m) for m in rest)
-        add_term(out, rest + (first,), -coeff if crossing % 2 else coeff, fld)
+        first = tup[0]
+        if degree(first) % 2:
+            coeff = -coeff % p if p else -coeff
+        out[tup[1:] + (first,)] = coeff
     return out
 
 
@@ -247,12 +286,11 @@ def coface_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> dict:
 def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     """Alternating sum of all cofaces on one tuple, before any normalization."""
     s = len(tup) - 1
-    fld = C.field
-    out: dict = {}
+    sums: dict = {}
     for i in range(s + 2):
         for key, c in coface_terms(C, i, s, tup).items():
-            add_term(out, key, -c if i % 2 else c, fld)
-    return out
+            sums[key] = sums.get(key, 0) + (-c if i % 2 else c)
+    return reduced_sums(sums, C.field.characteristic)
 
 
 def normalized_differential_terms(
@@ -269,48 +307,59 @@ def normalized_differential_terms(
     """
     if reduced is None:
         reduced = {}
-
-    def bar(m: tuple) -> list:
-        """The coproduct terms of m with both sides of positive degree."""
-        if m not in reduced:
-            reduced[m] = [
-                (a, b, c) for (a, b), c in C.coproduct_monomial(m).items() if any(a) and any(b)
-            ]
-        return reduced[m]
-
     s = len(tup) - 1
-    fld = C.field
-    out: dict = {}
+    sums: dict = {}
     for i in range(1, s + 1):
+        m = tup[i]
+        bars = reduced.get(m)
+        if bars is None:
+            bars = reduced[m] = _reduced_terms(C, m)
         head, tail = tup[:i], tup[i + 1:]
-        for a, b, c in bar(tup[i]):
-            add_term(out, head + (a, b) + tail, -c if i % 2 else c, fld)
+        sign = -1 if i % 2 else 1
+        for a, b, c in bars:
+            key = head + (a, b) + tail
+            sums[key] = sums.get(key, 0) + sign * c
     first, rest = tup[0], tup[1:]
     if any(first):  # a unit c_0 adds no normalized term
-        wrapped = {(first, C.unit()) + rest: 1}
-        add_term(out, (C.unit(), first) + rest, 1, fld)
-        for a, b, c in bar(first):
-            add_term(out, (a, b) + rest, c, fld)
-            wrapped[(a, b) + rest] = c
+        bars = reduced.get(first)
+        if bars is None:
+            bars = reduced[first] = _reduced_terms(C, first)
+        unit = C.unit()
+        wrapped = {(first, unit) + rest: 1}
+        key = (unit, first) + rest
+        sums[key] = sums.get(key, 0) + 1
+        for a, b, c in bars:
+            key = (a, b) + rest
+            sums[key] = sums.get(key, 0) + c
+            wrapped[key] = c
+        sign = 1 if s % 2 else -1
         for key, c in twist_first_to_last(C, wrapped).items():
-            add_term(out, key, c if s % 2 else -c, fld)
-    return out
+            sums[key] = sums.get(key, 0) + sign * c
+    return reduced_sums(sums, C.field.characteristic)
+
+
+def _reduced_terms(C: CoalgebraPresentation, m: tuple) -> list:
+    """The coproduct terms (a, b, c) of m with both sides of positive degree."""
+    return [(a, b, c) for (a, b), c in C.coproduct_monomial(m).items() if any(a) and any(b)]
 
 
 def _matrix_from_terms(C, source_basis, target_basis, expand) -> SparseMatrix:
     """The matrix whose column j holds expand(source_basis[j]) in target_basis.
 
-    expand returns a dict of canonical nonzero values, as every accumulation
-    through `add_term` does, so each is stored as given.
+    expand returns a dict of canonical nonzero values, as `reduced_sums`
+    leaves them, so each is stored as given.
     """
+    if not source_basis:
+        return SparseMatrix(C.field, len(target_basis), 0)
     index = {tup: r for r, tup in enumerate(target_basis)}
     entries = {}
     for j, tup in enumerate(source_basis):
-        for key, coeff in expand(tup).items():
-            r = index.get(key)
-            if r is None:
-                raise KeyError(f"image term {key} missing from the target basis")
-            entries[(r, j)] = coeff
+        image = expand(tup)
+        try:
+            for key, coeff in image.items():
+                entries[(index[key], j)] = coeff
+        except KeyError as exc:
+            raise KeyError(f"image term {exc.args[0]} missing from the target basis") from None
     return SparseMatrix(C.field, len(target_basis), len(source_basis), entries)
 
 
@@ -340,22 +389,27 @@ def build_complex(
     window: BidegreeWindow,
     normalized: bool = True,
     check: bool = True,
+    spots: Optional[dict] = None,
 ) -> CochainComplex:
     """Assemble bases and differentials for all spots inside the window.
 
-    The bases of spots 0..max_s+1 come from one `tensor_bases` pass.  The
-    normalized differential comes from `normalized_differential_terms`, which
-    emits only normalized tuples; the full one from `differential_terms`.  An
-    image term outside the target basis raises KeyError: nothing is projected
-    away.  With check=True every composable pair of differentials is verified
-    to compose to zero; a failure raises DifferentialNotSquareZero.
+    The bases of spots 0..max_s+1 come from one `tensor_bases` pass, or from
+    the caller as `spots`: they depend on the cogenerators, not the field.
+    The normalized differential comes from `normalized_differential_terms`,
+    which emits only normalized tuples; the full one from
+    `differential_terms`.  An image term outside the target basis raises
+    KeyError: nothing is projected away.  A spot with an empty source builds
+    no index and calls neither.  With check=True every composable pair of
+    differentials with entries is verified to compose to zero; a failure
+    raises DifferentialNotSquareZero.
     """
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
     if any(c.degree < 1 for c in C.cogenerators):
         raise NotConnected("presentation has a cogenerator below degree 1")
 
-    spots = tensor_bases(C, window.max_s + 1, window.max_t, normalized)
+    if spots is None:
+        spots = tensor_bases(C, window.max_s + 1, window.max_t, normalized)
     reduced: dict = {}
 
     def expand(tup: tuple) -> dict:
@@ -383,10 +437,12 @@ def check_square_zero(cx: CochainComplex):
 
 def first_square_failure(cx: CochainComplex) -> Optional[tuple]:
     """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None."""
+    diffs = cx.differentials
     for t in range(cx.window.max_t + 1):
+        inner = diffs[(0, t)]
         for s in range(cx.window.max_s):
-            outer = cx.differentials[(s + 1, t)]
-            inner = cx.differentials[(s, t)]
-            if not outer.compose(inner).is_zero():
+            outer = diffs[(s + 1, t)]
+            if outer.entries and inner.entries and not outer.compose(inner).is_zero():
                 return (s, t)
+            inner = outer
     return None

@@ -111,12 +111,13 @@ def cohh_table(cx: CochainComplex) -> BigradedTable:
     """
     from .cochain import rank
 
+    spots, diffs = cx.spots, cx.differentials
     entries = {}
     for t in range(cx.window.max_t + 1):
         incoming = 0  # rank d_{s-1,t}; nothing comes in below s = 0
         for s in range(cx.window.max_s + 1):
-            r = rank(cx.differentials[(s, t)])
-            entries[(s, t)] = cx.spot_dim(s, t) - r - incoming
+            r = rank(diffs[(s, t)])
+            entries[(s, t)] = len(spots[(s, t)]) - r - incoming
             incoming = r
     return BigradedTable(cx.window, entries, cx.presentation.field.characteristic)
 

@@ -13,12 +13,14 @@ indecomposable closed forms, and the all-pairs collapse scan.
 
 The identity scan evaluates whole levels.  Every coface and codegeneracy
 preserves the internal degree, so each is built once per cosimplicial level,
-over every internal degree of the window, as a list of sparse columns, and
-each identity is one column-by-column composition per level rather than one
-matrix product per spot.  A mismatch is still reported, and counted up to,
-at the first failing spot in the per-spot order; but a map is built for its
-whole level, so an image term outside the target basis at any t raises
-before an identity that uses the map is compared at all.
+over every internal degree of the window, as a list of columns, each a tuple
+of (row, coefficient) pairs.  Each side of an identity is then one flat dict
+for the whole level, keyed column * R + row with R the size of the target
+level, rather than one matrix product per spot; the two sides are reduced
+mod p only if they differ as integer sums.  A mismatch is still reported,
+and counted up to, at the first failing spot in the per-spot order; but a map
+is built for its whole level, so an image term outside the target basis at
+any t raises before an identity that uses the map is compared at all.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .coalg import (
     add_term,
     standard_page,
 )
-from .cochain import build_complex, coface_terms, tensor_bases
+from .cochain import build_complex, coface_terms, reduced_sums, tensor_bases
 from .cohomology import cohh_table, euler_check, kunneth_table, page_grid
 from .collapse import analyze, exton2_hypotheses, obstruction_search
 from .errors import InvariantFailure
@@ -55,8 +57,11 @@ GAMMA_DEGREES = (2, 4)
 GAMMA_TRUNCATION = 8
 SWEEP_PRIMES = (0, 2, 3, 5, 7)
 SWEEP_MAX_T = 40
-# Wall-clock budget per check, about 20 times its time on a shared 2-vCPU
-# host and never below 1 s; the acceptance tests hold every run to it.
+# Wall-clock budget per check, never below 1 s; the acceptance tests hold
+# every run to it.  Against the median of 21 `cohh selftest` processes on a
+# shared 2-vCPU host, structural-invariants' 5 s is 60 to 75 times its time,
+# primitive-indecomposable-closed-forms' 1 s about 100 times, and every other
+# budget 150 times or more.
 TIME_BUDGETS_SECONDS = {
     "lambda-grid-reproduction": 1,
     "divided-power-grid-reproduction": 1,
@@ -181,21 +186,20 @@ def apply_coproduct_to_slot(C: CoalgebraPresentation, terms: dict, slot: int) ->
     Keys are tuples of monomials; the slot splits into two adjacent slots.
     The coproduct has degree 0, so no Koszul sign appears.
     """
-    fld = C.field
-    out: dict = {}
+    sums: dict = {}
     for tup, coeff in terms.items():
-        for (a, b), c in C.coproduct_monomial(tup[slot]).items():
-            key = tup[:slot] + (a, b) + tup[slot + 1:]
-            add_term(out, key, coeff * c, fld)
-    return out
+        head, tail = tup[:slot], tup[slot + 1:]
+        for ab, c in C.coproduct_monomial(tup[slot]).items():
+            key = head + ab + tail
+            sums[key] = sums.get(key, 0) + coeff * c
+    return reduced_sums(sums, C.field.characteristic)
 
 
 def coassociativity_ok(C: CoalgebraPresentation, max_t: int = 24) -> bool:
     """(coproduct x Id).coproduct == (Id x coproduct).coproduct on the basis."""
     for t in range(max_t + 1):
         for m in C.basis_in_degree(t):
-            start = {(m,): 1}
-            once = apply_coproduct_to_slot(C, start, 0)
+            once = C.coproduct_monomial(m)  # keyed by the pairs (a, b)
             if apply_coproduct_to_slot(C, once, 0) != apply_coproduct_to_slot(C, once, 1):
                 return False
     return True
@@ -263,19 +267,21 @@ class IdentityReport(NamedTuple):
 
 
 def verify_cosimplicial_identities(
-    C: CoalgebraPresentation, window: BidegreeWindow
+    C: CoalgebraPresentation, window: BidegreeWindow, bases: Optional[dict] = None
 ) -> IdentityReport:
     """Check all coface/codegeneracy identities in the window, level by level.
 
     Every coface and codegeneracy preserves the internal degree, so each map
     is built once per level s, over every t <= max_t, as a list of columns:
     level s lists the tuples of spots (s, 0), ..., (s, max_t) one after
-    another, and a column is a dict from a row of the target level to its
-    coefficient.  The two sides of an identity are composed column by column
-    (`_compose_columns`) and compared as whole levels.  On a mismatch the
-    failure names the least t among the differing columns, and `checked`
-    counts the identities up to it in the per-spot order (family, s, i, j,
-    then t), as if each spot were compared on its own.
+    another, and a column is a tuple of (row, coefficient) pairs, the row
+    counted in the target level.  Each side of an identity is composed into
+    one flat dict keyed column * R + row, R the size of its target level
+    (`_compose_columns`), and the two sides are compared as dicts.  On a
+    mismatch the least differing key, divided by R, is the first differing
+    column; the failure names its t, and `checked` counts the identities up
+    to it in the per-spot order (family, s, i, j, then t), as if each spot
+    were compared on its own.
 
     Each image term is looked up in its own spot (s+1, t), not in one index
     of the whole level, so a term of another internal degree is not read as
@@ -288,7 +294,8 @@ def verify_cosimplicial_identities(
     `checked` and has no column to compare.
     """
     max_s, max_t = window.max_s, window.max_t
-    bases = tensor_bases(C, max_s + 1, max_t, normalized=False)
+    if bases is None:
+        bases = tensor_bases(C, max_s + 1, max_t, normalized=False)
     p = C.field.characteristic
     starts = {}  # level -> first column of each spot (s, t), then the level's size
     for s in range(max_s + 2):
@@ -297,14 +304,16 @@ def verify_cosimplicial_identities(
             firsts.append(firsts[-1] + len(bases[(s, t)]))
         starts[s] = firsts
     indexes: dict = {}
-    cache: dict = {}
+    cofaces: dict = {}  # (i, s) -> the columns of coface i out of level s
+    codegeneracies: dict = {}  # (i, s) -> those of codegeneracy i into level s
 
-    def level_columns(source: int, target: int, expand) -> list:
-        """The columns expand(tup) of every tuple of level `source`, each term
-        looked up in its own spot of level `target`."""
+    def level_columns(source: int, target: int, terms, i: int, s: int) -> list:
+        """The columns terms(C, i, s, tup) of every tuple of level `source`,
+        each term looked up in its own spot of level `target`."""
         columns = []
         for t in range(max_t + 1):
-            if not bases[(source, t)]:
+            tups = bases[(source, t)]
+            if not tups:
                 continue
             index = indexes.get((target, t))
             if index is None:
@@ -312,41 +321,48 @@ def verify_cosimplicial_identities(
                 index = indexes[(target, t)] = {
                     tup: first + r for r, tup in enumerate(bases[(target, t)])
                 }
-            for tup in bases[(source, t)]:
-                column = {}
-                for key, c in expand(tup).items():
-                    r = index.get(key)
-                    if r is None:
-                        raise KeyError(f"image term {key} missing from the target basis")
-                    column[r] = c
+            for tup in tups:
+                image = terms(C, i, s, tup)
+                try:
+                    if len(image) > 1:
+                        column = tuple([(index[key], c) for key, c in image.items()])
+                    elif image:  # every nonzero codegeneracy image is one term
+                        (key, c), = image.items()
+                        column = ((index[key], c),)
+                    else:
+                        column = ()
+                except KeyError as exc:
+                    raise KeyError(
+                        f"image term {exc.args[0]} missing from the target basis"
+                    ) from None
                 columns.append(column)
         return columns
 
     def cf(i, s):
-        key = ("d", i, s)
-        if key not in cache:
-            cache[key] = level_columns(s, s + 1, lambda tup: coface_terms(C, i, s, tup))
-        return cache[key]
+        columns = cofaces.get((i, s))
+        if columns is None:
+            columns = cofaces[(i, s)] = level_columns(s, s + 1, coface_terms, i, s)
+        return columns
 
     def cd(i, s):
-        key = ("s", i, s)
-        if key not in cache:
-            cache[key] = level_columns(
-                s + 1, s, lambda tup: codegeneracy_terms(C, i, s, tup)
-            )
-        return cache[key]
+        columns = codegeneracies.get((i, s))
+        if columns is None:
+            columns = codegeneracies[(i, s)] = level_columns(s + 1, s, codegeneracy_terms, i, s)
+        return columns
 
     checked = 0
 
-    def mismatch(family, i, j, s, source, lhs, rhs) -> Optional[IdentityReport]:
+    def mismatch(family, i, j, s, source, target, lhs, rhs) -> Optional[IdentityReport]:
         """None, counting the identity at every t, if the two sides agree;
         else the failure at the least t whose columns differ."""
         nonlocal checked
+        if lhs != rhs:  # as integer sums; they may still agree mod p
+            lhs, rhs = reduced_sums(lhs, p), reduced_sums(rhs, p)
         if lhs == rhs:
             checked += max_t + 1
             return None
-        column = next(c for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        t = bisect_right(starts[source], column) - 1
+        key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+        t = bisect_right(starts[source], key // starts[target][-1]) - 1
         return IdentityReport(
             passed=False, checked=checked + t + 1,
             failure={"family": family, "i": i, "j": j, "s": s, "t": t},
@@ -354,57 +370,57 @@ def verify_cosimplicial_identities(
 
     # coface-coface: delta_j . delta_i = delta_i . delta_{j-1} for i < j
     for s in range(max_s):
+        rows = starts[s + 2][-1]
         for i in range(s + 2):
             for j in range(i + 1, s + 3):
-                lhs = _compose_columns(cf(j, s + 1), cf(i, s), p)
-                rhs = _compose_columns(cf(i, s + 1), cf(j - 1, s), p)
-                if bad := mismatch("coface-coface", i, j, s, s, lhs, rhs):
+                lhs = _compose_columns(cf(j, s + 1), cf(i, s), rows)
+                rhs = _compose_columns(cf(i, s + 1), cf(j - 1, s), rows)
+                if bad := mismatch("coface-coface", i, j, s, s, s + 2, lhs, rhs):
                     return bad
     # codegeneracy-codegeneracy: sigma_j . sigma_i = sigma_i . sigma_{j+1} for i <= j
     for s in range(max_s):
+        rows = starts[s][-1]
         for i in range(s + 2):
             for j in range(i, s + 1):
-                lhs = _compose_columns(cd(j, s), cd(i, s + 1), p)
-                rhs = _compose_columns(cd(i, s), cd(j + 1, s + 1), p)
-                if bad := mismatch("codegeneracy-codegeneracy", i, j, s, s + 2, lhs, rhs):
+                lhs = _compose_columns(cd(j, s), cd(i, s + 1), rows)
+                rhs = _compose_columns(cd(i, s), cd(j + 1, s + 1), rows)
+                if bad := mismatch("codegeneracy-codegeneracy", i, j, s, s + 2, s, lhs, rhs):
                     return bad
     # mixed: sigma_j . delta_i
     for s in range(max_s + 1):
+        rows = starts[s][-1]
+        identity = {c * rows + c: 1 for c in range(rows)}
         for i in range(s + 2):
             for j in range(s + 1):
-                lhs = _compose_columns(cd(j, s), cf(i, s), p)
+                lhs = _compose_columns(cd(j, s), cf(i, s), rows)
                 if i == j or i == j + 1:
-                    rhs = [{r: 1} for r in range(starts[s][-1])]
+                    rhs = identity
                 elif i < j:
-                    rhs = _compose_columns(cf(i, s - 1), cd(j - 1, s - 1), p)
+                    rhs = _compose_columns(cf(i, s - 1), cd(j - 1, s - 1), rows)
                 else:
-                    rhs = _compose_columns(cf(i - 1, s - 1), cd(j, s - 1), p)
-                if bad := mismatch("mixed", i, j, s, s, lhs, rhs):
+                    rhs = _compose_columns(cf(i - 1, s - 1), cd(j, s - 1), rows)
+                if bad := mismatch("mixed", i, j, s, s, s, lhs, rhs):
                     return bad
     return IdentityReport(passed=True, checked=checked)
 
 
-def _compose_columns(outer: list, inner: list, p: int) -> list:
-    """The columns of outer . inner (apply inner first) over characteristic p.
-    A column of inner that is a single 1, as every nonempty codegeneracy
-    column is, gathers a column of outer; any other sums its products as
-    ints and reduces each sum once."""
-    out = []
+def _compose_columns(outer: list, inner: list, rows: int) -> dict:
+    """outer . inner (apply inner first) as one dict {column * rows + row:
+    integer sum of products}, rows the size of the target level.  The sums
+    are not reduced: `verify_cosimplicial_identities` reduces the two sides
+    of an identity, with `reduced_sums`, only if they differ as integers."""
+    sums: dict = {}
+    base = 0
     for column in inner:
-        if len(column) == 1:
-            (k, v), = column.items()
-            if v == 1:
-                out.append(outer[k])
-                continue
-        sums: dict = {}
-        for k, v in column.items():
-            for r, w in outer[k].items():
-                sums[r] = sums.get(r, 0) + v * w
-        if p:
-            out.append({r: x for r, v in sums.items() if (x := v % p)})
-        else:
-            out.append({r: v for r, v in sums.items() if v})
-    return out
+        for k, v in column:
+            for r, w in outer[k]:
+                key = base + r
+                if key in sums:
+                    sums[key] += v * w
+                else:
+                    sums[key] = v * w
+        base += rows
+    return sums
 
 
 def _structural_corpus(p: int):
@@ -422,14 +438,23 @@ def _structural_corpus(p: int):
 
 
 def check_structural_suite():
+    # The basis and the tensor bases of a window depend on the cogenerators
+    # alone: each corpus entry builds them once, for every characteristic.
+    corpus = [
+        (label, C, window, id_window,
+         tensor_bases(C, window.max_s + 1, window.max_t, normalized=True),
+         tensor_bases(C, id_window.max_s + 1, id_window.max_t, normalized=False))
+        for label, C, window, id_window in _structural_corpus(0)
+    ]
     for p in CHARACTERISTICS:
-        for label, C, window, id_window in _structural_corpus(p):
+        for label, shared, window, id_window, spots, bases in corpus:
+            C = shared.over(Field(p))
             where = f"{label} over characteristic {p}"
             if not (
                 coassociativity_ok(C) and counitality_ok(C) and cocommutativity_ok(C)
             ):
                 return False, f"coalgebra axiom fails: {where}"
-            cx = build_complex(C, window)  # raises if d.d != 0
+            cx = build_complex(C, window, spots=spots)  # raises if d.d != 0
             table = cohh_table(cx)
             if kunneth_table(C, window).entries != table.entries:
                 return False, f"factor route differs from the cobar complex: {where}"
@@ -438,15 +463,18 @@ def check_structural_suite():
             for t in range(window.max_t + 1):
                 if table.dim(0, t) != len(C.basis_in_degree(t)):
                     return False, f"row s=0 differs from the coalgebra dims: {where}"
-            report = verify_cosimplicial_identities(C, id_window)
+            report = verify_cosimplicial_identities(C, id_window, bases)
             if not report.passed:
                 return False, f"cosimplicial identity fails: {where}: {report.describe()}"
     # normalized and full complexes agree on cohomology
+    window = BidegreeWindow(3, 12)
+    shared = _lambda_presentation(0, [3])
+    normalized_spots = tensor_bases(shared, window.max_s + 1, window.max_t, normalized=True)
+    full_spots = tensor_bases(shared, window.max_s + 1, window.max_t, normalized=False)
     for p in CHARACTERISTICS:
-        C = _lambda_presentation(p, [3])
-        window = BidegreeWindow(3, 12)
-        normalized = cohh_table(build_complex(C, window, normalized=True))
-        full = cohh_table(build_complex(C, window, normalized=False))
+        C = shared.over(Field(p))
+        normalized = cohh_table(build_complex(C, window, spots=normalized_spots))
+        full = cohh_table(build_complex(C, window, normalized=False, spots=full_spots))
         if normalized.entries != full.entries:
             return False, f"normalized/full cohomology differ over characteristic {p}"
     return True, (
