@@ -59,7 +59,7 @@ SWEEP_PRIMES = (0, 2, 3, 5, 7)
 SWEEP_MAX_T = 40
 # Wall-clock budget per check, never below 1 s; the acceptance tests hold
 # every run to it.  Against the median of 21 `cohh selftest` processes on a
-# shared 2-vCPU host, structural-invariants' 5 s is 60 to 75 times its time,
+# shared 2-vCPU host, structural-invariants' 5 s is 60 to 80 times its time,
 # primitive-indecomposable-closed-forms' 1 s about 100 times, and every other
 # budget 150 times or more.
 TIME_BUDGETS_SECONDS = {
@@ -291,7 +291,8 @@ def verify_cosimplicial_identities(
     identity is compared: a mismatch of the identity at a lower t, which the
     per-spot order would report, is not reported.  An identity whose source
     spot is empty compares two maps out of a zero space, so it is counted in
-    `checked` and has no column to compare.
+    `checked` and has no column to compare.  A caller that has the full
+    tensor bases of levels 0..max_s+1 passes them as `bases`.
     """
     max_s, max_t = window.max_s, window.max_t
     if bases is None:
