@@ -10,26 +10,30 @@ A basis monomial is its exponent tuple over the cogenerator list, in list
 order: 0 or 1 for an exterior cogenerator, j for w^j or gamma_j(x).  The unit
 is the all-zero tuple.  Elements are dicts keyed by monomials (or by tuples of
 monomials, for tensor powers) with plain int coefficients: canonical residues
-in [1, p) over F_p, nonzero ints over Q.  Code here multiplies and negates
-ints and accumulates every term through `add_term`, the one place where
-coefficients are reduced and vanishing terms dropped.
+in [1, p) over F_p, nonzero ints over Q.  Code sums plain ints and reduces
+each sum once with `reduced_sums`, the one rule by which an integer becomes a
+field element and a vanishing term is dropped; only `cochain.rank`'s
+elimination and `cochain.twist_first_to_last`'s negation keep their own
+inline arithmetic.
 
 A presentation caches, per argument, its basis in each degree, the coproduct
-of each monomial and the degree of each monomial; the Koszul sign of every
-twisted cobar term reads the degree of each of its factors.
+of each monomial, its reduced coproduct (the terms with both sides of
+positive degree, whose kernel is the primitives and which the normalized
+cobar differential is made of) and the degree of each monomial; the Koszul
+sign of every twisted cobar term reads the degree of each of its factors.
 
 This is the presentation module: the one module every production command
 loads beyond the CLI.  Besides the presentation it holds the names those
-commands share: `Field` with its primality test, `add_term`,
+commands share: `Field` with its primality test, `reduced_sums`,
 `BidegreeWindow`, whose bounds every caller gives (the CLI's defaults live in
-`cli.COMMANDS`), and the E2 page record, `E2Presentation`, with the one shape
-vocabulary (`shape()`), the named page of a shape (`standard_page`) and its
-identification line (`describe`): identification returns a page and
-`collapse` certifies one.  It imports only `errors`, `itertools`, `math` and
-`typing`.  The cobar machinery, with its `SparseMatrix` and `rank`, is the
-oracle, `cochain`: `selftest`, the tests and the benchmark replay load it,
-and `cohh cohh` loads it only for the one factor kind without a closed form,
-which the grammar cannot express.
+`cli.COMMANDS`), `format_monomial`, and the E2 page record, `E2Presentation`,
+with the one shape vocabulary (`shape()`), the named page of a shape
+(`standard_page`) and its identification line (`describe`): identification
+returns a page and `collapse` certifies one.  It imports only `errors`,
+`itertools`, `math` and `typing`.  The cobar machinery, with its
+`SparseMatrix` and `rank`, is the oracle, `cochain`: `selftest`, the tests
+and the benchmark replay load it, and `cohh cohh` loads it only for the one
+factor kind without a closed form, which the grammar cannot express.
 """
 
 from __future__ import annotations
@@ -106,19 +110,13 @@ class Field:
     def __repr__(self):
         return f"Field(characteristic={self.characteristic!r})"
 
-    def scalar(self, x: int) -> int:
-        """Canonicalize an integer into the field: its residue mod p, or itself."""
-        p = self.characteristic
-        return x % p if p else x
 
-
-def add_term(acc: dict, key, coeff: int, fld: Field):
-    """acc[key] += coeff in the field, dropping the key when the sum vanishes."""
-    s = fld.scalar(acc.get(key, 0) + coeff)
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
+def reduced_sums(sums: dict, p: int) -> dict:
+    """The integer sums reduced into characteristic p, with the zeros dropped;
+    over Q, sums with no zero are returned as they are."""
+    if p:
+        return {key: x for key, v in sums.items() if (x := v % p)}
+    return sums if all(sums.values()) else {key: v for key, v in sums.items() if v}
 
 
 class BidegreeWindow(NamedTuple):
@@ -131,6 +129,23 @@ POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
 DIVIDED_POWER = "divided_power"
 KINDS = (POLYNOMIAL, EXTERIOR, DIVIDED_POWER)
+
+
+def format_monomial(generators, exponents: tuple) -> str:
+    """The monomial with `exponents` on the named `generators`, as
+    `y*w^3*gamma_2(x)`: a divided power g^e prints as gamma_e(g), any other
+    power as g^e, and the unit as 1."""
+    parts = []
+    for g, e in zip(generators, exponents):
+        if e == 0:
+            continue
+        if e == 1:
+            parts.append(g.name)
+        elif g.kind == DIVIDED_POWER:
+            parts.append(f"gamma_{e}({g.name})")
+        else:
+            parts.append(f"{g.name}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 class NotConnected(InvalidInput):
@@ -185,12 +200,14 @@ class CoalgebraPresentation:
         self.even = all(cog.degree % 2 == 0 for cog in self.cogenerators)
         self._basis_cache: dict = {}
         self._coproduct_cache: dict = {}
+        self._reduced_cache: dict = {}
         self._degree_cache: dict = {}
 
     def over(self, field: Field) -> "CoalgebraPresentation":
         """The same cogenerators over another field.  The basis and the degrees
         do not depend on the field, so the two presentations share them; the
-        coproduct, whose coefficients do, is computed apart."""
+        coproduct and the reduced coproduct, whose coefficients do, are
+        computed apart."""
         other = CoalgebraPresentation(field, self.cogenerators)
         other._basis_cache = self._basis_cache
         other._degree_cache = self._degree_cache
@@ -221,17 +238,7 @@ class CoalgebraPresentation:
         return d
 
     def format_monomial(self, m: tuple) -> str:
-        parts = []
-        for cog, e in zip(self.cogenerators, m):
-            if e == 0:
-                continue
-            if e == 1:
-                parts.append(cog.name)
-            elif cog.kind == DIVIDED_POWER:
-                parts.append(f"gamma_{e}({cog.name})")
-            else:
-                parts.append(f"{cog.name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return format_monomial(self.cogenerators, m)
 
     # -- basis enumeration ---------------------------------------------------
 
@@ -257,15 +264,17 @@ class CoalgebraPresentation:
     def _single_coproduct(self, cog: Cogenerator, e: int) -> list:
         """Coproduct terms of one cogenerator power: [(left_exp, coefficient)]."""
         if cog.kind == POLYNOMIAL:
-            terms: dict = {}
-            for k in range(e + 1):
-                add_term(terms, k, comb(e, k), self.field)
-            return list(terms.items())
+            # a binomial that vanishes mod p drops out before it is multiplied
+            binomials = {k: comb(e, k) for k in range(e + 1)}
+            return list(reduced_sums(binomials, self.field.characteristic).items())
         # exterior (e <= 1) and divided power both split with unit coefficients
         return [(k, 1) for k in range(e + 1)]
 
     def coproduct_monomial(self, m: tuple) -> dict:
-        """Coproduct of a basis monomial as {(left, right): coefficient}."""
+        """Coproduct of a basis monomial as {(left, right): coefficient}.
+
+        The coefficients are multiplied out as ints and reduced once: no two
+        terms share a key, since a term (a, b) of m has a + b = m."""
         result = self._coproduct_cache.get(m)
         if result is not None:
             return result
@@ -284,11 +293,21 @@ class CoalgebraPresentation:
                         (left + (k,), right + (e - k,), rdeg + (e - k) * cog.degree, c)
                     )
             partial = nxt
-        result: dict = {}
-        for left, right, _, coeff in partial:
-            add_term(result, (left, right), coeff, self.field)
-        self._coproduct_cache[m] = result
+        result = self._coproduct_cache[m] = reduced_sums(
+            {(left, right): coeff for left, right, _, coeff in partial},
+            self.field.characteristic,
+        )
         return result
+
+    def reduced_coproduct(self, m: tuple) -> list:
+        """The coproduct terms (a, b, c) of m with both sides of positive degree."""
+        bars = self._reduced_cache.get(m)
+        if bars is None:
+            bars = self._reduced_cache[m] = [
+                (a, b, c) for (a, b), c in self.coproduct_monomial(m).items()
+                if any(a) and any(b)
+            ]
+        return bars
 
 
 # -- the E2 page -----------------------------------------------------------------
@@ -372,12 +391,7 @@ class E2Presentation:
         return (s, t)
 
     def format_monomial(self, exponents: tuple) -> str:
-        parts = []
-        for g, e in zip(self.generators, exponents):
-            if e == 0:
-                continue
-            parts.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return format_monomial(self.generators, exponents)
 
     def describe(self, coefficients: str = "k") -> str:
         """The page as an identification line over the field `coefficients`,

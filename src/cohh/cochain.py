@@ -10,7 +10,8 @@ cofaces (`differential_terms`).
 The normalized complex keeps the tuples with no unit factor in slots >= 1,
 and its differential is generated without the terms that cancel
 (`normalized_differential_terms`).  Write the coproduct of a positive-degree
-c as c|1 + 1|c + the reduced coproduct of c.  On a normalized tuple the term
+c as c|1 + 1|c + the reduced coproduct of c, which the presentation caches
+(`CoalgebraPresentation.reduced_coproduct`).  On a normalized tuple the term
 with c_i|1 from coface i and the term with 1|c_(i+1) from coface i+1 are the
 same tuple with opposite signs, and so are c_s|1 from coface s and the twist
 of 1|c_0 from coface s+1.  Every other unit-bearing term puts the unit in a
@@ -21,20 +22,22 @@ so the two stay independent.  The codegeneracies, which apply the counit in an
 interior slot, serve only the cosimplicial identity scan, so they live with it
 in `selftest`.
 
-A differential is a `SparseMatrix` of canonical ints (`reduced_sums`), so
-equal maps have equal entries.  `rank` is the only elimination: mod p over
-F_p and fraction-free over Q, with no dense matrix or kernel built.  An empty
-spot costs nothing: its differential is a zero-shape matrix built without a
-target index, its rank is 0 without any elimination, and d.d = 0 is composed
-only where both maps have entries.  Every coefficient is an integer
+A differential is a `SparseMatrix` of canonical ints, each an integer sum
+reduced once by `coalg.reduced_sums`, so equal maps have equal entries.
+`rank` is the only elimination: mod p over F_p and fraction-free over Q, with
+no dense matrix or kernel built.  An empty spot costs nothing: its
+differential is a zero-shape matrix built without a target index, its rank is
+0 without any elimination, and d.d = 0 is composed only where both maps have
+entries.  Every coefficient is an integer
 combination of binomials and signs, so over Q a complex is the integral one,
 and an identity checked on it holds over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
 kind without a closed form, a polynomial cogenerator over F_p truncated at
-n >= p, which the grammar cannot express.  `BidegreeWindow` and
-`WindowTooSmall` live in `coalg`, the presentation module.
+n >= p, which the grammar cannot express.  `BidegreeWindow`,
+`WindowTooSmall`, `reduced_sums` and the reduced coproduct live in `coalg`,
+the presentation module.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .coalg import (
     Field,
     NotConnected,
     WindowTooSmall,
+    reduced_sums,
 )
 from .errors import InvariantFailure
 
@@ -105,14 +109,6 @@ class SparseMatrix:
                 sums[key] = sums.get(key, 0) + v * w
         entries = reduced_sums(sums, fld.characteristic)
         return SparseMatrix(fld, self.rows, cols, {divmod(k, cols): v for k, v in entries.items()})
-
-
-def reduced_sums(sums: dict, p: int) -> dict:
-    """The integer sums reduced into characteristic p, with the zeros dropped;
-    over Q, sums with no zero are returned as they are."""
-    if p:
-        return {key: x for key, v in sums.items() if (x := v % p)}
-    return sums if all(sums.values()) else {key: v for key, v in sums.items() if v}
 
 
 def _primitive(row: dict) -> dict:
@@ -293,42 +289,30 @@ def differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     return reduced_sums(sums, C.field.characteristic)
 
 
-def normalized_differential_terms(
-    C: CoalgebraPresentation, tup: tuple, reduced: Optional[dict] = None
-) -> dict:
+def normalized_differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
     """The differential of a normalized tuple, generating only the kept terms.
 
     Equal to `differential_terms` on every normalized tuple (c_0|...|c_s):
     coface 0 gives [1|c_0|...] plus the reduced coproduct of c_0 in slots 0
     and 1, interior coface i gives (-1)^i times the reduced coproduct of c_i,
     and coface s+1 gives (-1)^(s+1) times the twist of [c_0|1|...] plus the
-    reduced coproduct of c_0.  `reduced` caches the reduced coproducts by
-    monomial across calls.
+    reduced coproduct of c_0.
     """
-    if reduced is None:
-        reduced = {}
     s = len(tup) - 1
     sums: dict = {}
     for i in range(1, s + 1):
-        m = tup[i]
-        bars = reduced.get(m)
-        if bars is None:
-            bars = reduced[m] = _reduced_terms(C, m)
         head, tail = tup[:i], tup[i + 1:]
         sign = -1 if i % 2 else 1
-        for a, b, c in bars:
+        for a, b, c in C.reduced_coproduct(tup[i]):
             key = head + (a, b) + tail
             sums[key] = sums.get(key, 0) + sign * c
     first, rest = tup[0], tup[1:]
     if any(first):  # a unit c_0 adds no normalized term
-        bars = reduced.get(first)
-        if bars is None:
-            bars = reduced[first] = _reduced_terms(C, first)
         unit = C.unit()
         wrapped = {(first, unit) + rest: 1}
         key = (unit, first) + rest
         sums[key] = sums.get(key, 0) + 1
-        for a, b, c in bars:
+        for a, b, c in C.reduced_coproduct(first):
             key = (a, b) + rest
             sums[key] = sums.get(key, 0) + c
             wrapped[key] = c
@@ -336,11 +320,6 @@ def normalized_differential_terms(
         for key, c in twist_first_to_last(C, wrapped).items():
             sums[key] = sums.get(key, 0) + sign * c
     return reduced_sums(sums, C.field.characteristic)
-
-
-def _reduced_terms(C: CoalgebraPresentation, m: tuple) -> list:
-    """The coproduct terms (a, b, c) of m with both sides of positive degree."""
-    return [(a, b, c) for (a, b), c in C.coproduct_monomial(m).items() if any(a) and any(b)]
 
 
 def _matrix_from_terms(C, source_basis, target_basis, expand) -> SparseMatrix:
@@ -410,11 +389,10 @@ def build_complex(
 
     if spots is None:
         spots = tensor_bases(C, window.max_s + 1, window.max_t, normalized)
-    reduced: dict = {}
 
     def expand(tup: tuple) -> dict:
         if normalized:
-            return normalized_differential_terms(C, tup, reduced)
+            return normalized_differential_terms(C, tup)
         return differential_terms(C, tup)
 
     diffs = {

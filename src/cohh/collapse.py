@@ -252,9 +252,9 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
     """Full certificate for a recognized E2 shape.
 
     A negative max_t is refused: an empty search would certify collapse.
-    max_page_searched is e - 1 for the largest e = p^m with e min|w| <= max_t
-    (at least 1; 0 over Q), so it bounds every candidate's page e - 1, which
-    has e |w_i| <= max_t."""
+    max_page_searched is e - 1 for the largest e = p^m with e min|w| <= max_t,
+    the largest primitive exponent of the least w (at least 1; 0 over Q), so
+    it bounds every candidate's page e - 1, which has e |w_i| <= max_t."""
     if max_t < 0:
         raise InvalidInput(f"max_t={max_t} is negative")
     shape = e2.shape()
@@ -285,14 +285,9 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
     max_page = None
     if e2.polynomial:
         p = e2.characteristic
-        if p:
-            min_wt = min(g.t for g in e2.polynomial)
-            q = 1
-            while q * min_wt <= max_t:
-                q *= p
-            max_page = max(q // p - 1, 1)
-        else:
-            max_page = 0
+        least = min(g.t for g in e2.polynomial)
+        e = (primitive_exponents(POLYNOMIAL, least, p, max_t) or [1])[-1]
+        max_page = max(e - 1, 1) if p else 0
     return CollapseCertificate(
         verdict="collapses" if not obstructions else "obstructed",
         obstructions=obstructions,

@@ -1,6 +1,7 @@
 import pytest
 
 from cohh import cochain
+from cohh.coalg import reduced_sums
 
 
 @pytest.fixture
@@ -13,6 +14,7 @@ def corrupted_twist(monkeypatch):
     twist = cochain.twist_first_to_last
 
     def flipped(C, terms):
-        return {key: C.field.scalar(-c) for key, c in twist(C, terms).items()}
+        negated = {key: -c for key, c in twist(C, terms).items()}
+        return reduced_sums(negated, C.field.characteristic)
 
     monkeypatch.setattr(cochain, "twist_first_to_last", flipped)

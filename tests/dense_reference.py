@@ -8,18 +8,18 @@ the sparse, fraction-free `cochain.rank` it checks.  `from_triples` builds the
 
 from fractions import Fraction
 
-from cohh.coalg import add_term
+from cohh.coalg import reduced_sums
 from cohh.cochain import SparseMatrix
 
 
 def from_triples(fld, rows: int, cols: int, triples) -> SparseMatrix:
     """A `SparseMatrix` from (row, col, value) triples; repeats are summed."""
-    entries: dict = {}
+    sums: dict = {}
     for r, c, v in triples:
         if not (0 <= r < rows and 0 <= c < cols):
             raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-        add_term(entries, (r, c), v, fld)
-    return SparseMatrix(fld, rows, cols, entries)
+        sums[(r, c)] = sums.get((r, c), 0) + v
+    return SparseMatrix(fld, rows, cols, reduced_sums(sums, fld.characteristic))
 
 
 def dense_rank(m) -> int:

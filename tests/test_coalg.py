@@ -10,11 +10,13 @@ from cohh.coalg import (
     CoalgebraPresentation,
     Cogenerator,
     CompositeCharacteristic,
+    E2Generator,
+    E2Presentation,
     Field,
     NotConnected,
     ParityViolation,
     _is_prime,
-    add_term,
+    reduced_sums,
 )
 from cohh.errors import InvalidInput
 from cohh.selftest import (
@@ -220,12 +222,14 @@ def test_is_prime_agrees_with_trial_division():
 
 
 def test_scalar_canonicalization():
-    f3 = Field(3)
-    assert f3.scalar(7) == 1
-    assert f3.scalar(-1) == 2
-    q = Field(0)
-    for x in (4, -7, 0, 10**30):
-        assert q.scalar(x) == x and type(q.scalar(x)) is int
+    """`reduced_sums` gives canonical residues in [1, p); over Q it keeps
+    plain ints as they are, 10**30 included.  Both drop the zeros."""
+    assert reduced_sums({"a": 7, "b": -1, "c": 3, "d": -6, "e": 5}, 3) == {
+        "a": 1, "b": 2, "e": 2,
+    }
+    over_q = reduced_sums({"a": 4, "b": -7, "z": 0, "c": 10**30}, 0)
+    assert over_q == {"a": 4, "b": -7, "c": 10**30}
+    assert all(type(v) is int for v in over_q.values())
     assert Field(3) == Field(3) != Field(5) and hash(Field(3)) == hash(Field(3))
 
 
@@ -241,15 +245,45 @@ def test_field_record_semantics():
 
 
 def test_modp_arithmetic_matches_integers():
-    """add_term sums plain ints into canonical nonzero residues (ints over Q)."""
+    """`reduced_sums` turns integer sums into canonical nonzero residues, each
+    congruent to its sum mod p (the sum itself over Q)."""
     rng = random.Random(7)
     for p in (0, 2, 3, 5, 7):
-        fld = Field(p)
-        acc: dict = {}
-        sums = [0] * 4
+        sums = {}
         for _ in range(250):
             key, a, b = rng.randrange(4), rng.randrange(-50, 50), rng.randrange(-50, 50)
-            add_term(acc, key, a * b, fld)
-            sums[key] += a * b
-            assert acc == {k: fld.scalar(v) for k, v in enumerate(sums) if fld.scalar(v)}
-            assert all(type(v) is int and (not p or 0 < v < p) for v in acc.values())
+            sums[key] = sums.get(key, 0) + a * b
+            got = reduced_sums(dict(sums), p)
+            assert all(type(v) is int and v and (not p or v < p) for v in got.values())
+            for k, v in sums.items():
+                assert (got.get(k, 0) - v) % p == 0 if p else got.get(k, 0) == v
+
+
+def test_reduced_coproduct_is_cached_per_field():
+    """The terms (a, b, c) with both sides of positive degree, cached on the
+    presentation; `over` does not share them, since c depends on the field:
+    w^3 is primitive over F_3 only."""
+    w3 = (3,)
+    Q = poly(0, 2)
+    assert Q.reduced_coproduct(w3) == [((1,), (2,), 3), ((2,), (1,), 3)]
+    assert Q.reduced_coproduct(w3) is Q.reduced_coproduct(w3)
+    assert Q.over(Field(3)).reduced_coproduct(w3) == []
+    assert Q.reduced_coproduct(w3)
+    F3 = poly(3, 2)
+    assert F3.reduced_coproduct(w3) == []
+    assert F3.over(Field(0)).reduced_coproduct(w3)
+    assert Q.reduced_coproduct((0,)) == [] and Q.reduced_coproduct((1,)) == []
+
+
+def test_format_monomial_prints_divided_powers_as_gamma():
+    """Both presentations print a divided power g^e as gamma_e(g)."""
+    C = CoalgebraPresentation(Field(3), [
+        Cogenerator("y", EXTERIOR, 3), Cogenerator("w", POLYNOMIAL, 2),
+        Cogenerator("x", DIVIDED_POWER, 4),
+    ])
+    assert C.format_monomial((0, 0, 2)) == "gamma_2(x)"
+    assert C.format_monomial((1, 3, 2)) == "y*w^3*gamma_2(x)"
+    assert C.format_monomial((0, 0, 1)) == "x" and C.format_monomial(C.unit()) == "1"
+    e2 = E2Presentation(3, [E2Generator("x1", DIVIDED_POWER, 0, 2),
+                            E2Generator("z1", EXTERIOR, 1, 2)])
+    assert e2.format_monomial((3, 1)) == "gamma_3(x1)*z1"

@@ -13,6 +13,7 @@ from cohh.coalg import (
     Cogenerator,
     Field,
     WindowTooSmall,
+    reduced_sums,
 )
 from cohh import cochain, selftest
 from cohh.cochain import (
@@ -301,12 +302,10 @@ def test_normalized_differential_equals_the_full_alternating_sum():
     in the full sum."""
     tuples = 0
     for C, window in differential_grid():
-        reduced: dict = {}
         for tups in tensor_bases(C, window.max_s, window.max_t, True).values():
             for tup in tups:
                 want = differential_terms(C, tup)
                 assert normalized_differential_terms(C, tup) == want, (C.cogenerators, tup)
-                assert normalized_differential_terms(C, tup, reduced) == want
                 tuples += 1
     assert tuples > 5_000
 
@@ -315,8 +314,8 @@ def test_a_stray_unit_bearing_term_makes_build_complex_raise(monkeypatch):
     """No projection drops a unit-bearing image term: it raises."""
     kept = cochain.normalized_differential_terms
 
-    def stray(C, tup, reduced=None):
-        out = dict(kept(C, tup, reduced))
+    def stray(C, tup):
+        out = dict(kept(C, tup))
         out[tup[:1] + (C.unit(),) + tup[1:]] = 1  # [c_0|1|c_1|...], same degree
         return out
 
@@ -437,7 +436,7 @@ def _failure(family, i, j, s, t):
 def test_identity_scan_reports_a_negated_coface_exactly(
     monkeypatch, i, s, degrees, checked, failure
 ):
-    negate = lambda C, out: {k: C.field.scalar(-c) for k, c in out.items()}
+    negate = lambda C, out: reduced_sums({k: -c for k, c in out.items()}, C.field.characteristic)
     monkeypatch.setattr(
         selftest, "coface_terms",
         _corrupted(selftest.coface_terms, i, s, degrees, negate),
@@ -452,7 +451,7 @@ def test_a_stray_coface_term_raises_before_a_lower_mismatch_is_reported(monkeypa
     t = 8 raises, though the same identity already differs at t = 3."""
     C = exterior(3, 3, 5)
     window = BidegreeWindow(2, 10)
-    negate = lambda C, out: {k: C.field.scalar(-c) for k, c in out.items()}
+    negate = lambda C, out: reduced_sums({k: -c for k, c in out.items()}, C.field.characteristic)
     negated = _corrupted(selftest.coface_terms, 0, 1, (3,), negate)
     monkeypatch.setattr(selftest, "coface_terms", negated)
     assert verify_cosimplicial_identities(C, window) == (
@@ -486,6 +485,21 @@ def test_identity_scan_reports_a_dropped_codegeneracy_exactly(
     )
     report = verify_cosimplicial_identities(exterior(3, 3, 5), BidegreeWindow(2, 10))
     assert report == (False, checked, failure)
+
+
+def test_structural_check_names_a_dropped_codegeneracy_image(monkeypatch):
+    """The selftest's failure line for the identity scan: codegeneracy 0 at
+    level 0 drops its one nonzero image of degree 3, that of y|1 in Lambda(3),
+    the corpus's first entry."""
+    monkeypatch.setattr(
+        selftest, "codegeneracy_terms",
+        _corrupted(selftest.codegeneracy_terms, 0, 0, (3,), lambda C, out: {}),
+    )
+    assert selftest.check_structural_suite() == (
+        False,
+        "cosimplicial identity fails: Lambda(3) over characteristic 0: "
+        "FAIL mixed identity at (i,j)=(0,0), s=0, t=3",
+    )
 
 
 def _swap_two_terms(C, out):

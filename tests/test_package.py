@@ -123,10 +123,10 @@ ARGPARSE = {"argparse", "gettext", "locale", "textwrap"}
 def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     """A command imports only the engine it runs, and `--help` none of it:
     every CLI call is a fresh process and pays for each module it loads.
-    Only `selftest` loads the cobar oracle (`cochain`); `hz` takes its one
-    rank, of a 1x1 matrix, without it.  No command loads `dataclasses`, which
-    pulls in `inspect`, `ast`, `dis` and `tokenize`, nor `inspect` by
-    another route.  No process, `--help` and usage errors included, loads
+    Only `selftest` loads the cobar oracle (`cochain`); `hz` multiplies out
+    the factor series of its one exterior cogenerator and takes no rank.  No
+    command loads `dataclasses`, which pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, nor `inspect` by another route.  No process, `--help` and usage errors included, loads
     `argparse` or what it pulls in (`gettext`, `locale`) or formats help
     with (`textwrap`): the command line is read from `cli.COMMANDS`."""
     for argv in (["--help"], ["cohh", "-h"], ["hz"]):
