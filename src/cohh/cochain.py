@@ -28,9 +28,9 @@ reduced once by `coalg.reduced_sums`, so equal maps have equal entries.
 no dense matrix or kernel built.  An empty spot costs nothing: its
 differential is a zero-shape matrix built without a target index, its rank is
 0 without any elimination, and d.d = 0 is composed only where both maps have
-entries.  Every coefficient is an integer
-combination of binomials and signs, so over Q a complex is the integral one,
-and an identity checked on it holds over Z.
+entries.  Every coefficient is an integer combination of binomials and signs,
+so over Q a complex is the integral one, and an identity checked on it holds
+over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
