@@ -21,6 +21,10 @@ of each monomial, its reduced coproduct (the terms with both sides of
 positive degree, whose kernel is the primitives and which the normalized
 cobar differential is made of) and the degree of each monomial; the Koszul
 sign of every twisted cobar term reads the degree of each of its factors.
+Its field-free `oracle_memo` holds what the cobar oracle derives from the
+cogenerators alone: tensor bases and codegeneracy maps.  `over` shares it
+with the basis and degree caches, so each is worked out once per
+cogenerator list.
 
 This is the presentation module: the one module every production command
 loads beyond the CLI.  Besides the presentation it holds the names those
@@ -202,15 +206,17 @@ class CoalgebraPresentation:
         self._coproduct_cache: dict = {}
         self._reduced_cache: dict = {}
         self._degree_cache: dict = {}
+        self.oracle_memo: dict = {}
 
     def over(self, field: Field) -> "CoalgebraPresentation":
-        """The same cogenerators over another field.  The basis and the degrees
-        do not depend on the field, so the two presentations share them; the
-        coproduct and the reduced coproduct, whose coefficients do, are
-        computed apart."""
+        """The same cogenerators over another field.  The basis, the degrees
+        and the oracle memo do not depend on the field, so the two
+        presentations share them; the coproduct and the reduced coproduct,
+        whose coefficients do, are computed apart."""
         other = CoalgebraPresentation(field, self.cogenerators)
         other._basis_cache = self._basis_cache
         other._degree_cache = self._degree_cache
+        other.oracle_memo = self.oracle_memo
         return other
 
     # -- monomials ---------------------------------------------------------

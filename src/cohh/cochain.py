@@ -24,13 +24,14 @@ in `selftest`.
 
 A differential is a `SparseMatrix` of canonical ints, each an integer sum
 reduced once by `coalg.reduced_sums`, so equal maps have equal entries.
-`rank` is the only elimination: mod p over F_p and fraction-free over Q, with
-no dense matrix or kernel built.  An empty spot costs nothing: its
-differential is a zero-shape matrix built without a target index, its rank is
-0 without any elimination, and d.d = 0 is composed only where both maps have
-entries.  Every coefficient is an integer combination of binomials and signs,
-so over Q a complex is the integral one, and an identity checked on it holds
-over Z.
+`rank` is the only elimination, on sparse rows mod p over odd F_p and
+fraction-free over Q, and still the only one over F_2, where a branch of it
+XORs packed int-bitset columns; no dense matrix or kernel is built.  An empty
+spot costs nothing: its differential is a zero-shape matrix built without a
+target index, its rank is 0 without any elimination, and d.d = 0 is composed
+only where both maps have entries.  Every coefficient is an integer
+combination of binomials and signs, so over Q a complex is the integral one,
+and an identity checked on it holds over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
@@ -49,7 +50,6 @@ from .coalg import (
     BidegreeWindow,
     CoalgebraPresentation,
     Field,
-    NotConnected,
     WindowTooSmall,
     reduced_sums,
 )
@@ -131,10 +131,31 @@ def rank(m: SparseMatrix) -> int:
     they hold the integer entries as given, updated fraction-free, and every
     pivot row is stored with content 1, so the rank is exact in both cases.
     No dense row and no kernel is ever built.
+
+    Over F_2 the columns are packed instead, each an int bitset over the
+    rows (the word-packed elimination of M4RI: Albrecht, Bard and Hart, ACM
+    TOMS 37(1), 2010), taken fewest bits first and reduced by XOR against
+    pivots keyed by their lowest set bit.  The cobar spots have fewer
+    columns than rows and fill in over F_2, where the XOR of two ints runs
+    the word loop in C.
     """
     if not m.entries:
         return 0
     p = m.field.characteristic
+    if p == 2:
+        packed: dict = {}
+        for r, c in m.entries:
+            packed[c] = packed.get(c, 0) | 1 << r
+        lows: dict = {}  # index of the lowest set bit -> pivot column
+        for col in sorted(packed.values(), key=int.bit_count):
+            while col:
+                low = (col & -col).bit_length()
+                piv = lows.get(low)
+                if piv is None:
+                    lows[low] = col
+                    break
+                col ^= piv
+        return len(lows)
     grouped: dict = {}
     for (r, c), v in m.entries.items():
         if r in grouped:
@@ -229,6 +250,15 @@ def tensor_bases(
             # without normalization a tail is any spot one slot shorter
             tails = prepend(tails, 1) if normalized else row
     return spots
+
+
+def _window_bases(C: CoalgebraPresentation, max_s: int, max_t: int, normalized: bool) -> dict:
+    """`tensor_bases(C, max_s, max_t, normalized)`, kept in `C.oracle_memo`."""
+    key = (max_s, max_t, normalized)
+    bases = C.oracle_memo.get(key)
+    if bases is None:
+        bases = C.oracle_memo[key] = tensor_bases(C, max_s, max_t, normalized)
+    return bases
 
 
 def tensor_basis(C: CoalgebraPresentation, s: int, t: int, normalized: bool) -> list:
@@ -368,27 +398,22 @@ def build_complex(
     window: BidegreeWindow,
     normalized: bool = True,
     check: bool = True,
-    spots: Optional[dict] = None,
 ) -> CochainComplex:
     """Assemble bases and differentials for all spots inside the window.
 
-    The bases of spots 0..max_s+1 come from one `tensor_bases` pass, or from
-    the caller as `spots`: they depend on the cogenerators, not the field.
-    The normalized differential comes from `normalized_differential_terms`,
-    which emits only normalized tuples; the full one from
-    `differential_terms`.  An image term outside the target basis raises
-    KeyError: nothing is projected away.  A spot with an empty source builds
-    no index and calls neither.  With check=True every composable pair of
-    differentials with entries is verified to compose to zero; a failure
-    raises DifferentialNotSquareZero.
+    The bases of spots 0..max_s+1 do not depend on the field: they come from
+    one `tensor_bases` pass per cogenerator list.  The normalized
+    differential comes from `normalized_differential_terms`, which emits
+    only normalized tuples; the full one from `differential_terms`.  An
+    image term outside the target basis raises KeyError: nothing is
+    projected away.  A spot with an empty source builds no index and calls
+    neither.  With check=True every composable pair of differentials with
+    entries is verified to compose to zero; a failure raises
+    DifferentialNotSquareZero.
     """
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
-    if any(c.degree < 1 for c in C.cogenerators):
-        raise NotConnected("presentation has a cogenerator below degree 1")
-
-    if spots is None:
-        spots = tensor_bases(C, window.max_s + 1, window.max_t, normalized)
+    spots = _window_bases(C, window.max_s + 1, window.max_t, normalized)
 
     def expand(tup: tuple) -> dict:
         if normalized:

@@ -23,7 +23,11 @@ level, rather than one matrix product per spot; the two sides are reduced
 mod p only if they differ as integer sums.  A mismatch is still reported,
 and counted up to, at the first failing spot in the per-spot order; but a map
 is built for its whole level, so an image term outside the target basis at
-any t raises before an identity that uses the map is compared at all.
+any t raises before an identity that uses the map is compared at all.  The
+full tensor bases and the codegeneracy maps, which only delete a unit slot
+with coefficient 1, do not depend on the field: they are built once per
+cogenerator list and window, in the presentation's `oracle_memo`, which
+`over` shares.  The cofaces, whose coefficients do, are built per scan.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .coalg import (
     reduced_sums,
     standard_page,
 )
-from .cochain import build_complex, coface_terms, tensor_bases
+from .cochain import _window_bases, build_complex, coface_terms
 from .cohomology import cohh_table, euler_check, kunneth_table, page_grid
 from .collapse import analyze, exton2_hypotheses, obstruction_search
 from .errors import InvariantFailure
@@ -261,7 +265,7 @@ class IdentityReport(NamedTuple):
 
 
 def verify_cosimplicial_identities(
-    C: CoalgebraPresentation, window: BidegreeWindow, bases: Optional[dict] = None
+    C: CoalgebraPresentation, window: BidegreeWindow
 ) -> IdentityReport:
     """Check all coface/codegeneracy identities in the window, level by level.
 
@@ -285,12 +289,11 @@ def verify_cosimplicial_identities(
     identity is compared: a mismatch of the identity at a lower t, which the
     per-spot order would report, is not reported.  An identity whose source
     spot is empty compares two maps out of a zero space, so it is counted in
-    `checked` and has no column to compare.  A caller that has the full
-    tensor bases of levels 0..max_s+1 passes them as `bases`.
+    `checked` and has no column to compare.  The tensor bases and the
+    codegeneracy level maps are kept in `C.oracle_memo`, by window.
     """
     max_s, max_t = window.max_s, window.max_t
-    if bases is None:
-        bases = tensor_bases(C, max_s + 1, max_t, normalized=False)
+    bases = _window_bases(C, max_s + 1, max_t, normalized=False)
     p = C.field.characteristic
     starts = {}  # level -> first column of each spot (s, t), then the level's size
     for s in range(max_s + 2):
@@ -299,8 +302,9 @@ def verify_cosimplicial_identities(
             firsts.append(firsts[-1] + len(bases[(s, t)]))
         starts[s] = firsts
     indexes: dict = {}
-    cofaces: dict = {}  # (i, s) -> the columns of coface i out of level s
-    codegeneracies: dict = {}  # (i, s) -> those of codegeneracy i into level s
+    # (i, s) -> the columns of coface i out of level s, of codegeneracy i into it
+    cofaces: dict = {}
+    codegeneracies = C.oracle_memo.setdefault((max_s, max_t), {})
 
     def level_columns(source: int, target: int, terms, i: int, s: int) -> list:
         """The columns terms(C, i, s, tup) of every tuple of level `source`,
@@ -433,23 +437,17 @@ def _structural_corpus(p: int):
 
 
 def check_structural_suite():
-    # The basis and the tensor bases of a window depend on the cogenerators
-    # alone: each corpus entry builds them once, for every characteristic.
-    corpus = [
-        (label, C, window, id_window,
-         tensor_bases(C, window.max_s + 1, window.max_t, normalized=True),
-         tensor_bases(C, id_window.max_s + 1, id_window.max_t, normalized=False))
-        for label, C, window, id_window in _structural_corpus(0)
-    ]
+    # over() shares what depends on the cogenerators alone across the fields
+    corpus = list(_structural_corpus(0))
     for p in CHARACTERISTICS:
-        for label, shared, window, id_window, spots, bases in corpus:
+        for label, shared, window, id_window in corpus:
             C = shared.over(Field(p))
             where = f"{label} over characteristic {p}"
             if not (
                 coassociativity_ok(C) and counitality_ok(C) and cocommutativity_ok(C)
             ):
                 return False, f"coalgebra axiom fails: {where}"
-            cx = build_complex(C, window, spots=spots)  # raises if d.d != 0
+            cx = build_complex(C, window)  # raises if d.d != 0
             table = cohh_table(cx)
             if kunneth_table(C, window).entries != table.entries:
                 return False, f"factor route differs from the cobar complex: {where}"
@@ -458,7 +456,7 @@ def check_structural_suite():
             for t in range(window.max_t + 1):
                 if table.dim(0, t) != len(C.basis_in_degree(t)):
                     return False, f"row s=0 differs from the coalgebra dims: {where}"
-            report = verify_cosimplicial_identities(C, id_window, bases)
+            report = verify_cosimplicial_identities(C, id_window)
             if not report.passed:
                 f = report.failure
                 return False, (
@@ -468,12 +466,10 @@ def check_structural_suite():
     # normalized and full complexes agree on cohomology
     window = BidegreeWindow(3, 12)
     shared = _lambda_presentation(0, [3])
-    normalized_spots = tensor_bases(shared, window.max_s + 1, window.max_t, normalized=True)
-    full_spots = tensor_bases(shared, window.max_s + 1, window.max_t, normalized=False)
     for p in CHARACTERISTICS:
         C = shared.over(Field(p))
-        normalized = cohh_table(build_complex(C, window, spots=normalized_spots))
-        full = cohh_table(build_complex(C, window, normalized=False, spots=full_spots))
+        normalized = cohh_table(build_complex(C, window))
+        full = cohh_table(build_complex(C, window, normalized=False))
         if normalized.entries != full.entries:
             return False, f"normalized/full cohomology differ over characteristic {p}"
     return True, (

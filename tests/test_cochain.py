@@ -251,6 +251,17 @@ def test_first_square_failure_under_a_corrupted_twist(
     assert first_square_failure(cx) == spot
 
 
+def test_complexes_over_one_cogenerator_list_share_their_spots():
+    """The normalized and the full bases are kept apart: the full differential
+    maps the normalized spots into themselves, so a complex built on the
+    wrong bases would pass its own d.d = 0 check."""
+    C, window = exterior(0, 3, 5), BidegreeWindow(3, 16)
+    normalized = build_complex(C, window).spots
+    assert build_complex(C.over(Field(3)), window).spots is normalized
+    full = build_complex(C.over(Field(2)), window, normalized=False).spots
+    assert full == tensor_bases(C, 4, 16, normalized=False) != normalized
+
+
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         build_complex(exterior(3, 3), BidegreeWindow(-1, 5))
@@ -502,6 +513,24 @@ def test_structural_check_names_a_dropped_codegeneracy_image(monkeypatch):
     )
 
 
+def test_structural_check_builds_the_codegeneracy_maps_once_per_cogenerator_list(
+    monkeypatch
+):
+    """A codegeneracy does not depend on the field, so the corpus's four
+    characteristics share its level maps: a build per field would make four
+    times these calls, 6 316."""
+    calls = []
+    kept = selftest.codegeneracy_terms
+
+    def counted(C, i, s, tup):
+        calls.append((i, s))
+        return kept(C, i, s, tup)
+
+    monkeypatch.setattr(selftest, "codegeneracy_terms", counted)
+    assert selftest.check_structural_suite()[0]
+    assert len(calls) == 1579
+
+
 def _swap_two_terms(C, out):
     """Swap the tuples of the least two image terms, in tuple order, whose
     coefficients differ; the coefficients stay where they were."""
@@ -662,6 +691,36 @@ def test_sparse_rank_agrees_with_dense_row_reduce(p):
         assert r == rank(_transpose(m)), m
         deficient += r < min(m.rows, m.cols)
     assert deficient >= 20  # the oracle saw rank-deficient matrices
+
+
+def _f2_fill_in_matrices(rng):
+    """F_2 shapes whose packed columns span several 64-bit words and fill in
+    as they are reduced: arrowheads (the diagonal with a full first row and
+    column), more rows than columns as in the cobar spots, and products
+    through a narrow middle."""
+    f2 = Field(2)
+    for n in (5, 17, 70, 130):
+        arrow = [(0, c, 1) for c in range(n)] + [(r, 0, 1) for r in range(1, n)]
+        yield from_triples(f2, n, n, arrow + [(i, i, 1) for i in range(1, n)])
+    for _ in range(20):
+        rows, cols = rng.randrange(20, 150), rng.randrange(5, 50)
+        yield _random_matrix(rng, f2, rows, cols, rng.choice((0.05, 0.3, 0.6, 0.9)))
+    for _ in range(20):
+        inner = rng.randrange(1, 12)
+        a = _random_matrix(rng, f2, rng.randrange(30, 150), inner, 0.5)
+        b = _random_matrix(rng, f2, inner, rng.randrange(10, 60), 0.5)
+        yield a.compose(b)
+
+
+def test_packed_f2_rank_agrees_with_dense_on_fill_in_shapes():
+    rng = random.Random(2)
+    deficient = 0
+    for m in _f2_fill_in_matrices(rng):
+        r = rank(m)
+        assert r == dense_rank(m), m
+        assert r == rank(_transpose(m)), m
+        deficient += r < min(m.rows, m.cols)
+    assert deficient >= 20
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
