@@ -29,9 +29,11 @@ fraction-free over Q, and still the only one over F_2, where a branch of it
 XORs packed int-bitset columns; no dense matrix or kernel is built.  An empty
 spot costs nothing: its differential is a zero-shape matrix built without a
 target index, its rank is 0 without any elimination, and d.d = 0 is composed
-only where both maps have entries.  Every coefficient is an integer
-combination of binomials and signs, so over Q a complex is the integral one,
-and an identity checked on it holds over Z.
+only where both maps have entries.  `compose_columns` is the one composition
+of sparse maps, on lists of columns; the cosimplicial identity scan in
+`selftest` shares it.  Every coefficient is an integer combination of
+binomials and signs, so over Q a complex is the integral one, and an
+identity checked on it holds over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
@@ -57,9 +59,7 @@ from .errors import InvariantFailure
 
 
 class SparseMatrix:
-    """Sparse matrix over a fixed field; only nonzero entries are stored.
-
-    Equal when field, shape and entries are; unhashable, as entries is a dict."""
+    """Sparse matrix over a fixed field; only nonzero entries are stored."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -69,46 +69,24 @@ class SparseMatrix:
         self.cols = cols
         self.entries = {} if entries is None else entries  # (row, col) -> nonzero int
 
-    def __eq__(self, other):
-        if other.__class__ is not SparseMatrix:
-            return NotImplemented
-        return (self.field, self.rows, self.cols, self.entries) == (
-            other.field, other.rows, other.cols, other.entries
-        )
 
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"SparseMatrix(field={self.field!r}, rows={self.rows!r}, "
-            f"cols={self.cols!r}, entries={self.entries!r})"
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def compose(self, inner: "SparseMatrix") -> "SparseMatrix":
-        """self @ inner (apply inner first).  The products are summed as ints,
-        keyed row * cols + column, and each sum is reduced once."""
-        if inner.rows != self.cols:
-            raise ValueError("composition shape mismatch")
-        fld, cols = self.field, inner.cols
-        if not self.entries or not inner.entries:
-            return SparseMatrix(fld, self.rows, cols)
-        by_row: dict = {}
-        for (r, c), v in inner.entries.items():
-            if r in by_row:
-                by_row[r].append((c, v))
-            else:
-                by_row[r] = [(c, v)]
-        sums: dict = {}
-        for (r, k), v in self.entries.items():
-            base = r * cols
-            for c, w in by_row.get(k, ()):
-                key = base + c
-                sums[key] = sums.get(key, 0) + v * w
-        entries = reduced_sums(sums, fld.characteristic)
-        return SparseMatrix(fld, self.rows, cols, {divmod(k, cols): v for k, v in entries.items()})
+def compose_columns(outer: list, inner: list, rows: int) -> dict:
+    """outer . inner (apply inner first), each map a list of columns of
+    (row, coefficient) pairs, as one dict {column * rows + row: integer sum
+    of products}, rows the size of outer's target.  The sums are not
+    reduced: each caller reduces them with `reduced_sums` where it must."""
+    sums: dict = {}
+    base = 0
+    for column in inner:
+        for k, v in column:
+            for r, w in outer[k]:
+                key = base + r
+                if key in sums:
+                    sums[key] += v * w
+                else:
+                    sums[key] = v * w
+        base += rows
+    return sums
 
 
 def _primitive(row: dict) -> dict:
@@ -389,9 +367,6 @@ class CochainComplex:
         self.spots = spots
         self.differentials = differentials
 
-    def spot_dim(self, s: int, t: int) -> int:
-        return len(self.spots.get((s, t), ()))
-
 
 def build_complex(
     C: CoalgebraPresentation,
@@ -426,26 +401,33 @@ def build_complex(
         for t in range(window.max_t + 1)
     }
     cx = CochainComplex(C, window, spots, diffs)
-    if check:
-        check_square_zero(cx)
+    if check and (bad := first_square_failure(cx)) is not None:
+        raise DifferentialNotSquareZero(f"d.d != 0 first fails at (s,t)={bad}")
     return cx
 
 
-def check_square_zero(cx: CochainComplex):
-    """Raise DifferentialNotSquareZero at the `first_square_failure` of cx."""
-    bad = first_square_failure(cx)
-    if bad is not None:
-        raise DifferentialNotSquareZero(f"d.d != 0 first fails at (s,t)={bad}")
+def _columns(d: SparseMatrix) -> list:
+    """The columns of d, each a list of (row, coefficient) pairs."""
+    columns = [[] for _ in range(d.cols)]
+    for (r, c), v in d.entries.items():
+        columns[c].append((r, v))
+    return columns
 
 
 def first_square_failure(cx: CochainComplex) -> Optional[tuple]:
-    """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None."""
-    diffs = cx.differentials
+    """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None.  A pair is
+    composed by `compose_columns` only where both maps have entries, and
+    each differential is grouped into columns at most once: the columns of
+    one pair's outer map serve as the next pair's inner."""
+    diffs, p = cx.differentials, cx.presentation.field.characteristic
     for t in range(cx.window.max_t + 1):
-        inner = diffs[(0, t)]
+        inner, inner_columns = diffs[(0, t)], None
         for s in range(cx.window.max_s):
-            outer = diffs[(s + 1, t)]
-            if outer.entries and inner.entries and not outer.compose(inner).is_zero():
-                return (s, t)
-            inner = outer
+            outer, outer_columns = diffs[(s + 1, t)], None
+            if outer.entries and inner.entries:
+                outer_columns = _columns(outer)
+                inner_columns = inner_columns or _columns(inner)
+                if reduced_sums(compose_columns(outer_columns, inner_columns, outer.rows), p):
+                    return (s, t)
+            inner, inner_columns = outer, outer_columns
     return None

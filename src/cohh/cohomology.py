@@ -8,7 +8,7 @@ where n_{s,t} is the spot dimension.  The differential preserves internal
 degree and the window starts at s = 0, so every incoming differential lies
 inside the window and every entry is exact.  The formula counts cohomology
 only when d.d = 0, which `build_complex` checks exactly
-(`cochain.check_square_zero`) before any table is computed from a complex.
+(`cochain.first_square_failure`) before any table is computed from a complex.
 A table and its `EulerReport` are data; `cli` lays out their report bytes.
 
 The table of a presentation is computed by the factor route, `kunneth_table`:

@@ -23,9 +23,9 @@ and the page e - 1, so they are the witnesses of one obstruction.  The sets
 are listed once, keyed by degree, after `source_count` has refused a page
 with more than MAX_SOURCES sources.
 
-`analyze` is the one entry point for a certificate.  It certifies a
-divided-power page by the column argument, and for an exterior-polynomial
-page returns the obstructions of `obstruction_search`: an `Obstruction` is
+`analyze` is the one entry point for a certificate, and the one search.
+It certifies a divided-power page by the column argument, and for an
+exterior-polynomial page lists the obstructions itself: an `Obstruction` is
 the one record of a candidate map, and its witnesses are the candidate
 sources.  A certificate is data: `cli.render_collapse_report` lays out its
 report, with the texts `CERTIFICATE_CAVEATS` and `CONVERGENCE_NOTE`.
@@ -209,35 +209,6 @@ class Obstruction(NamedTuple):
     witnesses: tuple         # all source monomials in this bidegree
 
 
-def obstruction_search(e2: E2Presentation, max_t: int) -> list:
-    """One `Obstruction` per target at (ts, tt) with ts >= 3 that has a
-    source of internal degree st = tt - ts + 2, on page ts - 1: each exterior
-    set of degree st - |w_j|, times w_j.  Targets of one st share one sorted
-    witness tuple.  Ordered by source internal degree, page, source, target.
-    This is `analyze`'s search of an exterior-polynomial page, without the
-    hypothesis checks and the page bound, which a caller that reads only the
-    obstructions need not compute."""
-    sets = _exterior_sets(e2, max_t)
-    poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
-    by_degree: dict = {}  # st -> the sorted sources of internal degree st
-    out = []
-    for target, (ts, tt) in candidate_targets(e2, max_t):
-        if ts < 3:
-            continue
-        st = tt - ts + 2
-        witnesses = by_degree.get(st)
-        if witnesses is None:
-            witnesses = by_degree[st] = tuple(sorted(
-                _with(v, j) for j, wt in poly for v in sets.get(st - wt, ())
-            ))
-        if witnesses:
-            out.append(
-                Obstruction(witnesses[0], target, ts - 1, (1, st), (ts, tt), witnesses)
-            )
-    out.sort(key=lambda o: (o.source_bidegree[1], o.page, o.source, o.target))
-    return out
-
-
 class CollapseCertificate(NamedTuple):
     verdict: str                      # "collapses" | "obstructed"
     obstructions: list
@@ -250,6 +221,13 @@ class CollapseCertificate(NamedTuple):
 
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
     """Full certificate for a recognized E2 shape.
+
+    On an exterior-polynomial page there is one `Obstruction` per target at
+    (ts, tt) with ts >= 3 that has a source of internal degree
+    st = tt - ts + 2, on page ts - 1: each exterior set of degree
+    st - |w_j|, times w_j.  Targets of one st share one sorted witness
+    tuple.  The obstructions are ordered by source internal degree, page,
+    source, target.
 
     A negative max_t is refused: an empty search would certify collapse.
     max_page_searched is e - 1 for the largest e = p^m with e min|w| <= max_t,
@@ -278,7 +256,24 @@ def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:
         )
     if shape not in (LAMBDA_POLY, TRIVIAL):
         raise WrongShape("E2 page mixes generator kinds beyond the recognized shapes")
-    obstructions = obstruction_search(e2, max_t)
+    sets = _exterior_sets(e2, max_t)
+    poly = [(j, g.t) for j, g in enumerate(e2.generators) if g.kind == POLYNOMIAL]
+    by_degree: dict = {}  # st -> the sorted sources of internal degree st
+    obstructions = []
+    for target, (ts, tt) in candidate_targets(e2, max_t):
+        if ts < 3:
+            continue
+        st = tt - ts + 2
+        witnesses = by_degree.get(st)
+        if witnesses is None:
+            witnesses = by_degree[st] = tuple(sorted(
+                _with(v, j) for j, wt in poly for v in sets.get(st - wt, ())
+            ))
+        if witnesses:
+            obstructions.append(
+                Obstruction(witnesses[0], target, ts - 1, (1, st), (ts, tt), witnesses)
+            )
+    obstructions.sort(key=lambda o: (o.source_bidegree[1], o.page, o.source, o.target))
     checks: dict = {}
     if len(e2.exterior) == 2:
         checks.update(exton2_hypotheses(e2))

@@ -51,9 +51,9 @@ from .coalg import (
     reduced_sums,
     standard_page,
 )
-from .cochain import _window_bases, build_complex, coface_terms
+from .cochain import _window_bases, build_complex, coface_terms, compose_columns
 from .cohomology import cohh_table, euler_check, kunneth_table, page_grid
-from .collapse import analyze, exton2_hypotheses, obstruction_search
+from .collapse import analyze, exton2_hypotheses
 from .errors import InvariantFailure
 from .hopfstruct import AlgebraPresentation, indecomposables, primitives
 from .torpipe import hz_e2_pipeline
@@ -178,7 +178,7 @@ def check_hypothesis_sweep():
         for p in SWEEP_PRIMES:
             e2 = standard_page(LAMBDA_POLY, p, [a, b])
             if all(exton2_hypotheses(e2).values()):
-                if obstruction_search(e2, SWEEP_MAX_T):
+                if analyze(e2, SWEEP_MAX_T).obstructions:
                     return False, f"hypotheses hold but candidates survive: |y|=({a},{b}), p={p}"
                 verified += 1
     return True, f"{verified} hypothesis-clean cases have empty candidate lists"
@@ -275,7 +275,7 @@ def verify_cosimplicial_identities(
     another, and a column is a tuple of (row, coefficient) pairs, the row
     counted in the target level.  Each side of an identity is composed into
     one flat dict keyed column * R + row, R the size of its target level
-    (`_compose_columns`), and the two sides are compared as dicts.  On a
+    (`cochain.compose_columns`), and the two sides are compared as dicts.  On a
     mismatch the least differing key, divided by R, is the first differing
     column; the failure names its t, and `checked` counts the identities up
     to it in the per-spot order (family, s, i, j, then t), as if each spot
@@ -372,8 +372,8 @@ def verify_cosimplicial_identities(
         rows = starts[s + 2][-1]
         for i in range(s + 2):
             for j in range(i + 1, s + 3):
-                lhs = _compose_columns(cf(j, s + 1), cf(i, s), rows)
-                rhs = _compose_columns(cf(i, s + 1), cf(j - 1, s), rows)
+                lhs = compose_columns(cf(j, s + 1), cf(i, s), rows)
+                rhs = compose_columns(cf(i, s + 1), cf(j - 1, s), rows)
                 if bad := mismatch("coface-coface", i, j, s, s, s + 2, lhs, rhs):
                     return bad
     # codegeneracy-codegeneracy: sigma_j . sigma_i = sigma_i . sigma_{j+1} for i <= j
@@ -381,8 +381,8 @@ def verify_cosimplicial_identities(
         rows = starts[s][-1]
         for i in range(s + 2):
             for j in range(i, s + 1):
-                lhs = _compose_columns(cd(j, s), cd(i, s + 1), rows)
-                rhs = _compose_columns(cd(i, s), cd(j + 1, s + 1), rows)
+                lhs = compose_columns(cd(j, s), cd(i, s + 1), rows)
+                rhs = compose_columns(cd(i, s), cd(j + 1, s + 1), rows)
                 if bad := mismatch("codegeneracy-codegeneracy", i, j, s, s + 2, s, lhs, rhs):
                     return bad
     # mixed: sigma_j . delta_i
@@ -391,35 +391,16 @@ def verify_cosimplicial_identities(
         identity = {c * rows + c: 1 for c in range(rows)}
         for i in range(s + 2):
             for j in range(s + 1):
-                lhs = _compose_columns(cd(j, s), cf(i, s), rows)
+                lhs = compose_columns(cd(j, s), cf(i, s), rows)
                 if i == j or i == j + 1:
                     rhs = identity
                 elif i < j:
-                    rhs = _compose_columns(cf(i, s - 1), cd(j - 1, s - 1), rows)
+                    rhs = compose_columns(cf(i, s - 1), cd(j - 1, s - 1), rows)
                 else:
-                    rhs = _compose_columns(cf(i - 1, s - 1), cd(j, s - 1), rows)
+                    rhs = compose_columns(cf(i - 1, s - 1), cd(j, s - 1), rows)
                 if bad := mismatch("mixed", i, j, s, s, s, lhs, rhs):
                     return bad
     return IdentityReport(passed=True, checked=checked)
-
-
-def _compose_columns(outer: list, inner: list, rows: int) -> dict:
-    """outer . inner (apply inner first) as one dict {column * rows + row:
-    integer sum of products}, rows the size of the target level.  The sums
-    are not reduced: `verify_cosimplicial_identities` reduces the two sides
-    of an identity, with `reduced_sums`, only if they differ as integers."""
-    sums: dict = {}
-    base = 0
-    for column in inner:
-        for k, v in column:
-            for r, w in outer[k]:
-                key = base + r
-                if key in sums:
-                    sums[key] += v * w
-                else:
-                    sums[key] = v * w
-        base += rows
-    return sums
 
 
 def _structural_corpus(p: int):
@@ -434,6 +415,21 @@ def _structural_corpus(p: int):
     # H_*(CP^2): the one closed-form table that loses classes to the map by
     # N = 3, at (1,6), (2,6), (3,12) and (4,12), unless p = 3
     yield "Gamma_2(2)", _gamma_presentation(p, 2, 2), BidegreeWindow(4, 12), BidegreeWindow(2, 8)
+
+
+def _spot_counts(C: CoalgebraPresentation, window: BidegreeWindow, normalized: bool) -> dict:
+    """The size of every spot (s, t), s <= max_s + 1, counted from the basis
+    sizes alone: with a(q) the Poincaré series of the connected C, a full
+    spot holds [q^t] a^(s+1) tuples and a normalized one [q^t] a (a - 1)^s."""
+    a = [len(C.basis_in_degree(t)) for t in range(window.max_t + 1)]
+    factor = [0] + a[1:] if normalized else a
+    series, counts = a, {}
+    for s in range(window.max_s + 2):
+        counts.update(((s, t), n) for t, n in enumerate(series))
+        series = [
+            sum(series[u] * factor[t - u] for u in range(t + 1)) for t in range(len(a))
+        ]
+    return counts
 
 
 def check_structural_suite():
@@ -463,14 +459,20 @@ def check_structural_suite():
                     f"cosimplicial identity fails: {where}: FAIL {f['family']} identity "
                     f"at (i,j)=({f['i']},{f['j']}), s={f['s']}, t={f['t']}"
                 )
-    # normalized and full complexes agree on cohomology
+    # normalized and full complexes have the counted spots and agree on cohomology
     window = BidegreeWindow(3, 12)
     shared = _lambda_presentation(0, [3])
+    counts = {flag: _spot_counts(shared, window, flag) for flag in (True, False)}
     for p in CHARACTERISTICS:
         C = shared.over(Field(p))
-        normalized = cohh_table(build_complex(C, window))
-        full = cohh_table(build_complex(C, window, normalized=False))
-        if normalized.entries != full.entries:
+        tables = []
+        for flag in (True, False):
+            cx = build_complex(C, window, normalized=flag)
+            if {key: len(tups) for key, tups in cx.spots.items()} != counts[flag]:
+                kind = "normalized" if flag else "full"
+                return False, f"{kind} spot sizes differ from the count over characteristic {p}"
+            tables.append(cohh_table(cx).entries)
+        if tables[0] != tables[1]:
             return False, f"normalized/full cohomology differ over characteristic {p}"
     return True, (
         "d.d=0, identities, axioms, Euler, normalization and the factor route "

@@ -3,7 +3,8 @@
 Over Q it eliminates in `Fraction`s with ordinary division, over F_p with
 modular inverses, on a full dense copy of the matrix; it shares no code with
 the sparse, fraction-free `cochain.rank` it checks.  `from_triples` builds the
-`SparseMatrix` of a hand-written or random matrix.
+`SparseMatrix` of a hand-written or random matrix, and `matrix_product` the
+product of two, for matrices of low rank.
 """
 
 from fractions import Fraction
@@ -20,6 +21,17 @@ def from_triples(fld, rows: int, cols: int, triples) -> SparseMatrix:
             raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
         sums[(r, c)] = sums.get((r, c), 0) + v
     return SparseMatrix(fld, rows, cols, reduced_sums(sums, fld.characteristic))
+
+
+def matrix_product(a, b) -> SparseMatrix:
+    """a @ b (apply b first), each entry the sum of its products over every
+    pair of entries that meet, reduced by `from_triples`."""
+    return from_triples(a.field, a.rows, b.cols, [
+        (r, c, v * w)
+        for (r, k), v in a.entries.items()
+        for (j, c), w in b.entries.items()
+        if j == k
+    ])
 
 
 def dense_rank(m) -> int:

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from dense_reference import dense_rank, from_triples
+from dense_reference import dense_rank, from_triples, matrix_product
 
 from cohh.coalg import (
     DIVIDED_POWER,
@@ -22,6 +22,7 @@ from cohh.cochain import (
     _matrix_from_terms,
     build_complex,
     coface_terms,
+    compose_columns,
     differential_terms,
     first_square_failure,
     normalized_differential_terms,
@@ -197,21 +198,21 @@ def test_build_complex_lambda_spots_and_zero_differential():
     for s in range(5):
         for t in range(16):
             expected = 1 if t in (3 * s, 3 * s + 3) else 0
-            assert cx.spot_dim(s, t) == expected
-    assert all(m.is_zero() for m in cx.differentials.values())
+            assert len(cx.spots[(s, t)]) == expected
+    assert all(not m.entries for m in cx.differentials.values())
 
 
 def test_build_complex_trivial_coalgebra():
     C = CoalgebraPresentation(Field(3), [])
     cx = build_complex(C, BidegreeWindow(3, 5))
-    assert cx.spot_dim(0, 0) == 1
+    assert len(cx.spots[(0, 0)]) == 1
     assert all(
-        cx.spot_dim(s, t) == 0
+        len(cx.spots[(s, t)]) == 0
         for s in range(4)
         for t in range(6)
         if (s, t) != (0, 0)
     )
-    assert all(m.is_zero() for m in cx.differentials.values())
+    assert all(not m.entries for m in cx.differentials.values())
 
 
 @pytest.mark.parametrize("C, window", [
@@ -226,7 +227,7 @@ def test_every_differential_has_the_shape_of_its_spots(C, window, normalized):
     }
     empty = 0
     for (s, t), d in cx.differentials.items():
-        assert (d.rows, d.cols) == (cx.spot_dim(s + 1, t), cx.spot_dim(s, t))
+        assert (d.rows, d.cols) == (len(cx.spots[(s + 1, t)]), len(cx.spots[(s, t)]))
         empty += not d.rows * d.cols
     assert empty > 0
 
@@ -249,6 +250,37 @@ def test_first_square_failure_under_a_corrupted_twist(
 ):
     cx = build_complex(C, window, normalized=normalized, check=False)
     assert first_square_failure(cx) == spot
+
+
+@pytest.mark.parametrize("p, second, spot", [(3, 2, None), (0, 1, (0, 0))])
+def test_first_square_failure_reduces_the_composed_sums(p, second, spot):
+    """The one composed entry is 1*1 + 1*second: 3 = 0 over F_3, 2 over Q."""
+    fld = Field(p)
+    cx = cochain.CochainComplex(
+        CoalgebraPresentation(fld, []),
+        BidegreeWindow(1, 0),
+        {(0, 0): ["a"], (1, 0): ["b", "c"], (2, 0): ["d"]},
+        {
+            (0, 0): SparseMatrix(fld, 2, 1, {(0, 0): 1, (1, 0): 1}),
+            (1, 0): SparseMatrix(fld, 1, 2, {(0, 0): 1, (0, 1): second}),
+        },
+    )
+    assert first_square_failure(cx) == spot
+
+
+def test_structural_suite_fails_on_a_full_complex_with_normalized_spots(monkeypatch):
+    """A memo keyed without `normalized` hands the full complex the normalized
+    bases; the cohomology still agrees, so only the spot count sees it."""
+    def unkeyed(C, max_s, max_t, normalized):
+        key = ("bases", max_s, max_t)
+        if key not in C.oracle_memo:
+            C.oracle_memo[key] = tensor_bases(C, max_s, max_t, normalized)
+        return C.oracle_memo[key]
+
+    monkeypatch.setattr(cochain, "_window_bases", unkeyed)
+    assert selftest.check_structural_suite() == (
+        False, "full spot sizes differ from the count over characteristic 0"
+    )
 
 
 def test_complexes_over_one_cogenerator_list_share_their_spots():
@@ -608,20 +640,10 @@ def test_scalars_over_q_are_plain_ints():
                 assert all(0 < v < p for v in coefficients + entries), C.cogenerators
 
 
-def test_sparse_matrix_equality_sees_field_shape_and_entries():
-    f3, f5 = Field(3), Field(5)
-    m = SparseMatrix(f3, 2, 3, {(0, 1): 2})
-    assert m == SparseMatrix(f3, 2, 3, {(0, 1): 2})
-    assert m != SparseMatrix(f5, 2, 3, {(0, 1): 2})
-    assert m != SparseMatrix(f3, 3, 2, {(0, 1): 2})
-    assert m != SparseMatrix(f3, 2, 3, {(0, 1): 1})
-    assert SparseMatrix(f3, 0, 4) == SparseMatrix(f3, 0, 4) != SparseMatrix(f3, 4, 0)
-    # each matrix built without entries gets its own dict
-    a, b = SparseMatrix(f3, 1, 1), SparseMatrix(f3, 1, 1)
+def test_each_sparse_matrix_built_without_entries_gets_its_own_dict():
+    a, b = SparseMatrix(Field(3), 1, 1), SparseMatrix(Field(3), 1, 1)
     a.entries[(0, 0)] = 1
     assert b.entries == {}
-    with pytest.raises(TypeError):
-        hash(m)
 
 
 def test_from_triples_sums_and_drops_zeros():
@@ -632,14 +654,14 @@ def test_from_triples_sums_and_drops_zeros():
         from_triples(f3, 1, 1, [(1, 0, 1)])
 
 
-def test_compose_and_apply():
-    f7 = Field(7)
-    a = from_triples(f7, 2, 2, [(0, 0, 2), (1, 1, 3)])
-    b = from_triples(f7, 2, 2, [(0, 1, 1), (1, 0, 4)])
-    ab = a.compose(b)
-    assert ab.entries == {(0, 1): 2, (1, 0): 5}
-    ones = from_triples(f7, 2, 1, [(0, 0, 1), (1, 0, 1)])
-    assert a.compose(ones).entries == {(0, 0): 2, (1, 0): 3}
+def test_compose_columns_gives_unreduced_flat_sums():
+    """outer . inner keyed column * rows + row: each sum is the integer sum
+    of its products, kept even where it cancels to 0, and no key is made
+    where no product lands."""
+    outer = [[(0, 2)], [(1, 3), (0, 5)]]   # 2 x 2: columns of (row, coefficient)
+    inner = [[(1, 4)], [(0, 5), (1, -2)], []]
+    assert compose_columns(outer, inner, 2) == {1: 12, 0: 20, 2: 5 * 2 - 2 * 5, 3: -6}
+    assert compose_columns(outer, [], 2) == {}
 
 
 def _transpose(m):
@@ -677,7 +699,7 @@ def _random_matrices(rng, fld):
         inner = rng.randrange(1, 4)
         a = _random_matrix(rng, fld, rng.randrange(2, 9), inner, 0.7)
         b = _random_matrix(rng, fld, inner, rng.randrange(2, 9), 0.7)
-        yield a.compose(b)
+        yield matrix_product(a, b)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 0])
@@ -687,8 +709,8 @@ def test_sparse_rank_agrees_with_dense_row_reduce(p):
     deficient = 0
     for m in _random_matrices(rng, fld):
         r = rank(m)
-        assert r == dense_rank(m), m
-        assert r == rank(_transpose(m)), m
+        assert r == dense_rank(m), m.entries
+        assert r == rank(_transpose(m)), m.entries
         deficient += r < min(m.rows, m.cols)
     assert deficient >= 20  # the oracle saw rank-deficient matrices
 
@@ -709,7 +731,7 @@ def _f2_fill_in_matrices(rng):
         inner = rng.randrange(1, 12)
         a = _random_matrix(rng, f2, rng.randrange(30, 150), inner, 0.5)
         b = _random_matrix(rng, f2, inner, rng.randrange(10, 60), 0.5)
-        yield a.compose(b)
+        yield matrix_product(a, b)
 
 
 def test_packed_f2_rank_agrees_with_dense_on_fill_in_shapes():
@@ -717,8 +739,8 @@ def test_packed_f2_rank_agrees_with_dense_on_fill_in_shapes():
     deficient = 0
     for m in _f2_fill_in_matrices(rng):
         r = rank(m)
-        assert r == dense_rank(m), m
-        assert r == rank(_transpose(m)), m
+        assert r == dense_rank(m), m.entries
+        assert r == rank(_transpose(m)), m.entries
         deficient += r < min(m.rows, m.cols)
     assert deficient >= 20
 

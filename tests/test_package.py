@@ -54,6 +54,29 @@ def test_benchmark_replay_imports_exist():
     assert {("build_complex", "check"), ("tensor_basis", "normalized")} <= keywords
 
 
+def test_benchmark_replay_runs_a_small_cohh_invocation(monkeypatch):
+    """The traced replay reads attributes of what the calls return (spots,
+    differentials, entries, table dims), which no signature check sees, so
+    one small `cohh` invocation is replayed here: Λ(y_3) over F_3 at (2, 8)."""
+    monkeypatch.syspath_prepend(str(REPLAY.parent))
+    replay = importlib.import_module("replay")
+    workloads = importlib.import_module("workloads")
+    inv = workloads.Invocation(
+        "cohh", [], workloads.summarize_grid_report,
+        text="char 3\nexterior y 3\n", window=(2, 8),
+    )
+    tr = replay.Tracer()
+    summary = replay.replay_invocation(tr, inv)
+    assert summary["dims"] == workloads.closed_form_dims(
+        base=[(3, 1)], columns=[(3, None)], max_s=2, max_t=8
+    )
+    assert summary["window"] == [2, 8]
+    assert summary["checks"] == "d_squared=ok euler=pass"
+    assert [s.name for s in tr.roots()] == ["invocation.cohh"]
+    assert tr.counts["cochain.first_square_failure.pairs"] == 2 * 9
+    assert tr.counts["cochain.build_complex.nnz"] == 0  # d vanishes on Λ(y)
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Each module but the package's `__init__` reads every name it imports,
     in code or in an annotation (an unquoted annotation is a name in the
