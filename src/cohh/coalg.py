@@ -22,8 +22,8 @@ positive degree, whose kernel is the primitives and which the normalized
 cobar differential is made of) and the degree of each monomial; the Koszul
 sign of every twisted cobar term reads the degree of each of its factors.
 Its field-free `oracle_memo` holds what the cobar oracle derives from the
-cogenerators alone: tensor bases and codegeneracy maps.  `over` shares it
-with the basis and degree caches, so each is worked out once per
+cogenerators alone: tensor bases, spot indexes and codegeneracy maps.  `over`
+shares it with the basis and degree caches, so each is worked out once per
 cogenerator list.
 
 This is the presentation module: the one module every production command

@@ -22,18 +22,19 @@ so the two stay independent.  The codegeneracies, which apply the counit in an
 interior slot, serve only the cosimplicial identity scan, so they live with it
 in `selftest`.
 
-A differential is a `SparseMatrix` of canonical ints, each an integer sum
-reduced once by `coalg.reduced_sums`, so equal maps have equal entries.
-`rank` is the only elimination, on sparse rows mod p over odd F_p and
-fraction-free over Q, and still the only one over F_2, where a branch of it
-XORs packed int-bitset columns; no dense matrix or kernel is built.  An empty
-spot costs nothing: its differential is a zero-shape matrix built without a
-target index, its rank is 0 without any elimination, and d.d = 0 is composed
-only where both maps have entries.  `compose_columns` is the one composition
-of sparse maps, on lists of columns; the cosimplicial identity scan in
-`selftest` shares it.  Every coefficient is an integer combination of
-binomials and signs, so over Q a complex is the integral one, and an
-identity checked on it holds over Z.
+Every cobar map has one layout: its columns in order, each a tuple of (row,
+value) pairs, each value an integer sum reduced once by `coalg.reduced_sums`,
+so equal maps have equal columns.  `image_columns` is the one routine that
+turns image terms into rows, for the differentials (a `SparseMatrix` stores
+only its columns) and for the identity scan's level maps in `selftest`;
+`compose_columns` composes stored columns, for the d.d check
+(`first_square_failure`) and the scan alike.  `rank`, the only elimination,
+groups the columns into sparse rows, mod p over odd F_p and fraction-free over
+Q, and packs each into an int bitset over F_2; no dense matrix or kernel is
+built.  An empty spot costs nothing: its differential is a zero-shape matrix
+built without a target index, and its rank is 0 without any elimination.
+Every coefficient is an integer combination of binomials and signs, so over Q
+a complex is the integral one, and an identity checked on it holds over Z.
 
 This module is the cobar oracle.  `selftest`, the tests and the benchmark
 replay build complexes with it; `cohh cohh` loads it only for the one factor
@@ -45,6 +46,7 @@ the presentation module.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from typing import Optional
 
@@ -59,19 +61,28 @@ from .errors import InvariantFailure
 
 
 class SparseMatrix:
-    """Sparse matrix over a fixed field; only nonzero entries are stored."""
+    """Sparse matrix over a fixed field, stored only as its columns, each a
+    tuple of (row, nonzero canonical value) pairs: the layout
+    `compose_columns` takes.  `cols` and `entries` are read-only views."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "columns")
 
-    def __init__(self, field: Field, rows: int, cols: int, entries: Optional[dict] = None):
+    def __init__(self, field: Field, rows: int, columns):
         self.field = field
         self.rows = rows
-        self.cols = cols
-        self.entries = {} if entries is None else entries  # (row, col) -> nonzero int
+        self.columns = columns
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @property
+    def entries(self) -> dict:
+        return {(r, c): v for c, column in enumerate(self.columns) for r, v in column}
 
 
-def compose_columns(outer: list, inner: list, rows: int) -> dict:
-    """outer . inner (apply inner first), each map a list of columns of
+def compose_columns(outer, inner, rows: int) -> dict:
+    """outer . inner (apply inner first), each map a sequence of columns of
     (row, coefficient) pairs, as one dict {column * rows + row: integer sum
     of products}, rows the size of outer's target.  The sums are not
     reduced: each caller reduces them with `reduced_sums` where it must."""
@@ -89,6 +100,26 @@ def compose_columns(outer: list, inner: list, rows: int) -> dict:
     return sums
 
 
+def image_columns(tuples, index: dict, image) -> list:
+    """The column of each tuple: image(tup), a dict of canonical nonzero
+    values, as a tuple of (index[term], value) pairs.  This is the one place
+    an image term becomes a row; a term missing from `index` raises."""
+    columns = []
+    for tup in tuples:
+        terms = image(tup)
+        try:
+            if len(terms) > 1:
+                columns.append(tuple([(index[key], c) for key, c in terms.items()]))
+            elif terms:  # one term, as every nonzero codegeneracy image
+                (key, c), = terms.items()
+                columns.append(((index[key], c),))
+            else:
+                columns.append(())
+        except KeyError as exc:
+            raise KeyError(f"image term {exc.args[0]} missing from the target basis") from None
+    return columns
+
+
 def _primitive(row: dict) -> dict:
     """Divide a sparse integer row by the gcd of its entries."""
     g = 0
@@ -102,30 +133,33 @@ def _primitive(row: dict) -> dict:
 def rank(m: SparseMatrix) -> int:
     """Exact rank by sparse Gaussian elimination on a dict of rows.
 
-    Rows are taken shortest first; each is reduced against the stored pivot
-    rows (keyed by leading column) until its leading column has no pivot or
-    the row vanishes, and is then stored as the pivot of that column.  Over
-    F_p the rows hold residues and every pivot row is scaled to lead 1; over Q
-    they hold the integer entries as given, updated fraction-free, and every
-    pivot row is stored with content 1, so the rank is exact in both cases.
-    No dense row and no kernel is ever built.
+    Rows, grouped from the columns, are taken shortest first; each is
+    reduced against the stored pivot rows (keyed by leading column) until
+    its leading column has no pivot or the row vanishes, and is then stored
+    as the pivot of that column.  Over F_p the rows hold residues and every
+    pivot row is scaled to lead 1; over Q they hold the integer entries,
+    updated fraction-free, and every pivot row is stored with content 1, so
+    the rank is exact in both cases.  No dense row or kernel is ever built.
 
-    Over F_2 the columns are packed instead, each an int bitset over the
-    rows (the word-packed elimination of M4RI: Albrecht, Bard and Hart, ACM
-    TOMS 37(1), 2010), taken fewest bits first and reduced by XOR against
-    pivots keyed by their lowest set bit.  The cobar spots have fewer
-    columns than rows and fill in over F_2, where the XOR of two ints runs
-    the word loop in C.
+    Over F_2 each stored column is packed instead, into an int bitset over
+    the rows (the word-packed elimination of M4RI: Albrecht, Bard and Hart,
+    ACM TOMS 37(1), 2010), taken fewest bits first and reduced by XOR
+    against pivots keyed by their lowest set bit.  The cobar spots have
+    fewer columns than rows and fill in over F_2, where the XOR of two ints
+    runs the word loop in C.
     """
-    if not m.entries:
+    if not any(m.columns):
         return 0
     p = m.field.characteristic
     if p == 2:
-        packed: dict = {}
-        for r, c in m.entries:
-            packed[c] = packed.get(c, 0) | 1 << r
+        packed = []
+        for column in m.columns:
+            bits = 0
+            for r, _ in column:
+                bits |= 1 << r
+            packed.append(bits)
         lows: dict = {}  # index of the lowest set bit -> pivot column
-        for col in sorted(packed.values(), key=int.bit_count):
+        for col in sorted(packed, key=int.bit_count):
             while col:
                 low = (col & -col).bit_length()
                 piv = lows.get(low)
@@ -135,11 +169,12 @@ def rank(m: SparseMatrix) -> int:
                 col ^= piv
         return len(lows)
     grouped: dict = {}
-    for (r, c), v in m.entries.items():
-        if r in grouped:
-            grouped[r][c] = v
-        else:
-            grouped[r] = {c: v}
+    for c, column in enumerate(m.columns):
+        for r, v in column:
+            if r in grouped:
+                grouped[r][c] = v
+            else:
+                grouped[r] = {c: v}
     pivots: dict = {}  # leading column -> pivot row
     for row in sorted(grouped.values(), key=len):
         while row:
@@ -331,23 +366,14 @@ def normalized_differential_terms(C: CoalgebraPresentation, tup: tuple) -> dict:
 
 
 def _matrix_from_terms(C, source_basis, target_basis, expand) -> SparseMatrix:
-    """The matrix whose column j holds expand(source_basis[j]) in target_basis.
-
-    expand returns a dict of canonical nonzero values, as `reduced_sums`
-    leaves them, so each is stored as given.
-    """
+    """The matrix whose column j holds expand(source_basis[j]) in target_basis,
+    by `image_columns`; an empty source builds no index.  The columns are
+    kept as a tuple, which the garbage collector can stop tracking."""
     if not source_basis:
-        return SparseMatrix(C.field, len(target_basis), 0)
+        return SparseMatrix(C.field, len(target_basis), ())
     index = {tup: r for r, tup in enumerate(target_basis)}
-    entries = {}
-    for j, tup in enumerate(source_basis):
-        image = expand(tup)
-        try:
-            for key, coeff in image.items():
-                entries[(index[key], j)] = coeff
-        except KeyError as exc:
-            raise KeyError(f"image term {exc.args[0]} missing from the target basis") from None
-    return SparseMatrix(C.field, len(target_basis), len(source_basis), entries)
+    columns = tuple(image_columns(source_basis, index, expand))
+    return SparseMatrix(C.field, len(target_basis), columns)
 
 
 class CochainComplex:
@@ -381,20 +407,16 @@ def build_complex(
     differential comes from `normalized_differential_terms`, which emits
     only normalized tuples; the full one from `differential_terms`.  An
     image term outside the target basis raises KeyError: nothing is
-    projected away.  A spot with an empty source builds no index and calls
-    neither.  With check=True every composable pair of differentials with
-    entries is verified to compose to zero; a failure raises
-    DifferentialNotSquareZero.
+    projected away.  Each differential is stored as the columns that
+    `image_columns` makes of its source tuples; a spot with an empty source
+    builds no index and calls neither.  With check=True every composable
+    pair of differentials is verified to compose to zero
+    (`first_square_failure`); a failure raises DifferentialNotSquareZero.
     """
     if window.max_s < 0 or window.max_t < 0:
         raise WindowTooSmall(f"window {window} has a negative bound")
     spots = _window_bases(C, window.max_s + 1, window.max_t, normalized)
-
-    def expand(tup: tuple) -> dict:
-        if normalized:
-            return normalized_differential_terms(C, tup)
-        return differential_terms(C, tup)
-
+    expand = partial(normalized_differential_terms if normalized else differential_terms, C)
     diffs = {
         (s, t): _matrix_from_terms(C, spots[(s, t)], spots[(s + 1, t)], expand)
         for s in range(window.max_s + 1)
@@ -406,28 +428,16 @@ def build_complex(
     return cx
 
 
-def _columns(d: SparseMatrix) -> list:
-    """The columns of d, each a list of (row, coefficient) pairs."""
-    columns = [[] for _ in range(d.cols)]
-    for (r, c), v in d.entries.items():
-        columns[c].append((r, v))
-    return columns
-
-
 def first_square_failure(cx: CochainComplex) -> Optional[tuple]:
-    """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None.  A pair is
-    composed by `compose_columns` only where both maps have entries, and
-    each differential is grouped into columns at most once: the columns of
-    one pair's outer map serve as the next pair's inner."""
+    """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None.  Where both
+    maps have entries, their stored columns are composed by
+    `compose_columns` and the sums reduced."""
     diffs, p = cx.differentials, cx.presentation.field.characteristic
     for t in range(cx.window.max_t + 1):
-        inner, inner_columns = diffs[(0, t)], None
         for s in range(cx.window.max_s):
-            outer, outer_columns = diffs[(s + 1, t)], None
-            if outer.entries and inner.entries:
-                outer_columns = _columns(outer)
-                inner_columns = inner_columns or _columns(inner)
-                if reduced_sums(compose_columns(outer_columns, inner_columns, outer.rows), p):
-                    return (s, t)
-            inner, inner_columns = outer, outer_columns
+            inner, outer = diffs[(s, t)], diffs[(s + 1, t)]
+            if any(inner.columns) and any(outer.columns) and reduced_sums(
+                compose_columns(outer.columns, inner.columns, outer.rows), p
+            ):
+                return (s, t)
     return None

@@ -17,23 +17,26 @@ filter reads, is the presentation's `reduced_coproduct`.
 The identity scan evaluates whole levels.  Every coface and codegeneracy
 preserves the internal degree, so each is built once per cosimplicial level,
 over every internal degree of the window, as a list of columns, each a tuple
-of (row, coefficient) pairs.  Each side of an identity is then one flat dict
-for the whole level, keyed column * R + row with R the size of the target
-level, rather than one matrix product per spot; the two sides are reduced
-mod p only if they differ as integer sums.  A mismatch is still reported,
-and counted up to, at the first failing spot in the per-spot order; but a map
-is built for its whole level, so an image term outside the target basis at
-any t raises before an identity that uses the map is compared at all.  The
-full tensor bases and the codegeneracy maps, which only delete a unit slot
-with coefficient 1, do not depend on the field: they are built once per
-cogenerator list and window, in the presentation's `oracle_memo`, which
-`over` shares.  The cofaces, whose coefficients do, are built per scan.
+of (row, coefficient) pairs: the layout of a differential, made spot by spot
+by the same `cochain.image_columns`.  Each side of an identity is then one
+flat dict for the whole level, keyed column * R + row with R the size of the
+target level, rather than one matrix product per spot; the two sides are
+reduced mod p only if they differ as integer sums.  A mismatch is still
+reported, and counted up to, at the first failing spot in the per-spot order;
+but a map is built for its whole level, so an image term outside the target
+basis at any t raises before an identity that uses the map is compared at all.
+The full tensor bases, the row index of each spot and the codegeneracy maps,
+which only delete a unit slot with coefficient 1, do not depend on the field:
+they are built once per cogenerator list and window, in the presentation's
+`oracle_memo`, which `over` shares.  The cofaces, whose coefficients do, are
+built per scan.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Optional
 
@@ -51,7 +54,7 @@ from .coalg import (
     reduced_sums,
     standard_page,
 )
-from .cochain import _window_bases, build_complex, coface_terms, compose_columns
+from .cochain import _window_bases, build_complex, coface_terms, compose_columns, image_columns
 from .cohomology import cohh_table, euler_check, kunneth_table, page_grid
 from .collapse import analyze, exton2_hypotheses
 from .errors import InvariantFailure
@@ -289,8 +292,8 @@ def verify_cosimplicial_identities(
     identity is compared: a mismatch of the identity at a lower t, which the
     per-spot order would report, is not reported.  An identity whose source
     spot is empty compares two maps out of a zero space, so it is counted in
-    `checked` and has no column to compare.  The tensor bases and the
-    codegeneracy level maps are kept in `C.oracle_memo`, by window.
+    `checked` and has no column to compare.  The tensor bases, spot indexes
+    and codegeneracy level maps are kept in `C.oracle_memo`, by window.
     """
     max_s, max_t = window.max_s, window.max_t
     bases = _window_bases(C, max_s + 1, max_t, normalized=False)
@@ -301,15 +304,15 @@ def verify_cosimplicial_identities(
         for t in range(max_t + 1):
             firsts.append(firsts[-1] + len(bases[(s, t)]))
         starts[s] = firsts
-    indexes: dict = {}
-    # (i, s) -> the columns of coface i out of level s, of codegeneracy i into it
+    # (i, s) -> the columns of coface i out of level s, of codegeneracy i into it;
+    # the codegeneracies and the row index of each spot (level, t) are field-free
     cofaces: dict = {}
-    codegeneracies = C.oracle_memo.setdefault((max_s, max_t), {})
+    indexes, codegeneracies = C.oracle_memo.setdefault((max_s, max_t), ({}, {}))
 
     def level_columns(source: int, target: int, terms, i: int, s: int) -> list:
         """The columns terms(C, i, s, tup) of every tuple of level `source`,
         each term looked up in its own spot of level `target`."""
-        columns = []
+        columns, image = [], partial(terms, C, i, s)
         for t in range(max_t + 1):
             tups = bases[(source, t)]
             if not tups:
@@ -320,21 +323,7 @@ def verify_cosimplicial_identities(
                 index = indexes[(target, t)] = {
                     tup: first + r for r, tup in enumerate(bases[(target, t)])
                 }
-            for tup in tups:
-                image = terms(C, i, s, tup)
-                try:
-                    if len(image) > 1:
-                        column = tuple([(index[key], c) for key, c in image.items()])
-                    elif image:  # every nonzero codegeneracy image is one term
-                        (key, c), = image.items()
-                        column = ((index[key], c),)
-                    else:
-                        column = ()
-                except KeyError as exc:
-                    raise KeyError(
-                        f"image term {exc.args[0]} missing from the target basis"
-                    ) from None
-                columns.append(column)
+            columns += image_columns(tups, index, image)
         return columns
 
     def cf(i, s):

@@ -3,8 +3,9 @@
 Over Q it eliminates in `Fraction`s with ordinary division, over F_p with
 modular inverses, on a full dense copy of the matrix; it shares no code with
 the sparse, fraction-free `cochain.rank` it checks.  `from_triples` builds the
-`SparseMatrix` of a hand-written or random matrix, and `matrix_product` the
-product of two, for matrices of low rank.
+`SparseMatrix` of a hand-written or random matrix, in the one layout every
+cobar map has, a list of columns of (row, value) pairs; `matrix_product`
+builds the product of two, for matrices of low rank.
 """
 
 from fractions import Fraction
@@ -20,7 +21,10 @@ def from_triples(fld, rows: int, cols: int, triples) -> SparseMatrix:
         if not (0 <= r < rows and 0 <= c < cols):
             raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
         sums[(r, c)] = sums.get((r, c), 0) + v
-    return SparseMatrix(fld, rows, cols, reduced_sums(sums, fld.characteristic))
+    columns = [[] for _ in range(cols)]
+    for (r, c), v in reduced_sums(sums, fld.characteristic).items():
+        columns[c].append((r, v))
+    return SparseMatrix(fld, rows, [tuple(column) for column in columns])
 
 
 def matrix_product(a, b) -> SparseMatrix:
@@ -28,9 +32,9 @@ def matrix_product(a, b) -> SparseMatrix:
     pair of entries that meet, reduced by `from_triples`."""
     return from_triples(a.field, a.rows, b.cols, [
         (r, c, v * w)
-        for (r, k), v in a.entries.items()
-        for (j, c), w in b.entries.items()
-        if j == k
+        for c, column in enumerate(b.columns)
+        for k, w in column
+        for r, v in a.columns[k]
     ])
 
 
@@ -38,8 +42,9 @@ def dense_rank(m) -> int:
     """Rank of a `SparseMatrix` by dense row reduction."""
     p = m.field.characteristic
     rows = [[0] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v if p else Fraction(v)
+    for c, column in enumerate(m.columns):
+        for r, v in column:
+            rows[r][c] = v if p else Fraction(v)
     rank = 0
     for c in range(m.cols):
         pivot = next((i for i in range(rank, m.rows) if rows[i][c] != 0), None)

@@ -235,7 +235,7 @@ def test_every_differential_has_the_shape_of_its_spots(C, window, normalized):
 def test_rank_of_a_matrix_without_entries_is_zero():
     for p in (0, 3):
         for rows, cols in ((0, 0), (3, 0), (3, 4)):
-            assert rank(SparseMatrix(Field(p), rows, cols)) == 0
+            assert rank(SparseMatrix(Field(p), rows, [()] * cols)) == 0
 
 
 @pytest.mark.parametrize("C, window, normalized, spot", [
@@ -261,8 +261,8 @@ def test_first_square_failure_reduces_the_composed_sums(p, second, spot):
         BidegreeWindow(1, 0),
         {(0, 0): ["a"], (1, 0): ["b", "c"], (2, 0): ["d"]},
         {
-            (0, 0): SparseMatrix(fld, 2, 1, {(0, 0): 1, (1, 0): 1}),
-            (1, 0): SparseMatrix(fld, 1, 2, {(0, 0): 1, (0, 1): second}),
+            (0, 0): SparseMatrix(fld, 2, [((0, 1), (1, 1))]),
+            (1, 0): SparseMatrix(fld, 1, [((0, 1),), ((0, second),)]),
         },
     )
     assert first_square_failure(cx) == spot
@@ -640,10 +640,13 @@ def test_scalars_over_q_are_plain_ints():
                 assert all(0 < v < p for v in coefficients + entries), C.cogenerators
 
 
-def test_each_sparse_matrix_built_without_entries_gets_its_own_dict():
-    a, b = SparseMatrix(Field(3), 1, 1), SparseMatrix(Field(3), 1, 1)
-    a.entries[(0, 0)] = 1
-    assert b.entries == {}
+def test_entries_and_cols_are_views_of_the_columns():
+    """A `SparseMatrix` stores only its columns; `entries` is their
+    coordinate view and `cols` their count."""
+    m = SparseMatrix(Field(3), 3, [((2, 1), (0, 2)), (), ((1, 1),)])
+    assert m.entries == {(2, 0): 1, (0, 0): 2, (1, 2): 1}
+    assert m.cols == len(m.columns) == 3
+    assert SparseMatrix.__slots__ == ("field", "rows", "columns")
 
 
 def test_from_triples_sums_and_drops_zeros():
@@ -665,9 +668,9 @@ def test_compose_columns_gives_unreduced_flat_sums():
 
 
 def _transpose(m):
-    return SparseMatrix(
-        m.field, m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}
-    )
+    return from_triples(m.field, m.cols, m.rows, [
+        (c, r, v) for c, column in enumerate(m.columns) for r, v in column
+    ])
 
 
 def _random_matrix(rng, fld, rows, cols, density):
@@ -690,7 +693,7 @@ def _random_matrix(rng, fld, rows, cols, density):
 
 def _random_matrices(rng, fld):
     for rows, cols in ((0, 4), (4, 0), (0, 0), (3, 5)):
-        yield SparseMatrix(fld, rows, cols)
+        yield SparseMatrix(fld, rows, [()] * cols)
     for _ in range(60):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         yield _random_matrix(rng, fld, rows, cols, rng.choice((0.15, 0.4, 0.8)))

@@ -123,6 +123,27 @@ def test_only_cli_lays_out_reports():
     assert offenders == []
 
 
+def test_one_function_turns_image_terms_into_rows():
+    """Exactly one src function raises "missing from the target basis":
+    every cobar map, differential or identity-scan level map, gets its rows
+    from `cochain.image_columns`, so the lookup is written once."""
+    raisers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+            elif isinstance(child, ast.Raise):
+                if "missing from the target basis" in ast.unparse(child):
+                    raisers.append(where)
+            else:
+                visit(child, where)
+
+    for path in sorted((ROOT / "src" / "cohh").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert raisers == ["cochain.image_columns"]
+
+
 def _modules_after(code: str) -> set:
     """The modules a fresh interpreter holds after running `code`, as a CLI
     process would with `PYTHONPATH=src`."""
