@@ -34,12 +34,15 @@ Start-up rule: a command imports only the engine modules it runs, inside its
 own function, and `--help` imports none of them (nor `json`).  No process
 imports argparse.  Every process is a fresh interpreter, so a module-level
 import here is paid by every call.  For the same reason no engine module
-imports `dataclasses`: each process compiles the modules it loads and pays
-for their imports, and `dataclasses` pulls in `inspect`, `ast`, `dis` and
-`tokenize`, which cost more than the table of a small presentation.  Records
-are `typing.NamedTuple`s, or plain classes with `__slots__` where they
-validate, mutate or define equality, as `Field` and `E2Presentation`, the
-one E2 page record, which identification returns and `collapse` certifies.
+imports `dataclasses` or `typing`: each process compiles the modules it
+loads and pays for their imports, `dataclasses` pulls in `inspect`, `ast`,
+`dis` and `tokenize`, and `typing` alone costs more than the table of a
+small presentation wherever no site hook has loaded it already.  Records
+are `collections.namedtuple`s, which cost no import (`python -m` loads
+`collections` through `runpy`, a console script through `re`), or plain
+classes with `__slots__` where they validate, mutate or define equality, as
+`Field` and `E2Presentation`, the one E2 page record, which identification
+returns and `collapse` certifies.
 
 The command line is read from `COMMANDS`, one static table near the end of
 this module, by `parse_args`.  It follows argparse's rules for the options

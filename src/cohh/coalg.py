@@ -33,8 +33,8 @@ commands share: `Field` with its primality test, `reduced_sums`,
 `cli.COMMANDS`), `format_monomial`, and the E2 page record, `E2Presentation`,
 with the one shape vocabulary (`shape()`), the named page of a shape
 (`standard_page`) and its identification line (`describe`): identification
-returns a page and `collapse` certifies one.  It imports only `errors`,
-`itertools`, `math` and `typing`.  The cobar machinery, with its
+returns a page and `collapse` certifies one.  It imports only `collections`,
+`errors`, `itertools` and `math`.  The cobar machinery, with its
 `SparseMatrix` and `rank`, is the oracle, `cochain`: `selftest`, the tests
 and the benchmark replay load it, and `cohh cohh` loads it only for the one
 factor kind without a closed form, which the grammar cannot express.
@@ -42,9 +42,9 @@ factor kind without a closed form, which the grammar cannot express.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import zip_longest
 from math import comb
-from typing import NamedTuple, Optional
 
 from .errors import InvalidInput
 
@@ -123,11 +123,10 @@ def reduced_sums(sums: dict, p: int) -> dict:
     return sums if all(sums.values()) else {key: v for key, v in sums.items() if v}
 
 
-class BidegreeWindow(NamedTuple):
-    """Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."""
-
-    max_s: int
-    max_t: int
+BidegreeWindow = namedtuple("BidegreeWindow", "max_s max_t")
+BidegreeWindow.__doc__ = (
+    "Finite truncation: cosimplicial degrees s <= max_s, internal degrees t <= max_t."
+)
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -160,13 +159,10 @@ class ParityViolation(InvalidInput):
     """Exterior cogenerators must be odd, polynomial/divided-power even (char != 2)."""
 
 
-class Cogenerator(NamedTuple):
-    """One named cogenerator; truncation caps the exponent (divided powers: max j)."""
-
-    name: str
-    kind: str
-    degree: int
-    truncation: Optional[int] = None
+Cogenerator = namedtuple("Cogenerator", "name kind degree truncation", defaults=(None,))
+Cogenerator.__doc__ = (
+    "One named cogenerator; truncation caps the exponent (divided powers: max j)."
+)
 
 
 class CoalgebraPresentation:
@@ -333,11 +329,7 @@ class WrongShape(InvalidInput):
     """E2 presentation does not have the shape this operation analyzes."""
 
 
-class E2Generator(NamedTuple):
-    name: str
-    kind: str
-    s: int
-    t: int
+E2Generator = namedtuple("E2Generator", "name kind s t")
 
 
 class E2Presentation:

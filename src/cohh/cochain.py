@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from functools import partial
 from math import gcd
-from typing import Optional
 
 from .coalg import (
     BidegreeWindow,
@@ -428,7 +427,7 @@ def build_complex(
     return cx
 
 
-def first_square_failure(cx: CochainComplex) -> Optional[tuple]:
+def first_square_failure(cx: CochainComplex) -> tuple | None:
     """First (s, t) where d(s+1,t) . d(s,t) is nonzero, or None.  Where both
     maps have entries, their stored columns are composed by
     `compose_columns` and the sums reduced."""

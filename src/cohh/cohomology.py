@@ -54,9 +54,9 @@ cohh` loads no cobar machinery.  The oracle, `cochain`, is imported where it is 
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
 from operator import add, sub
-from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .coalg import (
     EXTERIOR,
@@ -73,9 +73,6 @@ from .coalg import (
 )
 from .errors import InvalidInput
 
-if TYPE_CHECKING:
-    from .cochain import CochainComplex
-
 # Most (max_s + 1) * (max_t + 1) cells and most factors * cells that
 # `kunneth_table` accepts; see its docstring for the timings behind them.
 MAX_WINDOW_CELLS = 20_000
@@ -87,12 +84,11 @@ class WindowTooLarge(InvalidInput):
     factors * cells than `MAX_FACTOR_CELLS`."""
 
 
-class BigradedTable(NamedTuple):
-    """Exact dimensions per (s, t) in the window, over `characteristic`."""
+class BigradedTable(namedtuple("BigradedTable", "window entries characteristic")):
+    """Exact dimensions per (s, t) in the window, over `characteristic`;
+    `entries` maps (s, t) to the dimension."""
 
-    window: BidegreeWindow
-    entries: dict                     # (s, t) -> dimension
-    characteristic: int
+    __slots__ = ()
 
     def dim(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)
@@ -306,13 +302,12 @@ def kunneth_table(C: CoalgebraPresentation, window: BidegreeWindow) -> BigradedT
     return BigradedTable(window, _entries(rows), p)
 
 
-class EulerReport(NamedTuple):
-    """Alternating-sum comparison of spot dims vs table dims, per internal degree."""
-
-    passed: bool
-    checked_degrees: list
-    skipped_degrees: list
-    first_violation: Optional[int] = None
+EulerReport = namedtuple(
+    "EulerReport", "passed checked_degrees skipped_degrees first_violation", defaults=(None,)
+)
+EulerReport.__doc__ = (
+    "Alternating-sum comparison of spot dims vs table dims, per internal degree."
+)
 
 
 def presentation_euler_check(
@@ -379,7 +374,7 @@ def page_grid(page: E2Presentation, window: BidegreeWindow) -> dict:
     return _entries(_times_generators(_unit(window), page.generators))
 
 
-def identify_presentation(table: BigradedTable) -> Optional[E2Presentation]:
+def identify_presentation(table: BigradedTable) -> E2Presentation | None:
     """The `standard_page` whose `page_grid` the table is, or None.
 
     On both named pages row 1 is row 0 times sum_d q^d over the degrees: it

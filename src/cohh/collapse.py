@@ -33,7 +33,7 @@ report, with the texts `CERTIFICATE_CAVEATS` and `CONVERGENCE_NOTE`.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .coalg import (
     EXTERIOR,
@@ -196,27 +196,22 @@ def exton2_hypotheses(e2: E2Presentation) -> dict:
     return checks
 
 
-class Obstruction(NamedTuple):
-    """One potential map d_r: every candidate source monomial (the witnesses)
-    of one source bidegree that the bidegree law lets hit `target` on page r.
-    `source` is the lexicographically least witness."""
+Obstruction = namedtuple(
+    "Obstruction", "source target page source_bidegree target_bidegree witnesses"
+)
+Obstruction.__doc__ = """One potential map d_r: every candidate source monomial (the witnesses)
+of one source bidegree that the bidegree law lets hit `target` on page r.
+`witnesses` holds all source monomials in this bidegree; `source` is the
+lexicographically least witness."""
 
-    source: tuple
-    target: tuple
-    page: int
-    source_bidegree: tuple
-    target_bidegree: tuple
-    witnesses: tuple         # all source monomials in this bidegree
-
-
-class CollapseCertificate(NamedTuple):
-    verdict: str                      # "collapses" | "obstructed"
-    obstructions: list
-    hypothesis_checks: dict
-    max_t: int
-    max_page_searched: Optional[int]
-    shape: str
-    argument: Optional[str] = None
+CollapseCertificate = namedtuple(
+    "CollapseCertificate",
+    "verdict obstructions hypothesis_checks max_t max_page_searched shape argument",
+    defaults=(None,),
+)
+CollapseCertificate.__doc__ = """What `analyze` certifies: `verdict` is "collapses" or
+"obstructed"; `argument`, the text of an argument that needs no search, is
+None where the obstructions were searched."""
 
 
 def analyze(e2: E2Presentation, max_t: int) -> CollapseCertificate:

@@ -35,7 +35,7 @@ product of two positive-degree monomials, since exponent sums add.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coalg import DIVIDED_POWER, POLYNOMIAL, CoalgebraPresentation
 from .errors import InvalidInput
@@ -77,11 +77,9 @@ def primitive_exponents(kind: str, degree: int, p: int, max_t: int, truncation=N
     return out
 
 
-class MonomialSet(NamedTuple):
-    """Monomials (exponent tuples) per nonempty internal degree 1..max_t, each
-    list in lexicographic exponent order."""
-
-    by_degree: dict
+MonomialSet = namedtuple("MonomialSet", "by_degree")
+MonomialSet.__doc__ = """Monomials (exponent tuples) per nonempty internal degree 1..max_t, each
+list in lexicographic exponent order."""
 
 
 def _powers(C: CoalgebraPresentation, max_t: int, exponents) -> MonomialSet:

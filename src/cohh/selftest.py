@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import namedtuple
 from functools import partial
 from itertools import combinations_with_replacement, product
-from typing import NamedTuple, Optional
 
 from .coalg import (
     DIVIDED_POWER,
@@ -84,11 +84,7 @@ TIME_BUDGETS_SECONDS = {
 }
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+CheckResult = namedtuple("CheckResult", "name passed detail elapsed")
 
 
 def _lambda_presentation(p: int, degrees) -> CoalgebraPresentation:
@@ -259,12 +255,10 @@ def codegeneracy_terms(C: CoalgebraPresentation, i: int, s: int, tup: tuple) -> 
     return {tup[: i + 1] + tup[i + 2:]: 1}
 
 
-class IdentityReport(NamedTuple):
-    """Outcome of the cosimplicial identity scan; failures are data, not errors."""
-
-    passed: bool
-    checked: int
-    failure: Optional[dict] = None
+IdentityReport = namedtuple("IdentityReport", "passed checked failure", defaults=(None,))
+IdentityReport.__doc__ = (
+    "Outcome of the cosimplicial identity scan; failures are data, not errors."
+)
 
 
 def verify_cosimplicial_identities(
@@ -340,7 +334,7 @@ def verify_cosimplicial_identities(
 
     checked = 0
 
-    def mismatch(family, i, j, s, source, target, lhs, rhs) -> Optional[IdentityReport]:
+    def mismatch(family, i, j, s, source, target, lhs, rhs) -> IdentityReport | None:
         """None, counting the identity at every t, if the two sides agree;
         else the failure at the least t whose columns differ."""
         nonlocal checked

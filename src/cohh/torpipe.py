@@ -9,7 +9,7 @@ table of that exterior coalgebra and identifies it as the page Λ(τ)⊗F_p[ω].
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coalg import (
     EXTERIOR,
@@ -21,16 +21,14 @@ from .coalg import (
     WindowTooSmall,
     standard_page,
 )
-from .cohomology import BigradedTable, check_window, identify_presentation, kunneth_table
+from .cohomology import check_window, identify_presentation, kunneth_table
 from .errors import InvalidInput, InvariantFailure
 
 # Tor^Z(F_p, F_p) = Λ(τ_1) in degrees 0..4, as the report lists it (cited).
 TOR_DIMS = [1, 1, 0, 0, 0]
 
 
-class HZPipelineResult(NamedTuple):
-    table: BigradedTable
-    description: str
+HZPipelineResult = namedtuple("HZPipelineResult", "table description")
 
 
 def hz_e2_pipeline(p: int, window: BidegreeWindow) -> HZPipelineResult:

@@ -144,12 +144,12 @@ def test_one_function_turns_image_terms_into_rows():
     assert raisers == ["cochain.image_columns"]
 
 
-def _modules_after(code: str) -> set:
-    """The modules a fresh interpreter holds after running `code`, as a CLI
-    process would with `PYTHONPATH=src`."""
+def _modules_after(code: str, *flags) -> set:
+    """The modules a fresh interpreter, started with `flags`, holds after
+    running `code`, as a CLI process would with `PYTHONPATH=src`."""
     probe = code + "\nimport sys\nprint('MODULES', *sorted(sys.modules))\n"
     run = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *flags, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, check=True, timeout=60,
     )
@@ -198,6 +198,70 @@ def test_startup_loads_only_the_engine_of_the_command(tmp_path):
     loaded = _modules_after("from cohh.cli import main\nmain(['selftest'])")
     assert {"cohh.selftest", "cohh.cochain"} <= loaded
     assert not loaded & (slow_imports | ARGPARSE)
+
+
+def test_no_command_loads_typing(tmp_path):
+    """No command's process loads `typing`, whose import costs more than the
+    table of a small presentation.  The probes run with `-S`: a site hook
+    (a `.pth` file of an installed package) may load `typing` before any
+    cohh code runs, and would hide an import that cohh makes."""
+    coalg = tmp_path / "lambda.coalg"
+    coalg.write_text("char 3\nexterior y 3\n")
+    e2 = tmp_path / "page.e2"
+    e2.write_text("char 3\nexterior y 0 3\npolynomial w 1 2\n")
+    offenders = []
+    for argv in (
+        ["--help"],
+        ["cohh", str(coalg), "--max-t", "6"],
+        ["collapse", str(e2)],
+        ["hz", "--char", "3"],
+        ["primitives", str(coalg)],
+        ["indecomposables", str(coalg)],
+        ["selftest"],
+    ):
+        loaded = _modules_after(f"from cohh.cli import main\nmain({argv!r})", "-S")
+        if "typing" in loaded:
+            offenders.append(argv[0])
+    assert offenders == []
+
+
+# Each record: its module, its fields in order, and the defaults of its last fields.
+RECORDS = {
+    "BidegreeWindow": ("coalg", ("max_s", "max_t"), {}),
+    "Cogenerator": ("coalg", ("name", "kind", "degree", "truncation"), {"truncation": None}),
+    "E2Generator": ("coalg", ("name", "kind", "s", "t"), {}),
+    "BigradedTable": ("cohomology", ("window", "entries", "characteristic"), {}),
+    "EulerReport": (
+        "cohomology",
+        ("passed", "checked_degrees", "skipped_degrees", "first_violation"),
+        {"first_violation": None},
+    ),
+    "Obstruction": (
+        "collapse",
+        ("source", "target", "page", "source_bidegree", "target_bidegree", "witnesses"),
+        {},
+    ),
+    "CollapseCertificate": (
+        "collapse",
+        ("verdict", "obstructions", "hypothesis_checks", "max_t", "max_page_searched",
+         "shape", "argument"),
+        {"argument": None},
+    ),
+    "MonomialSet": ("hopfstruct", ("by_degree",), {}),
+    "CheckResult": ("selftest", ("name", "passed", "detail", "elapsed"), {}),
+    "IdentityReport": ("selftest", ("passed", "checked", "failure"), {"failure": None}),
+    "HZPipelineResult": ("torpipe", ("table", "description"), {}),
+}
+
+
+def test_records_are_tuples_with_fixed_fields_and_defaults():
+    """Every record is a tuple, so callers unpack it and compare it with a
+    plain tuple (`report == (False, checked, failure)`); its fields keep
+    their order, and the fields that may be left out default to None."""
+    for name, (module, fields, defaults) in RECORDS.items():
+        record = getattr(importlib.import_module(f"cohh.{module}"), name)
+        assert issubclass(record, tuple), name
+        assert (record._fields, record._field_defaults) == (fields, defaults), name
 
 
 def test_every_process_enters_by_cli_run():
